@@ -4,11 +4,16 @@ Two implementations share the same flooding schedule (all checks in index
 order, then all bits in index order), prior handling, +/-30 LLR clamp and
 tie-to-zero hard decision:
 
-- ``sp_decode``: scalar reference, one syndrome at a time;
-- ``sp_decode_batch``: float64 numpy engine decoding many syndromes at once
+- ``sp_decode``: scalar reference, one syndrome at a time (a test oracle);
+- ``BatchDecoder``: float64 numpy engine decoding many syndromes at once
   (the simulator's hot path), with converged trials retired from the batch
   after every iteration.  Messages are per-trial independent, so retiring
   rows cannot change any trial's arithmetic.
+
+``BatchDecoder`` reads iteration 1 from two message tables.  There every
+bit-to-check message is the prior LLR, so a check-to-bit message depends
+only on its slot and its check's syndrome bit; the tables are the general
+check-node update run once on syndrome bit 0 and once on 1, hence exact.
 """
 
 from __future__ import annotations
@@ -145,6 +150,10 @@ class BatchDecoder:
     Edge layout is check-major with per-check slot padding to the maximum
     check degree; bit-side gathers use flat edge indices.  All operations are
     elementwise per trial, so results are independent of batch composition.
+    Padded check slots enter the tanh product as 1 and padded bit slots add
+    0 to the bit sums; these are the only mask writes, made only when the
+    graph has padded slots (``self.padded``).  Padded message slots hold
+    finite values that nothing else reads.
     """
 
     def __init__(self, graph: TannerGraph, max_iter: int = DEFAULT_MAX_ITER,
@@ -170,7 +179,33 @@ class BatchDecoder:
         for j, es in enumerate(edge_lists):
             self.bit_edge[j, : len(es)] = es
             self.bit_mask[j, : len(es)] = True
+        self.bit_check = self.bit_edge // dc
+        self.padded = not (self.check_mask.all() and self.bit_mask.all())
         self.m, self.n, self.dc = m, n, dc
+
+    def parity(self, bits: np.ndarray) -> np.ndarray:
+        """(B, n_bits) boolean batch -> (B, n_checks) uint8 check parities."""
+        gathered = bits[:, self.check_nbr]
+        if self.padded:
+            gathered &= self.check_mask
+        return gathered.sum(axis=2, dtype=np.uint8) & 1
+
+    def _check_update(self, m_bc: np.ndarray, syn: np.ndarray) -> np.ndarray:
+        """Check-to-bit messages (B, m, dc): the tanh product over a check's
+        other slots, negated where its syndrome bit is set, then clamped."""
+        t = np.tanh(0.5 * m_bc)
+        if self.padded:
+            t[:, ~self.check_mask] = 1.0
+        left = np.ones_like(t)
+        np.cumprod(t[:, :, :-1], axis=2, out=left[:, :, 1:])
+        right = np.ones_like(t)
+        right[:, :, :-1] = np.cumprod(t[:, :, :0:-1], axis=2)[:, :, ::-1]
+        prod = left * right
+        prod *= np.where(syn, -1.0, 1.0)[:, :, None]
+        np.clip(prod, -0.999999999999, 0.999999999999, out=prod)
+        m_cb = 2.0 * np.arctanh(prod)
+        np.clip(m_cb, -self.clamp, self.clamp, out=m_cb)
+        return m_cb
 
     def decode(self, syndromes: np.ndarray, prior: float):
         """Decode a (B, n_checks) uint8 syndrome batch.
@@ -192,32 +227,24 @@ class BatchDecoder:
             return est, conv, iters
 
         syn = syndromes[active].astype(bool)
-        sign = np.where(syn, -1.0, 1.0)[:, :, None]
-        mask3 = self.check_mask[None, :, :]
-        m_bc = np.where(mask3, L0, 0.0) * np.ones((active.size, 1, 1))
+        # iteration-1 check-to-bit messages for syndrome bit 0 and 1, also
+        # laid out bit-major as (n, dv) with padded bit slots zeroed
+        table = self._check_update(np.full((2, self.m, self.dc), L0),
+                                   np.array([[False], [True]]))
+        t0, t1 = (np.where(self.bit_mask, tab.ravel()[self.bit_edge], 0.0) for tab in table)
 
         for it in range(1, self.max_iter + 1):
-            t = np.tanh(0.5 * m_bc)
-            t[~np.broadcast_to(mask3, t.shape)] = 1.0
-            left = np.ones_like(t)
-            np.cumprod(t[:, :, :-1], axis=2, out=left[:, :, 1:])
-            right = np.ones_like(t)
-            right[:, :, :-1] = np.cumprod(t[:, :, :0:-1], axis=2)[:, :, ::-1]
-            prod = left * right
-            prod *= sign
-            np.clip(prod, -0.999999999999, 0.999999999999, out=prod)
-            m_cb = 2.0 * np.arctanh(prod)
-            np.clip(m_cb, -self.clamp, self.clamp, out=m_cb)
-            m_cb[~np.broadcast_to(mask3, m_cb.shape)] = 0.0
-
-            flat = m_cb.reshape(m_cb.shape[0], -1)
-            incoming = flat[:, self.bit_edge]
-            incoming[~np.broadcast_to(self.bit_mask[None], incoming.shape)] = 0.0
+            if it == 1:
+                incoming = np.where(syn[:, self.bit_check], t1, t0)
+            else:
+                m_cb = self._check_update(m_bc, syn)
+                incoming = m_cb.reshape(m_cb.shape[0], -1)[:, self.bit_edge]
+                if self.padded:
+                    incoming[:, ~self.bit_mask] = 0.0
             totals = L0 + incoming.sum(axis=2)
             hard = totals < 0.0
 
-            par = (hard[:, self.check_nbr] & mask3 & self.check_mask[None]).sum(axis=2) & 1
-            ok = (par.astype(bool) == syn).all(axis=1)
+            ok = (self.parity(hard) == syn).all(axis=1)
             done = np.nonzero(ok)[0]
             if done.size:
                 rows = active[done]
@@ -229,24 +256,14 @@ class BatchDecoder:
                 if active.size == 0:
                     return est, conv, iters
                 syn = syn[keep]
-                sign = sign[keep]
                 totals = totals[keep]
-                m_cb = m_cb[keep]
                 hard = hard[keep]
+                if it > 1:
+                    m_cb = m_cb[keep]
             if it == self.max_iter:
                 est[active] = hard
                 return est, conv, iters
+            if it == 1:
+                m_cb = np.where(syn[:, :, None], table[1], table[0])
             m_bc = totals[:, self.check_nbr] - m_cb
-            m_bc[~np.broadcast_to(mask3, m_bc.shape)] = 0.0
         return est, conv, iters
-
-
-def sp_decode_batch(
-    H: BitMatrix,
-    syndromes: np.ndarray,
-    prior: float,
-    max_iter: int = DEFAULT_MAX_ITER,
-    clamp: float = LLR_CLAMP,
-):
-    """Convenience wrapper: build the graph and decode a syndrome batch."""
-    return BatchDecoder(build_tanner(H), max_iter=max_iter, clamp=clamp).decode(syndromes, prior)

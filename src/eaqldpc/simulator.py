@@ -87,9 +87,7 @@ class CodeInstance:
 
     def syndromes_of(self, errors: np.ndarray) -> np.ndarray:
         """(B, n) boolean error batch -> (B, n_checks) uint8 syndromes."""
-        nbr, mask = self.decoder.check_nbr, self.decoder.check_mask
-        par = (errors[:, nbr] & mask[None]).sum(axis=2) & 1
-        return par.astype(np.uint8)
+        return self.decoder.parity(errors)
 
     def residual_in_row_space(self, residuals: np.ndarray) -> np.ndarray:
         """Row-space membership via orthogonality to the nullspace basis."""

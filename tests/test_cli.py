@@ -134,7 +134,7 @@ def test_sim_smoke_regression(capsys):
     assert code == 0
     row = out.strip().splitlines()[-1].split(",")
     errors = int(row[2])
-    assert 0 <= errors < 400
+    assert errors == 67
     # reproducibility: same seed, same count
     code2, out2, _ = run_cli(
         capsys,

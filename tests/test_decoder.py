@@ -1,6 +1,7 @@
 """Sum-product decoder: graph construction, convergence semantics, agreement
 with exhaustive maximum-likelihood syndrome decoding, batch/scalar parity."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -174,9 +175,7 @@ def test_batch_composition_independence(cache):
     dec = BatchDecoder(build_tanner(H), max_iter=50)
     rng = np.random.default_rng(11)
     errors = rng.random((64, H.cols)) < 0.1
-    syn = np.zeros((64, H.rows), dtype=np.uint8)
-    nbr, mask = dec.check_nbr, dec.check_mask
-    syn = ((errors[:, nbr] & mask[None]).sum(axis=2) & 1).astype(np.uint8)
+    syn = dec.parity(errors)
     est_all, conv_all, _ = dec.decode(syn, prior=0.12)
     for t in range(0, 64, 17):
         est_one, conv_one, _ = dec.decode(syn[t : t + 1], prior=0.12)
@@ -190,3 +189,100 @@ def test_messages_stay_finite(cache):
     syn = np.ones((4, H.rows), dtype=np.uint8)  # adversarial syndrome
     est, conv, _ = dec.decode(syn, prior=0.01)
     assert est.shape == (4, H.cols)  # no exception, no NaN propagation
+
+
+def _irregular_H() -> BitMatrix:
+    """40 x 60 parity checks with row weights 3..6 and column weights 0..8,
+    so the batch layout has padded check slots and padded bit slots."""
+    rng = np.random.default_rng(2024)
+    dense = np.zeros((40, 60), dtype=np.uint8)
+    for i in range(40):
+        dense[i, rng.choice(60, size=3 + i % 4, replace=False)] = 1
+    return BitMatrix.from_dense(dense)
+
+
+def _syndrome_batch(H: BitMatrix, f_m: float, trials: int, seed: int):
+    """Fixed-seed depolarizing X components and their syndromes, computed
+    densely so the batch does not depend on the decoder's own parity code."""
+    p = f_m / 3.0
+    errors = np.random.default_rng(seed).random((trials, H.cols)) < 2.0 * p
+    syn = (errors.astype(np.int64) @ H.to_dense().T.astype(np.int64)) & 1
+    return errors, syn.astype(np.uint8), 2.0 * p
+
+
+def _decode_digest(dec: BatchDecoder, syn: np.ndarray, prior: float) -> str:
+    est, conv, iters = dec.decode(syn, prior)
+    return hashlib.sha256(est.tobytes() + conv.tobytes() + iters.tobytes()).hexdigest()
+
+
+# SHA-256 of est, conv and iters bytes, recorded on the decoder before the
+# table-driven first iteration; a decoder change must reproduce them exactly.
+GOLDEN_DECODES = {
+    ("AG(2,16)/I", 0.02): "3f4c16a29dcdc127d5941e5844831bd9003a38d055e6afcf4ba27bc0d9aaf8a2",
+    ("AG(2,16)/I", 0.045): "e65b57f6f15fe404cef9c3ce29ebe21e73627fec19a6640bd1eaf15221e271cf",
+    ("PG(2,16)/I", 0.02): "f330c5e1326c530e3b0e26bbacff4f6aa648852ce4edcb4208ee9aef787ec93e",
+    ("PG(2,16)/I", 0.045): "eeaecb52ee70fa37542a3e24c43e0c7d7a2a09eaf717beac9b171a2b012cf29a",
+    ("EG(2,16)/I", 0.02): "4f317b71da52daa822ee0d8b6cccfe5ad5192713ef7a5f228a962497c52a606f",
+    ("EG(2,16)/I", 0.045): "a50edac8948e62f8cd9dc98a304754b6dd89cb07db321cccfa2b5b7fa47be157",
+    ("irregular 40x60", 0.15): "c41a7d853e0959c41cf29568d73a14785323732a249e1ef4eadc91eb159347e2",
+}
+
+
+@pytest.mark.parametrize("kind", ["AG", "PG", "EG"])
+@pytest.mark.parametrize("f_m", [0.02, 0.045])
+def test_golden_decode_hashes(cache, kind, f_m):
+    H = oriented_matrix(cache.geometry(kind, 2, 16).structure, BLOCK_BY_POINT)
+    _, syn, prior = _syndrome_batch(H, f_m, 256, seed=31)
+    digest = _decode_digest(BatchDecoder(build_tanner(H)), syn, prior)
+    assert digest == GOLDEN_DECODES[(f"{kind}(2,16)/I", f_m)]
+
+
+def test_golden_decode_hash_irregular():
+    H = _irregular_H()
+    _, syn, prior = _syndrome_batch(H, 0.15, 256, seed=5)
+    digest = _decode_digest(BatchDecoder(build_tanner(H)), syn, prior)
+    assert digest == GOLDEN_DECODES[("irregular 40x60", 0.15)]
+
+
+def test_padded_batch_agrees_with_scalar():
+    """Unequal row and column weights exercise the masked slots: the batch
+    engine matches the scalar reference on convergence, iteration count and
+    estimate, including trials that need two or more iterations."""
+    H = _irregular_H()
+    g = build_tanner(H)
+    dec = BatchDecoder(g, max_iter=30)
+    assert dec.padded
+    _, syn, prior = _syndrome_batch(H, 0.15, 48, seed=5)
+    est, conv, iters = dec.decode(syn, prior)
+    assert (iters >= 2).sum() >= 10 and not conv.all()
+    for t in range(syn.shape[0]):
+        out = sp_decode(g, [int(v) for v in syn[t]], prior=prior, max_iter=30)
+        assert (bool(conv[t]), int(iters[t])) == (out.converged, out.iterations_used)
+        assert est[t].tolist() == [bool(b) for b in out.estimate_bits(H.cols)]
+
+
+def test_one_iteration_decoder_is_first_iteration():
+    """A max_iter=1 decoder reproduces iteration 1 of a full decode: the same
+    trials converge at iteration 1 with the same estimates, and the rest hold
+    the iteration-1 hard decision of the scalar reference."""
+    H = _irregular_H()
+    g = build_tanner(H)
+    _, syn, prior = _syndrome_batch(H, 0.15, 48, seed=5)
+    est, conv, iters = BatchDecoder(g).decode(syn, prior)
+    est1, conv1, iters1 = BatchDecoder(g, max_iter=1).decode(syn, prior)
+    first = conv & (iters <= 1)
+    assert np.array_equal(conv1, first)
+    assert np.array_equal(est1[first], est[first])
+    assert np.array_equal(iters1[first], iters[first])
+    assert (iters1[~first] == 1).all()
+    for t in np.nonzero(~first)[0]:
+        out = sp_decode(g, [int(v) for v in syn[t]], prior=prior, max_iter=1)
+        assert est1[t].tolist() == [bool(b) for b in out.estimate_bits(H.cols)]
+
+
+def test_parity_matches_dense_product(cache):
+    for H in (_irregular_H(),
+              oriented_matrix(cache.geometry("PG", 3, 2).structure, POINT_BY_BLOCK)):
+        errors, syn, _ = _syndrome_batch(H, 0.2, 32, seed=3)
+        par = BatchDecoder(build_tanner(H)).parity(errors)
+        assert par.dtype == np.uint8 and np.array_equal(par, syn)
