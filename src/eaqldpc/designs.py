@@ -90,6 +90,14 @@ class IncidenceStructure:
                 rows[j] |= 1 << p
         return BitMatrix(self.b, self.v, rows)
 
+    def blocks_through(self) -> list[list[int]]:
+        """Indices of the blocks on each point, in block order."""
+        out: list[list[int]] = [[] for _ in range(self.v)]
+        for j, blk in enumerate(self.blocks):
+            for p in blk:
+                out[p].append(j)
+        return out
+
     def replication_counts(self) -> list[int]:
         r = [0] * self.v
         for blk in self.blocks:
@@ -131,16 +139,22 @@ def check_admissible(v: int, mu: int, lam: int = 1) -> bool:
 
 
 def _pair_coverage_counts(S: IncidenceStructure):
-    """(pair ids, counts) over all in-block point pairs, via numpy."""
-    chunks = []
+    """(sorted pair ids a*v + b for a < b, counts) over all in-block point pairs.
+
+    Blocks are grouped by size, so each group is one ``(blocks, size)`` array
+    and needs one ``triu_indices`` call.
+    """
+    by_size: dict[int, list[tuple[int, ...]]] = {}
     for blk in S.blocks:
-        a = np.asarray(blk, dtype=np.int64)
-        iu, ju = np.triu_indices(len(a), k=1)
-        chunks.append(a[iu] * S.v + a[ju])
+        by_size.setdefault(len(blk), []).append(blk)
+    chunks = []
+    for size, blks in by_size.items():
+        a = np.array(blks, dtype=np.int64)
+        iu, ju = np.triu_indices(size, k=1)
+        chunks.append((a[:, iu] * S.v + a[:, ju]).ravel())
     if not chunks:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    ids = np.concatenate(chunks)
-    return np.unique(ids, return_counts=True)
+    return np.unique(np.concatenate(chunks), return_counts=True)
 
 
 def verify_steiner(S: IncidenceStructure, mu: int) -> DesignParams:
@@ -375,45 +389,39 @@ def delete_subdesigns(
 def tanner_girth(S: IncidenceStructure, cap: int = 16):
     """Girth of the bipartite point/block graph; returns the length or ">=cap".
 
-    Fast paths: a doubly covered pair is a 4-cycle; in a lambda<=1 structure a
-    triangle of pairwise-intersecting blocks (3 distinct meeting points) is a
-    6-cycle.  The generic capped BFS only runs when neither settles it.
+    Fast paths: a doubly covered pair is a 4-cycle.  Otherwise lambda <= 1,
+    and a 6-cycle is a point p, blocks B1 != B2 through it, and a block B3
+    covering some q in B1 - p and r in B2 - p.  Any block covering such a
+    pair closes a 6-cycle: q != r, else {p, q} lies in B1 and B2; and B3 is
+    neither B1 nor B2, else r in B1 (or q in B2) puts {p, r} (or {p, q}) in
+    both.  So the girth is 6 exactly when some such pair is covered at all,
+    which ``searchsorted`` answers against the sorted pair ids.  The generic
+    capped BFS runs only when neither path settles it.
     """
     ids, counts = _pair_coverage_counts(S)
     if np.any(counts > 1):
         return 4
-    # lambda <= 1: look for a block triangle -> girth 6
-    pair_block: dict[tuple[int, int], int] = {}
-    for j, blk in enumerate(S.blocks):
-        for x in range(len(blk)):
-            for y in range(x + 1, len(blk)):
-                pair_block[(blk[x], blk[y])] = j
-    blocks_through: list[list[int]] = [[] for _ in range(S.v)]
-    for j, blk in enumerate(S.blocks):
-        for p in blk:
-            blocks_through[p].append(j)
-    for p in range(S.v):
-        bs = blocks_through[p]
-        for a in range(len(bs)):
-            for bb in range(a + 1, len(bs)):
-                B1, B2 = S.blocks[bs[a]], S.blocks[bs[bb]]
-                for q in B1:
-                    if q == p:
-                        continue
-                    for r in B2:
-                        if r == p or r == q:
-                            continue
-                        key = (q, r) if q < r else (r, q)
-                        j3 = pair_block.get(key)
-                        if j3 is not None and j3 != bs[a] and j3 != bs[bb]:
-                            return 6
-    # generic capped BFS from every point vertex
+    for p, through in enumerate(S.blocks_through()):
+        others = [
+            np.array([x for x in S.blocks[j] if x != p], dtype=np.int64) for j in through
+        ]
+        for a in range(len(others) - 1):
+            q = others[a][:, None]
+            r = np.concatenate(others[a + 1 :])[None, :]
+            keys = (np.minimum(q, r) * S.v + np.maximum(q, r)).ravel()
+            pos = np.minimum(np.searchsorted(ids, keys), ids.size - 1)
+            if np.any(ids[pos] == keys):
+                return 6
+    return _bfs_girth(S, cap)
+
+
+def _bfs_girth(S: IncidenceStructure, cap: int):
+    """Girth by a capped BFS from every point vertex; the length or ">=cap"."""
     from collections import deque
 
     best = None
-    adj_p = blocks_through
+    adj_p = S.blocks_through()
     adj_b = [list(blk) for blk in S.blocks]
-    nb = len(S.blocks)
     for s in range(S.v):
         dist = {("p", s): 0}
         parent = {("p", s): None}

@@ -32,7 +32,6 @@ from .geometry import (
     WitnessCodeword,
     affine_hyperoval_trace,
     dual_hyperoval,
-    hamada_phi,
     hyperbolic_quadric,
     parallel_class_pair,
     point_hyperoval,
@@ -482,28 +481,16 @@ def family_params(kind: str, orientation: str, m: int, q: int) -> EaqeccParams:
         if kind == PG:
             v = (q ** (m + 1) - 1) // (q - 1)
             n = (q ** (m + 1) - 1) * (q**m - 1) // ((q**2 - 1) * (q - 1))
-            if t is not None:
-                rk = hamada_phi(m, t)
-                c = 1
-            else:
-                rk = v - 1
-                c = 1 if m % 2 == 1 else v - 1
+            c = 1 if t is not None or m % 2 == 1 else v - 1
         elif kind == AG:
-            v = q**m
             n = q ** (m - 1) * (q**m - 1) // (q - 1)
-            if t is not None:
-                rk = hamada_phi(m, t) - hamada_phi(m - 1, t)
-                c = 1
-            else:
-                rk = q**m
-                c = 1 if m % 2 == 1 else q**m - 1
+            c = 1 if t is not None or m % 2 == 1 else q**m - 1
         elif kind == EG:
             if t is None:
                 raise ValueError(
                     f"no closed form for Type II EG with q odd; {_FAMILY_HELP}"
                 )
             n = (q ** (m - 1) - 1) * (q**m - 1) // (q - 1)
-            rk = hamada_phi(m, t) - hamada_phi(m - 1, t) - 1
             c = (q**m - q) // (q - 1)
         else:
             raise ValueError(f"unknown geometry kind {kind!r}")
@@ -514,18 +501,16 @@ def family_params(kind: str, orientation: str, m: int, q: int) -> EaqeccParams:
             )
         if kind == PG:
             n = q**2 + q + 1
-            rk = 3**t + 1
             c = 1
         elif kind == AG:
             n = q**2
-            rk = 3**t
             c = q
         elif kind == EG:
             n = q**2 - 1
-            rk = 3**t - 1
             c = q
         else:
             raise ValueError(f"unknown geometry kind {kind!r}")
+    rk = rank_formula(kind, m, q)
     k = n - 2 * rk + c
     if d_val is None:
         d = DistanceResult("bounded", 1, n)

@@ -324,14 +324,6 @@ def ag_hyperplane_spread(design: GeometryDesign) -> SpreadPartition:
 
 # --- witness codewords --------------------------------------------------------
 
-def _pg_line_block(design: GeometryDesign, pts_on_line: Sequence[int]) -> int:
-    blk = tuple(sorted(pts_on_line))
-    try:
-        return design.structure.blocks.index(blk)
-    except ValueError as e:
-        raise DesignError(f"line {blk} not a block of the design") from e
-
-
 def _block_lookup(design: GeometryDesign) -> dict[tuple[int, ...], int]:
     return {blk: i for i, blk in enumerate(design.structure.blocks)}
 

@@ -6,6 +6,13 @@ scales this package needs (up to a few thousand rows/columns).  Hot loops that
 enumerate many vectors (weight distributions, pair collisions) export rows to
 packed numpy uint64 arrays and use ``np.bitwise_count``.
 
+``weight_distribution`` enumerates a span as an inner block of the 2^16
+combinations of the first 16 basis vectors times a Gray walk over the
+combinations of the rest.  The inner block is stored word-major, as a
+``(words, 2^16)`` array with each 64-bit word of all inner vectors
+contiguous, so the weights of one outer step are summed word by word into a
+``uint8`` (``uint16`` from 256 bits) vector and binned with ``bincount``.
+
 All matrices are immutable after construction; derived data (rank profile,
 transpose) is computed lazily and cached.
 """
@@ -347,32 +354,26 @@ def pack_bool_rows(bits: np.ndarray) -> np.ndarray:
 def weight_distribution(basis: Sequence[int], nbits: int) -> list[int]:
     """Weight distribution of the span of ``basis`` (2^k vectors, meet in the middle).
 
-    Returns counts[w] for w = 0..nbits.  Cost is O(2^k) vector popcounts,
-    vectorized in blocks of up to 2^16.
+    Returns counts[w] for w = 0..nbits, taken over all 2^k combinations (a
+    dependent basis counts each span vector 2^(k - rank) times).  Cost is
+    O(2^k) vector popcounts, vectorized in blocks of up to 2^16; see the
+    module docstring for the word-major layout.
     """
-    k = len(basis)
     counts = np.zeros(nbits + 1, dtype=np.int64)
-    if k == 0:
-        counts[0] = 1
-        return counts.tolist()
-    k2 = min(k, 16)
-    inner = pack_ints([0], nbits)
-    for v in basis[:k2]:
-        vv = pack_ints([v], nbits)
-        inner = np.concatenate([inner, inner ^ vv])
-    outer = basis[k2:]
-    acc = 0
-    gray_prev = 0
-    counts += np.bincount(
-        np.bitwise_count(inner).sum(axis=1, dtype=np.int64), minlength=nbits + 1
-    )
-    for t in range(1, 1 << len(outer)):
-        gray = t ^ (t >> 1)
-        idx = (gray ^ gray_prev).bit_length() - 1
-        acc ^= outer[idx]
-        gray_prev = gray
-        a = pack_ints([acc], nbits)
-        w = np.bitwise_count(inner ^ a).sum(axis=1, dtype=np.int64)
+    k2 = min(len(basis), 16)
+    packed = pack_ints(basis, nbits)
+    inner = np.zeros((packed.shape[1], 1 << k2), dtype=np.uint64)
+    for i in range(k2):
+        inner[:, 1 << i : 2 << i] = inner[:, : 1 << i] ^ packed[i][:, None]
+    wtype = np.min_scalar_type(nbits)
+    outer = packed[k2:]
+    acc = np.zeros(packed.shape[1], dtype=np.uint64)
+    for t in range(1 << len(outer)):
+        if t:  # Gray walk: step t flips outer vector (lowest set bit of t)
+            acc ^= outer[(t & -t).bit_length() - 1]
+        w = np.zeros(inner.shape[1], dtype=wtype)
+        for row, x in zip(inner, acc):
+            w += np.bitwise_count(row ^ x)
         counts += np.bincount(w, minlength=nbits + 1)
     return counts.tolist()
 
@@ -407,7 +408,7 @@ def macwilliams_min_distance(dual_counts: Sequence[int], nbits: int, dual_dim: i
     K_prev = [1] * (n + 1)  # K_0(j)
     K_cur = [n - 2 * j for j in range(n + 1)]  # K_1(j)
     for i in range(1, n + 1):
-        Ai = sum(b * k for b, k in zip(B, K_cur)) if i >= 1 else denom
+        Ai = sum(b * k for b, k in zip(B, K_cur))
         if Ai % denom:
             raise ArithmeticError("MacWilliams transform not integral; bad input")
         Ai //= denom
@@ -556,7 +557,9 @@ def min_distance(
       - "enumerate_supports": exhaustive over column supports up to the weight
         cap; exact if a codeword is found at or below the certified bound,
         otherwise a bounded result.
-      - "randomized_search": permuted-elimination sampling; upper bound only.
+      - "randomized_search": random combinations of a nullspace basis; after
+        each draw the lightest vector so far is greedily peeled by adding
+        basis vectors while that lowers its weight; upper bound only.
       - "auto": codeword/dual enumeration when within caps, else supports,
         else randomized.
     """

@@ -1,10 +1,15 @@
 """Incidence structures: admissibility, verification, constructions, spreads,
 girth, Pasch counting, and the integer Gram identity."""
 
+from collections import Counter
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from eaqldpc.designs import (
+    _bfs_girth,
+    _pair_coverage_counts,
     DesignError,
     DoublyCoveredPairError,
     IncidenceStructure,
@@ -164,6 +169,47 @@ def test_girth_ag23(cache):
 def test_girth_disjoint_blocks():
     S = IncidenceStructure(v=6, blocks=((0, 1, 2), (3, 4, 5)))
     assert tanner_girth(S, cap=12) == ">=12"
+
+
+def gq22():
+    """GQ(2,2): points are the 15 pairs of {0..5}, lines the 15 partitions of
+    {0..5} into three pairs; lambda <= 1 and no triangle, so girth 8."""
+    duads = list(combinations(range(6), 2))
+    lines = set()
+    for a, b in duads:
+        rest = [x for x in range(6) if x not in (a, b)]
+        for c, d in combinations(rest, 2):
+            e, f = [x for x in rest if x not in (c, d)]
+            lines.add(tuple(sorted(duads.index(x) for x in ((a, b), (c, d), (e, f)))))
+    return IncidenceStructure(v=15, blocks=tuple(sorted(lines)))
+
+
+def test_girth_generalized_quadrangle_needs_bfs():
+    S = gq22()
+    assert S.b == 15 and S.replication_counts() == [3] * 15
+    assert _pair_coverage_counts(S)[1].max() == 1  # lambda <= 1: past the 4-cycle test
+    assert tanner_girth(S) == 8
+    assert _bfs_girth(S, 16) == 8
+    assert tanner_girth(S, cap=8) == ">=8"
+
+
+def test_girth_six_fast_path_matches_bfs(fano, cache):
+    for S in (fano.structure, cache.geometry("AG", 2, 3).structure, build_sts(13)):
+        assert tanner_girth(S) == _bfs_girth(S, 16) == 6
+
+
+def test_pair_coverage_counts_mixed_block_sizes():
+    S = IncidenceStructure(
+        v=9,
+        blocks=((0,), (0, 1), (0, 1, 2), (0, 3, 5, 8), (1, 2), (2, 4, 6), (3, 5), (4, 7, 8)),
+    )
+    ref = Counter(a * S.v + b for blk in S.blocks for a, b in combinations(blk, 2))
+    ids, counts = _pair_coverage_counts(S)
+    assert ids.tolist() == sorted(ref)
+    assert counts.tolist() == [ref[i] for i in sorted(ref)]
+    assert tanner_girth(S) == 4
+    empty = _pair_coverage_counts(IncidenceStructure(v=3, blocks=()))
+    assert [x.size for x in empty] == [0, 0]
 
 
 def test_count_pasch_fano(fano):

@@ -205,6 +205,30 @@ def test_weight_distribution_vs_bruteforce():
     assert counts == brute
 
 
+@pytest.mark.parametrize("k", [0, 1, 16, 17, 18])
+@pytest.mark.parametrize("nbits", [1, 63, 64, 65, 255, 256, 300])
+def test_weight_distribution_vs_int_enumeration(k, nbits):
+    """Past the inner block (k > 16), across word boundaries and from 256 bits,
+    with a dependent last vector, so every combination counts, repeats included.
+    The all-ones first vector and sparse odd vectors reach weights near nbits."""
+    rng = np.random.default_rng(1000 * k + nbits)
+
+    def rand():
+        return int.from_bytes(rng.bytes(40), "little") % (1 << nbits)
+
+    vecs = [rand() & rand() & rand() & rand() if i % 2 else rand() for i in range(k)]
+    if k >= 1:
+        vecs[0] = (1 << nbits) - 1
+        vecs[-1] = vecs[0] ^ vecs[1] if k >= 2 else 0
+    span = [0]
+    for v in vecs:
+        span += [x ^ v for x in span]
+    brute = [0] * (nbits + 1)
+    for x in span:
+        brute[x.bit_count()] += 1
+    assert weight_distribution(vecs, nbits) == brute
+
+
 def test_macwilliams_roundtrip():
     rng = np.random.default_rng(23)
     for _ in range(10):

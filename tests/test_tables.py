@@ -1,9 +1,11 @@
 """Table engine unit checks: rate renderers, errata annotations, CSV shape."""
 
+import hashlib
 from fractions import Fraction
 
 from eaqldpc.tables import (
     ERRATA,
+    TABLE_IDS,
     compute_table,
     diff_report,
     round4,
@@ -46,3 +48,31 @@ def test_unknown_table_raises(cache):
 
     with pytest.raises(ValueError):
         compute_table("XL", cache)
+
+
+# SHA-256 of rows_to_csv(compute_table(t)) for every table, recorded before
+# the weight-enumeration, girth and pair-coverage kernels were rewritten.
+FROZEN_CSV_SHA256 = {
+    "I": "f15abf9b0062cb02f58eefcae81d224827fe6da3ffa46c3cf3ecd301a8f7cd62",
+    "II": "036b7c0abf49d1385a9688be4c72860f66c9f835fd086a6e3f9e9dfb0a7396f1",
+    "III": "96cfe9767d5015c8656340927c579eab376c9d3efcb8d7cdadb62f29ce35bf8e",
+    "IV": "f39ed39c9956fc162710558d2aca2774567022ec0bce406116378beaae1e2c1d",
+    "V": "ee8f7671e0995ad642106dad9684dc002d3f3a331f083a4726ddbce2a516c081",
+    "VI": "0aaae307de2801a7fc246735ad6f823d3e9ba6350bedb0fbc3c24efadb96c11c",
+    "VII": "6f1531b308d200904eab37cac3f2428d426e2a4c01a4087be3a2e267e78422af",
+    "VIII": "2c4e72b958cdf59ecbba288ad91f4bfecb3946b7b6e8af2b624cf686b7bc46cb",
+    "IX": "0eef37654c1f229084e859c14fcf0ec51322977bf8378c749ad2997b18197c01",
+    "X": "14249cd8e1d54c655ab636462cff24f4e5b01419680880f002f1f2614aa38b2a",
+    "XI": "30cb2a71de0da6499827ce89737e4f806a16e9845f4d3bd310819bed37d4c934",
+    "XII": "7fbeea0d78b742b22a87385f0b18b9167d5a39045efebacdaba3652310956482",
+    "XIII": "78b5b5de536d228f83ec05aed565389e2e3f5d96c4c7f160d7f07ac874d9f3e1",
+}
+
+
+def test_tables_csv_frozen(cache):
+    assert list(FROZEN_CSV_SHA256) == TABLE_IDS
+    got = {
+        t: hashlib.sha256(rows_to_csv(compute_table(t, cache)).encode()).hexdigest()
+        for t in TABLE_IDS
+    }
+    assert got == FROZEN_CSV_SHA256
