@@ -328,13 +328,8 @@ def cmd_sim(args) -> int:
     design, label = _load_structure(args)
     structure = design.structure if hasattr(design, "structure") else design
     H = oriented_matrix(structure, orientation)
-    f_ms = tuple(float(x) for x in args.fm.split(","))
-    for f in f_ms:
-        p = f / 3.0 if args.convention == CONVENTION_TOTAL else f
-        if 3.0 * p > 1.0 or f < 0:
-            raise SystemExit2(f"invalid f_m {f}: per-Pauli probability must satisfy 3p <= 1")
     config = SimConfig(
-        f_m_values=f_ms,
+        f_m_values=tuple(float(x) for x in args.fm.split(",")),
         trials=args.trials,
         seed=args.seed,
         max_iter=args.max_iter,

@@ -14,6 +14,10 @@ tie-to-zero hard decision:
 bit-to-check message is the prior LLR, so a check-to-bit message depends
 only on its slot and its check's syndrome bit; the tables are the general
 check-node update run once on syndrome bit 0 and once on 1, hence exact.
+Iteration 1 runs in row blocks of about ``ITER1_BLOCK_BYTES``, so that its
+(rows, n_bits, bit degree) float64 messages stay in cache instead of being
+allocated and page-faulted at full batch size (70 MB for 2000 trials of
+AG(2,16)); each trial's arithmetic is unchanged.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .gf2 import BitMatrix
 
 LLR_CLAMP = 30.0
 DEFAULT_MAX_ITER = 100
+ITER1_BLOCK_BYTES = 4 << 20  # iteration-1 message block: a few MiB, cache-resident
 
 
 @dataclass(frozen=True)
@@ -182,13 +187,17 @@ class BatchDecoder:
         self.bit_check = self.bit_edge // dc
         self.padded = not (self.check_mask.all() and self.bit_mask.all())
         self.m, self.n, self.dc = m, n, dc
+        self.iter1_rows = max(1, ITER1_BLOCK_BYTES // (n * dv * 8))
 
     def parity(self, bits: np.ndarray) -> np.ndarray:
-        """(B, n_bits) boolean batch -> (B, n_checks) uint8 check parities."""
-        gathered = bits[:, self.check_nbr]
+        """(B, n_bits) boolean batch -> (B, n_checks) uint8 check parities,
+        as the XOR of each check's bit rows with trials packed 8 per byte."""
+        packed = np.packbits(bits.T, axis=1)  # (n_bits, ceil(B / 8))
+        gathered = packed[self.check_nbr]
         if self.padded:
-            gathered &= self.check_mask
-        return gathered.sum(axis=2, dtype=np.uint8) & 1
+            gathered[~self.check_mask] = 0
+        par = np.bitwise_xor.reduce(gathered, axis=1)
+        return np.ascontiguousarray(np.unpackbits(par, axis=1, count=bits.shape[0]).T)
 
     def _check_update(self, m_bc: np.ndarray, syn: np.ndarray) -> np.ndarray:
         """Check-to-bit messages (B, m, dc): the tanh product over a check's
@@ -235,13 +244,19 @@ class BatchDecoder:
 
         for it in range(1, self.max_iter + 1):
             if it == 1:
-                incoming = np.where(syn[:, self.bit_check], t1, t0)
+                # the gathered block is laid out trial-fastest, so the sum
+                # adds each bit's slots in slot order; a contiguous slot
+                # axis would sum pairwise and change the last bits
+                totals = np.empty((syn.shape[0], self.n))
+                for lo in range(0, syn.shape[0], self.iter1_rows):
+                    block = syn[lo:lo + self.iter1_rows, self.bit_check]
+                    totals[lo:lo + self.iter1_rows] = L0 + np.where(block, t1, t0).sum(axis=2)
             else:
                 m_cb = self._check_update(m_bc, syn)
                 incoming = m_cb.reshape(m_cb.shape[0], -1)[:, self.bit_edge]
                 if self.padded:
                     incoming[:, ~self.bit_mask] = 0.0
-            totals = L0 + incoming.sum(axis=2)
+                totals = L0 + incoming.sum(axis=2)
             hard = totals < 0.0
 
             ok = (self.parity(hard) == syn).all(axis=1)

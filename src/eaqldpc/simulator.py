@@ -13,9 +13,13 @@ convention: f_m is the total depolarizing probability).  The "per-pauli"
 convention (p = f_m) is available for sensitivity analysis; the "total"
 reading is the one that reproduces the published block error rates.
 
-Reproducibility: trial t of sweep point i draws from a counter-based Philox
-stream keyed by (seed, i, t), so results are bit-identical for a fixed seed
-regardless of batch size or worker count.
+Reproducibility: trial t of sweep point i draws its n uniforms from the
+Philox4x64 stream keyed by ``seed`` at counter (0, t, i, 0), so results are
+bit-identical for a fixed seed regardless of batch size or worker count.
+Philox is counter-based, so a batch opens one generator at its first trial
+and, after each trial's n draws (ceil(n/4) counter steps), jumps the counter
+on to the next trial's start; the streams equal those of a fresh generator
+per trial.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -60,17 +66,13 @@ def pauli_probability(f_m: float, convention: str = CONVENTION_TOTAL) -> float:
     raise ValueError(f"unknown channel convention {convention!r}")
 
 
-def sample_error(channel: ChannelModel, n: int, rng: np.random.Generator):
-    """One Pauli error pattern: boolean (x_component, z_component) arrays.
+def sample_error(u: np.ndarray, p: float):
+    """Threshold uniforms into Pauli errors: boolean (x_component, z_component).
 
-    A single uniform per qubit: u < p -> X, p <= u < 2p -> Y, 2p <= u < 3p
-    -> Z.  So x flips where u < 2p and z flips where p <= u < 3p.
+    One uniform per qubit: u < p -> X, p <= u < 2p -> Y, 2p <= u < 3p -> Z.
+    So x flips where u < 2p and z flips where p <= u < 3p.
     """
-    p = channel.p_pauli
-    u = rng.random(n)
-    x = u < 2.0 * p
-    z = (u >= p) & (u < 3.0 * p)
-    return x, z
+    return u < 2.0 * p, (u >= p) & (u < 3.0 * p)
 
 
 class CodeInstance:
@@ -83,19 +85,21 @@ class CodeInstance:
         self.decoder = BatchDecoder(build_tanner(H), max_iter=max_iter)
         null = nullspace_basis(H)
         self._null_packed = null.to_packed()  # (n - rank) x words
-        self._words = self._null_packed.shape[1]
 
     def syndromes_of(self, errors: np.ndarray) -> np.ndarray:
         """(B, n) boolean error batch -> (B, n_checks) uint8 syndromes."""
         return self.decoder.parity(errors)
 
     def residual_in_row_space(self, residuals: np.ndarray) -> np.ndarray:
-        """Row-space membership via orthogonality to the nullspace basis."""
-        packed = pack_bool_rows(residuals)
+        """(B, n) boolean residuals -> (B,) row-space membership, tested by
+        orthogonality to the nullspace basis on the nonzero rows only (the
+        zero vector is always in the row space)."""
         ok = np.ones(residuals.shape[0], dtype=bool)
-        for row in self._null_packed:
-            par = np.bitwise_count(packed & row[None, :]).sum(axis=1) & 1
-            ok &= par == 0
+        nonzero = np.nonzero(residuals.any(axis=1))[0]
+        if nonzero.size:
+            packed = pack_bool_rows(residuals[nonzero])
+            for row in self._null_packed:
+                ok[nonzero] &= (np.bitwise_count(packed & row).sum(axis=1) & 1) == 0
         return ok
 
 
@@ -114,6 +118,11 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials >= 1 required")
+        for f_m in self.f_m_values:  # every point, before any is simulated
+            try:
+                ChannelModel(pauli_probability(f_m, self.convention))
+            except ValueError as e:
+                raise ValueError(f"invalid f_m {f_m}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -140,9 +149,40 @@ def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054):
     return max(0.0, min(center - half, phat)), min(1.0, max(center + half, phat))
 
 
-def _trial_rng(seed: int, point_index: int, trial_index: int) -> np.random.Generator:
-    bg = np.random.Philox(key=seed, counter=[0, trial_index, point_index, 0])
-    return np.random.Generator(bg)
+def trial_uniforms(seed: int, point_index: int, trial_lo: int, trial_hi: int,
+                   n: int) -> np.ndarray:
+    """(trial_hi - trial_lo, n) uniforms; row t - trial_lo is trial t's
+    stream, Philox keyed by ``seed`` at counter (0, t, point_index, 0)."""
+    u = np.empty((trial_hi - trial_lo, n))
+    bg = np.random.Philox(key=seed, counter=[0, trial_lo, point_index, 0])
+    gen = np.random.Generator(bg)
+    # n draws take ceil(n/4) counter steps; the jump carries into the trial
+    # word, landing on the next trial's counter with an empty output buffer
+    jump = 2**64 - -(-n // 4)
+    for row in u:
+        gen.random(n, out=row)
+        bg.advance(jump)
+    return u
+
+
+def recovered(
+    code: CodeInstance,
+    x_err: np.ndarray,
+    z_err: np.ndarray,
+    prior: float,
+    exact_recovery: bool = False,
+) -> np.ndarray:
+    """Decode (B, n) boolean X then Z error components; (B,) True where both
+    converge with a residual in the row space (or zero, if exact_recovery)."""
+    ok = np.ones(x_err.shape[0], dtype=bool)
+    for err in (x_err, z_err):
+        est, conv, _ = code.decoder.decode(code.syndromes_of(err), prior)
+        residual = est ^ err
+        if exact_recovery:
+            ok &= conv & ~residual.any(axis=1)
+        else:
+            ok &= conv & code.residual_in_row_space(residual)
+    return ok
 
 
 def evaluate_batch(
@@ -156,60 +196,9 @@ def evaluate_batch(
     exact_recovery: bool = False,
 ) -> int:
     """Run trials [trial_lo, trial_hi); return the number of block errors."""
-    B = trial_hi - trial_lo
-    u = np.empty((B, code.n))
-    for t in range(B):
-        u[t] = _trial_rng(seed, point_index, trial_lo + t).random(code.n)
-    p = channel.p_pauli
-    x_err = u < 2.0 * p
-    z_err = (u >= p) & (u < 3.0 * p)
-    fails = np.zeros(B, dtype=bool)
-    for err in (x_err, z_err):
-        syn = code.syndromes_of(err)
-        est, conv, _ = code.decoder.decode(syn, prior)
-        residual = est ^ err
-        if exact_recovery:
-            ok = conv & ~residual.any(axis=1)
-        else:
-            ok = conv & code.residual_in_row_space(residual)
-        fails |= ~ok
-    return int(fails.sum())
-
-
-def run_trial(
-    code: CodeInstance,
-    channel: ChannelModel,
-    rng: np.random.Generator,
-    prior: Optional[float] = None,
-    exact_recovery: bool = False,
-) -> bool:
-    """One Monte Carlo trial; True on successful (stabilizer-equivalent) recovery."""
-    x, z = sample_error(channel, code.n, rng)
-    return evaluate_trial(code, x, z, prior if prior is not None else channel.marginal_flip,
-                          exact_recovery=exact_recovery)
-
-
-def evaluate_trial(
-    code: CodeInstance,
-    x_err: np.ndarray,
-    z_err: np.ndarray,
-    prior: float,
-    exact_recovery: bool = False,
-) -> bool:
-    """Decode one injected error pattern (both components)."""
-    for err in (x_err, z_err):
-        err2 = np.asarray(err, dtype=bool)[None, :]
-        syn = code.syndromes_of(err2)
-        est, conv, _ = code.decoder.decode(syn, prior)
-        if not bool(conv[0]):
-            return False
-        residual = est ^ err2
-        if exact_recovery:
-            if residual.any():
-                return False
-        elif not bool(code.residual_in_row_space(residual)[0]):
-            return False
-    return True
+    u = trial_uniforms(seed, point_index, trial_lo, trial_hi, code.n)
+    x_err, z_err = sample_error(u, channel.p_pauli)
+    return int((~recovered(code, x_err, z_err, prior, exact_recovery)).sum())
 
 
 # --- multiprocess plumbing ----------------------------------------------------
@@ -224,62 +213,59 @@ def _worker_init(H_rows, H_cols, name, max_iter):
     )
 
 
-def _worker_run(args) -> int:
-    (p, seed, point_index, lo, hi, prior, exact, batch) = args
-    channel = ChannelModel(p)
-    errors = 0
-    for start in range(lo, hi, batch):
-        errors += evaluate_batch(
-            _WORKER_CODE, channel, seed, point_index, start, min(start + batch, hi),
-            prior, exact,
-        )
-    return errors
+def _run_task(code: CodeInstance, task) -> int:
+    channel, seed, point_index, lo, hi, prior, exact, batch = task
+    return sum(
+        evaluate_batch(code, channel, seed, point_index, start, min(start + batch, hi),
+                       prior, exact)
+        for start in range(lo, hi, batch)
+    )
+
+
+def _worker_run(task) -> int:
+    return _run_task(_WORKER_CODE, task)
 
 
 def estimate_bler(H: BitMatrix, config: SimConfig, name: str = "") -> list[BlerRecord]:
     """Block error rate at each f_m; bit-reproducible for a fixed seed and
-    independent of batch size and worker count."""
+    independent of batch size and worker count.  With ``workers > 1`` one
+    process pool serves every point."""
     records = []
-    code = CodeInstance(H, name=name, max_iter=config.max_iter) if config.workers <= 1 else None
-    for pi, f_m in enumerate(config.f_m_values):
-        p = pauli_probability(f_m, config.convention)
-        channel = ChannelModel(p)
-        prior = config.prior_override if config.prior_override is not None else channel.marginal_flip
-        t0 = time.time()
-        if channel.marginal_flip == 0.0:
-            records.append(BlerRecord(f_m, config.trials, 0, 0.0, 0.0, 0.0, time.time() - t0))
-            continue
+    with ExitStack() as stack:
         if config.workers <= 1:
-            errors = 0
-            for start in range(0, config.trials, config.batch_size):
-                errors += evaluate_batch(
-                    code, channel, config.seed, pi, start,
-                    min(start + config.batch_size, config.trials), prior,
-                    config.exact_recovery,
-                )
+            code = CodeInstance(H, name=name, max_iter=config.max_iter)
+            chunk = config.trials
+            run_all = partial(map, partial(_run_task, code))
         else:
-            chunk = max(config.batch_size, -(-config.trials // config.workers // 4))
-            tasks = [
-                (p, config.seed, pi, lo, min(lo + chunk, config.trials), prior,
-                 config.exact_recovery, config.batch_size)
-                for lo in range(0, config.trials, chunk)
-            ]
-            with ProcessPoolExecutor(
+            pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=config.workers,
                 initializer=_worker_init,
                 initargs=(H.row_bits(), H.cols, name, config.max_iter),
-            ) as pool:
-                errors = sum(pool.map(_worker_run, tasks))
-        lo_ci, hi_ci = wilson_interval(errors, config.trials)
-        records.append(
-            BlerRecord(
-                f_m=f_m,
-                trials=config.trials,
-                block_errors=errors,
-                bler=errors / config.trials,
-                ci_low=lo_ci,
-                ci_high=hi_ci,
-                wall_time=time.time() - t0,
+            ))
+            chunk = max(config.batch_size, -(-config.trials // config.workers // 4))
+            run_all = partial(pool.map, _worker_run)
+        for pi, f_m in enumerate(config.f_m_values):
+            channel = ChannelModel(pauli_probability(f_m, config.convention))
+            prior = config.prior_override if config.prior_override is not None else channel.marginal_flip
+            t0 = time.time()
+            if channel.marginal_flip == 0.0:
+                records.append(BlerRecord(f_m, config.trials, 0, 0.0, 0.0, 0.0, time.time() - t0))
+                continue
+            errors = sum(run_all([
+                (channel, config.seed, pi, lo, min(lo + chunk, config.trials), prior,
+                 config.exact_recovery, config.batch_size)
+                for lo in range(0, config.trials, chunk)
+            ]))
+            lo_ci, hi_ci = wilson_interval(errors, config.trials)
+            records.append(
+                BlerRecord(
+                    f_m=f_m,
+                    trials=config.trials,
+                    block_errors=errors,
+                    bler=errors / config.trials,
+                    ci_low=lo_ci,
+                    ci_high=hi_ci,
+                    wall_time=time.time() - t0,
+                )
             )
-        )
     return records

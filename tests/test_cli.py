@@ -152,6 +152,18 @@ def test_sim_rejects_bad_fm(capsys):
     assert code == 2
 
 
+def test_sim_rejects_bad_fm_before_simulating(capsys):
+    """A bad point anywhere in the sweep stops the run before the first
+    point: exit 2, one line on stderr, no traceback."""
+    for fm in ("0.01,1.2", "nan"):
+        code, out, err = run_cli(
+            capsys, "sim", "--pg", "3", "2", "--type", "II", "--fm", fm, "--trials", "10"
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: invalid f_m")
+        assert "Traceback" not in err
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "code", "params", "--type", "II")
     assert code == 2

@@ -244,6 +244,31 @@ def test_golden_decode_hash_irregular():
     assert digest == GOLDEN_DECODES[("irregular 40x60", 0.15)]
 
 
+def test_blocked_first_iteration_across_block_boundaries(cache):
+    """A batch spanning three iteration-1 blocks plus a remainder decodes
+    exactly as its block-sized slices do, and as the scalar reference."""
+    H = oriented_matrix(cache.geometry("AG", 2, 16).structure, BLOCK_BY_POINT)
+    g = build_tanner(H)
+    dec = BatchDecoder(g)
+    rows = dec.iter1_rows
+    assert 1 < rows < 1024
+    _, syn, prior = _syndrome_batch(H, 0.045, 3 * rows + rows // 3, seed=8)
+    est, conv, iters = dec.decode(syn, prior)
+    assert (iters >= 2).sum() >= 10  # unconverged trials leave iteration 1
+    slices = [dec.decode(syn[lo:lo + rows], prior) for lo in range(0, len(syn), rows)]
+    assert len(slices) == 4
+    for got, parts in zip((est, conv, iters), zip(*slices)):
+        assert np.array_equal(got, np.concatenate(parts))
+    sample = []
+    for lo in range(0, len(syn), rows):
+        block = np.arange(lo, min(lo + rows, len(syn)))
+        sample += [block[iters[block] == 1][0], block[(iters[block] >= 2) & conv[block]][0]]
+    for t in sample:
+        out = sp_decode(g, [int(v) for v in syn[t]], prior=prior)
+        assert (bool(conv[t]), int(iters[t])) == (out.converged, out.iterations_used)
+        assert np.array_equal(est[t], np.array(out.estimate_bits(H.cols), dtype=bool))
+
+
 def test_padded_batch_agrees_with_scalar():
     """Unequal row and column weights exercise the masked slots: the batch
     engine matches the scalar reference on convergence, iteration count and
@@ -283,6 +308,9 @@ def test_one_iteration_decoder_is_first_iteration():
 def test_parity_matches_dense_product(cache):
     for H in (_irregular_H(),
               oriented_matrix(cache.geometry("PG", 3, 2).structure, POINT_BY_BLOCK)):
-        errors, syn, _ = _syndrome_batch(H, 0.2, 32, seed=3)
-        par = BatchDecoder(build_tanner(H)).parity(errors)
-        assert par.dtype == np.uint8 and np.array_equal(par, syn)
+        dec = BatchDecoder(build_tanner(H))
+        for trials in (0, 1, 7, 32, 33):  # whole and partial packed bytes
+            errors, syn, _ = _syndrome_batch(H, 0.2, trials, seed=3)
+            par = dec.parity(errors)
+            assert par.dtype == np.uint8 and par.shape == syn.shape
+            assert np.array_equal(par, syn)

@@ -3,20 +3,35 @@
 import numpy as np
 import pytest
 
-from eaqldpc.eaqecc import POINT_BY_BLOCK, oriented_matrix
+from eaqldpc import simulator
+from eaqldpc.eaqecc import BLOCK_BY_POINT, POINT_BY_BLOCK, oriented_matrix
+from eaqldpc.gf2 import BitMatrix, rank_value
 from eaqldpc.simulator import (
     ChannelModel,
     CodeInstance,
     SimConfig,
     estimate_bler,
-    evaluate_trial,
+    evaluate_batch,
     pauli_probability,
-    run_trial,
+    recovered,
     sample_error,
+    trial_uniforms,
     wilson_interval,
 )
 
 CHI2_CRIT_DF3_A001 = 16.266  # chi-square critical value, df=3, alpha=0.001
+
+# Block errors of 2048 trials at f_m = 0.03, seed 11, batch_size 600 (so that
+# batches start at nonzero trial_lo) for each (2,16) Type I plane code; frozen
+# from the per-trial-generator simulator before the batch stream replaced it.
+TYPE_I_PINS = {"AG": 4, "PG": 13, "EG": 6}
+
+
+def _oracle_uniforms(seed, point_index, trial, n):
+    """Trial ``trial``'s stream from a fresh generator: the reference the
+    batch stream must equal."""
+    bg = np.random.Philox(key=seed, counter=[0, trial, point_index, 0])
+    return np.random.Generator(bg).random(n)
 
 
 def test_channel_validation():
@@ -37,9 +52,9 @@ def test_pauli_probability_conventions():
 
 def test_sample_error_extremes():
     rng = np.random.default_rng(0)
-    x, z = sample_error(ChannelModel(0.0), 100, rng)
+    x, z = sample_error(rng.random(100), 0.0)
     assert not x.any() and not z.any()
-    x, z = sample_error(ChannelModel(1 / 3), 100, rng)
+    x, z = sample_error(rng.random(100), 1 / 3)
     # every qubit errs; each component set iff the Pauli has that component
     assert np.array_equal(x | z, np.ones(100, dtype=bool))
 
@@ -47,10 +62,9 @@ def test_sample_error_extremes():
 def test_sample_error_marginals_chisquare():
     """Category counts (I, X, Y, Z) over 10^6 draws at per-Pauli p = 0.02/3."""
     p = 0.02 / 3
-    channel = ChannelModel(p)
     rng = np.random.Generator(np.random.Philox(key=123))
     n = 1_000_000
-    x, z = sample_error(channel, n, rng)
+    x, z = sample_error(rng.random(n), p)
     counts = np.array(
         [
             int((~x & ~z).sum()),  # I
@@ -70,10 +84,9 @@ def test_sample_error_marginals_chisquare():
 def test_sample_error_marginal_three_sigma():
     """Per-Pauli p = 0.02: component flip marginal 2p = 0.04 within 3 sigma
     of binomial over 10^6 draws."""
-    channel = ChannelModel(0.02)
     rng = np.random.Generator(np.random.Philox(key=77))
     n = 1_000_000
-    x, z = sample_error(channel, n, rng)
+    x, z = sample_error(rng.random(n), 0.02)
     sigma = (0.04 * 0.96 / n) ** 0.5
     assert abs(x.mean() - 0.04) < 3 * sigma
     assert abs(z.mean() - 0.04) < 3 * sigma
@@ -85,9 +98,15 @@ def pg32_code(cache):
     return CodeInstance(H, name="pg(3,2)/II")
 
 
+def _recovered_one(code, x, z, prior, exact_recovery=False) -> bool:
+    ok = recovered(code, x[None, :], z[None, :], prior, exact_recovery=exact_recovery)
+    assert ok.shape == (1,)
+    return bool(ok[0])
+
+
 def test_zero_error_trial_succeeds(pg32_code):
     n = pg32_code.n
-    assert evaluate_trial(pg32_code, np.zeros(n, bool), np.zeros(n, bool), prior=0.01)
+    assert _recovered_one(pg32_code, np.zeros(n, bool), np.zeros(n, bool), prior=0.01)
 
 
 def test_single_qubit_errors_all_recovered(pg32_code):
@@ -96,7 +115,7 @@ def test_single_qubit_errors_all_recovered(pg32_code):
     for j in range(n):
         x = np.zeros(n, bool)
         x[j] = True
-        assert evaluate_trial(pg32_code, x, np.zeros(n, bool), prior=2 * 0.005)
+        assert _recovered_one(pg32_code, x, np.zeros(n, bool), prior=2 * 0.005)
 
 
 def test_row_residual_counts_as_success(pg32_code):
@@ -108,6 +127,31 @@ def test_row_residual_counts_as_success(pg32_code):
     assert row.any()
 
 
+def _in_row_space_by_rank(H: BitMatrix, r: np.ndarray) -> bool:
+    """Unfiltered dense reference: r is in the row space iff appending it
+    leaves the rank unchanged."""
+    bits = sum(1 << int(j) for j in np.nonzero(r)[0])
+    return rank_value(BitMatrix.from_rows([*H.row_bits(), bits], H.cols)) == rank_value(H)
+
+
+def test_residual_in_row_space_mixed_and_zero_batches(pg32_code):
+    H, n = pg32_code.H, pg32_code.n
+    rows = np.array([[(H.row(i) >> j) & 1 for j in range(n)] for i in range(H.rows)], bool)
+    weight1 = np.zeros(n, bool)
+    weight1[3] = True
+    batch = np.array([np.zeros(n, bool), rows[0], rows[1] ^ rows[4], weight1,
+                      np.zeros(n, bool), rows[2] ^ weight1, rows[5]])
+    expected = np.array([_in_row_space_by_rank(H, r) for r in batch])
+    assert not expected[3] and not expected[5]  # the batch has both outcomes
+    assert np.array_equal(pg32_code.residual_in_row_space(batch), expected)
+    random = np.random.default_rng(3).random((20, n)) < 0.3
+    expected = np.array([_in_row_space_by_rank(H, r) for r in random])
+    assert np.array_equal(pg32_code.residual_in_row_space(random), expected)
+    zero = pg32_code.residual_in_row_space(np.zeros((5, n), bool))
+    assert zero.shape == (5,) and zero.all()
+    assert pg32_code.residual_in_row_space(np.zeros((0, n), bool)).shape == (0,)
+
+
 def test_exact_recovery_mode_stricter(pg32_code):
     n = pg32_code.n
     # inject an error equal to a parity-check row: syndrome is zero, the
@@ -116,14 +160,46 @@ def test_exact_recovery_mode_stricter(pg32_code):
     H = pg32_code.H
     row = np.array([(H.row(2) >> j) & 1 for j in range(n)], dtype=bool)
     z = np.zeros(n, bool)
-    assert evaluate_trial(pg32_code, row, z, prior=0.04, exact_recovery=False)
-    assert not evaluate_trial(pg32_code, row, z, prior=0.04, exact_recovery=True)
+    assert _recovered_one(pg32_code, row, z, prior=0.04, exact_recovery=False)
+    assert not _recovered_one(pg32_code, row, z, prior=0.04, exact_recovery=True)
 
 
-def test_run_trial_smoke(pg32_code):
-    rng = np.random.Generator(np.random.Philox(key=7))
-    results = [run_trial(pg32_code, ChannelModel(0.005), rng) for _ in range(20)]
-    assert all(isinstance(r, bool) for r in results)
+def test_evaluate_batch_smoke(pg32_code):
+    errors = evaluate_batch(pg32_code, ChannelModel(0.005), 7, 0, 0, 20, prior=0.01)
+    assert isinstance(errors, int) and 0 <= errors <= 20
+    # a batch is the sum of its parts
+    parts = sum(evaluate_batch(pg32_code, ChannelModel(0.05), 7, 0, lo, lo + 5, prior=0.1)
+                for lo in range(0, 20, 5))
+    assert parts == evaluate_batch(pg32_code, ChannelModel(0.05), 7, 0, 0, 20, prior=0.1)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 1, 256, 257])
+def test_batch_stream_equals_per_trial_streams(n):
+    """n % 4 in {0, 1, 2, 3}, trial_lo > 0 and point_index > 0."""
+    for seed, point_index, lo in ((0, 0, 0), (99, 1, 600), (2**40 + 5, 3, 2**32 - 3)):
+        u = trial_uniforms(seed, point_index, lo, lo + 6, n)
+        expected = np.array([_oracle_uniforms(seed, point_index, t, n)
+                             for t in range(lo, lo + 6)])
+        assert np.array_equal(u, expected)
+    assert trial_uniforms(1, 0, 4, 4, n).shape == (0, n)
+
+
+@pytest.mark.parametrize("kind", sorted(TYPE_I_PINS))
+def test_type_i_block_error_pins(cache, kind):
+    H = oriented_matrix(cache.geometry(kind, 2, 16).structure, BLOCK_BY_POINT)
+    rec = estimate_bler(H, SimConfig(f_m_values=(0.03,), trials=2048, seed=11,
+                                     batch_size=600))[0]
+    assert rec.block_errors == TYPE_I_PINS[kind]
+
+
+def test_sim_config_rejects_bad_points_up_front():
+    for f_ms in ((0.01, 1.2), (float("nan"),), (-0.01,)):
+        with pytest.raises(ValueError, match="invalid f_m"):
+            SimConfig(f_m_values=f_ms, trials=10, seed=1)
+    with pytest.raises(ValueError, match="unknown channel convention"):
+        SimConfig(f_m_values=(0.01,), trials=10, seed=1, convention="bogus")
+    SimConfig(f_m_values=(0.0, 1.0), trials=10, seed=1)
+    SimConfig(f_m_values=(1 / 3,), trials=10, seed=1, convention="per-pauli")
 
 
 def test_estimate_bler_zero_fm(cache):
@@ -132,19 +208,31 @@ def test_estimate_bler_zero_fm(cache):
     assert recs[0].bler == 0.0 and recs[0].block_errors == 0
 
 
-def test_estimate_bler_reproducible_across_batch_and_workers(cache):
+def test_estimate_bler_reproducible_across_batch_and_workers(cache, monkeypatch):
     H = oriented_matrix(cache.geometry("PG", 3, 2).structure, POINT_BY_BLOCK)
-    base = SimConfig(f_m_values=(0.05,), trials=600, seed=99, batch_size=600)
-    r1 = estimate_bler(H, base)
-    r2 = estimate_bler(H, SimConfig(f_m_values=(0.05,), trials=600, seed=99, batch_size=37))
+    pools = []
+
+    class CountingPool(simulator.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", CountingPool)
+    f_ms = (0.05, 0.08)
+    r1 = estimate_bler(H, SimConfig(f_m_values=f_ms, trials=600, seed=99, batch_size=600))
+    r2 = estimate_bler(H, SimConfig(f_m_values=f_ms, trials=600, seed=99, batch_size=37))
     r3 = estimate_bler(
-        H, SimConfig(f_m_values=(0.05,), trials=600, seed=99, batch_size=97, workers=2)
+        H, SimConfig(f_m_values=f_ms, trials=600, seed=99, batch_size=97, workers=2)
     )
-    assert r1[0].block_errors == r2[0].block_errors == r3[0].block_errors
-    assert r1[0].bler == r2[0].bler == r3[0].bler
-    # different seed gives a different stream (overwhelmingly)
-    r4 = estimate_bler(H, SimConfig(f_m_values=(0.05,), trials=600, seed=100))
-    assert (r4[0].block_errors != r1[0].block_errors) or True  # smoke, not a law
+    assert len(pools) == 1  # one pool serves both points
+    for a, b, c in zip(r1, r2, r3):
+        assert a.block_errors == b.block_errors == c.block_errors
+        assert a.bler == b.bler == c.bler
+    assert r1[0].block_errors != r1[1].block_errors  # the points differ
+    # a different seed gives a different stream
+    n = H.cols
+    assert not np.array_equal(trial_uniforms(99, 0, 0, 600, n),
+                              trial_uniforms(100, 0, 0, 600, n))
 
 
 def test_wilson_interval_contains_pointestimate():
@@ -154,12 +242,10 @@ def test_wilson_interval_contains_pointestimate():
 
 
 def test_trial_substreams_disjoint():
-    from eaqldpc.simulator import _trial_rng
-
-    a = _trial_rng(5, 0, 0).random(4)
-    b = _trial_rng(5, 0, 1).random(4)
-    c = _trial_rng(5, 1, 0).random(4)
+    a = trial_uniforms(5, 0, 0, 1, 4)[0]
+    b = trial_uniforms(5, 0, 1, 2, 4)[0]
+    c = trial_uniforms(5, 1, 0, 1, 4)[0]
     assert not np.allclose(a, b)
     assert not np.allclose(a, c)
     # and regenerating the same stream reproduces it exactly
-    assert np.array_equal(a, _trial_rng(5, 0, 0).random(4))
+    assert np.array_equal(a, trial_uniforms(5, 0, 0, 1, 4)[0])
