@@ -18,6 +18,19 @@ Iteration 1 runs in row blocks of about ``ITER1_BLOCK_BYTES``, so that its
 (rows, n_bits, bit degree) float64 messages stay in cache instead of being
 allocated and page-faulted at full batch size (70 MB for 2000 trials of
 AG(2,16)); each trial's arithmetic is unchanged.
+
+Most trials never reach those float messages.  A bit of degree d whose
+checks hold k set syndrome bits gets k slots from the syndrome-1 table and
+d - k from the syndrome-0 table, so its exact iteration-1 total lies in
+[L0 + (d-k) min t0 + k min t1, L0 + (d-k) max t0 + k max t1] (extremes over
+its real slots).  Widened by a rounding bound that holds for the float sum
+in any order, an interval wholly below or above 0 fixes that bit's hard
+decision ``totals < 0`` exactly, tie-to-zero included, from the integer k
+alone.  ``decode`` counts k for every bit in the packed domain and retires,
+at iteration 1, each trial whose counts are all certified and whose hard
+decision meets its syndrome.  The rest (unconverged trials, and trials with
+a count near a tie) run the float iteration 1 and the loop as before, so
+every trial's result is the float path's.
 """
 
 from __future__ import annotations
@@ -31,6 +44,13 @@ from .gf2 import BitMatrix
 LLR_CLAMP = 30.0
 DEFAULT_MAX_ITER = 100
 ITER1_BLOCK_BYTES = 4 << 20  # iteration-1 message block: a few MiB, cache-resident
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def _gamma(j):
+    """Higham's gamma_j = j u / (1 - j u): the relative error bound of j
+    float64 roundings."""
+    return j * UNIT_ROUNDOFF / (1.0 - j * UNIT_ROUNDOFF)
 
 
 @dataclass(frozen=True)
@@ -149,6 +169,13 @@ def sp_decode(
 
 # --- batched engine ----------------------------------------------------------
 
+def _pack_trials(bits: np.ndarray) -> np.ndarray:
+    """(B, k) 0/1 batch -> (k, ceil(B / 8)) uint8, trials packed 8 per byte;
+    packing a contiguous transpose is several times faster than packing the
+    strided view."""
+    return np.packbits(np.ascontiguousarray(bits.T), axis=1)
+
+
 class BatchDecoder:
     """Vectorized flooding sum-product over a fixed graph (float64 messages).
 
@@ -156,13 +183,16 @@ class BatchDecoder:
     check degree; bit-side gathers use flat edge indices.  All operations are
     elementwise per trial, so results are independent of batch composition.
     Padded check slots enter the tanh product as 1 and padded bit slots add
-    0 to the bit sums; these are the only mask writes, made only when the
-    graph has padded slots (``self.padded``).  Padded message slots hold
-    finite values that nothing else reads.
+    0 to the bit sums; these are the only message mask writes, made only
+    when the graph has padded slots (``self.padded``), as are the zeroed
+    padded slots of the packed gathers in ``parity`` and the count test.
+    Padded message slots hold finite values that nothing else reads.
     """
 
     def __init__(self, graph: TannerGraph, max_iter: int = DEFAULT_MAX_ITER,
                  clamp: float = LLR_CLAMP):
+        if max_iter < 1:
+            raise ValueError(f"max_iter >= 1 required, got {max_iter}")
         self.graph = graph
         self.max_iter = max_iter
         self.clamp = float(clamp)
@@ -185,19 +215,26 @@ class BatchDecoder:
             self.bit_edge[j, : len(es)] = es
             self.bit_mask[j, : len(es)] = True
         self.bit_check = self.bit_edge // dc
+        self.bit_deg = self.bit_mask.sum(axis=1)
         self.padded = not (self.check_mask.all() and self.bit_mask.all())
-        self.m, self.n, self.dc = m, n, dc
+        self.m, self.n, self.dc, self.dv = m, n, dc, dv
         self.iter1_rows = max(1, ITER1_BLOCK_BYTES // (n * dv * 8))
+        # the count pass unpacks (n, dv, rows) uint8 syndrome bits per block
+        self.count_rows = max(8, ITER1_BLOCK_BYTES // (n * dv) // 8 * 8)
+        self.count_dtype = np.min_scalar_type(dv + 1)
 
     def parity(self, bits: np.ndarray) -> np.ndarray:
         """(B, n_bits) boolean batch -> (B, n_checks) uint8 check parities,
         as the XOR of each check's bit rows with trials packed 8 per byte."""
-        packed = np.packbits(bits.T, axis=1)  # (n_bits, ceil(B / 8))
+        par = self._packed_parity(_pack_trials(bits))
+        return np.ascontiguousarray(np.unpackbits(par, axis=1, count=bits.shape[0]).T)
+
+    def _packed_parity(self, packed: np.ndarray) -> np.ndarray:
+        """(n_bits, W) bit rows, trials packed 8 per byte -> (n_checks, W)."""
         gathered = packed[self.check_nbr]
         if self.padded:
             gathered[~self.check_mask] = 0
-        par = np.bitwise_xor.reduce(gathered, axis=1)
-        return np.ascontiguousarray(np.unpackbits(par, axis=1, count=bits.shape[0]).T)
+        return np.bitwise_xor.reduce(gathered, axis=1)
 
     def _check_update(self, m_bc: np.ndarray, syn: np.ndarray) -> np.ndarray:
         """Check-to-bit messages (B, m, dc): the tanh product over a check's
@@ -215,6 +252,66 @@ class BatchDecoder:
         m_cb = 2.0 * np.arctanh(prod)
         np.clip(m_cb, -self.clamp, self.clamp, out=m_cb)
         return m_cb
+
+    def _iter1_tables(self, L0: float):
+        """Iteration-1 check-to-bit messages for syndrome bit 0 and 1: the
+        (2, m, dc) tables, and the same laid out bit-major as (n, dv) arrays
+        t0 and t1 with padded bit slots zeroed."""
+        table = self._check_update(np.full((2, self.m, self.dc), L0),
+                                   np.array([[False], [True]]))
+        t0, t1 = (np.where(self.bit_mask, tab.ravel()[self.bit_edge], 0.0) for tab in table)
+        return table, t0, t1
+
+    def _certified_counts(self, L0: float, t0: np.ndarray, t1: np.ndarray):
+        """Per-bit count thresholds (zero_below, one_from), each (n, 1): the
+        iteration-1 hard decision of a bit with k set syndrome bits among
+        its checks is certainly 0 for k < zero_below and certainly 1 for
+        k >= one_from; counts in between are uncertified.
+
+        The float total sums L0 and d slot values, so it is within
+        gamma_{d+1} S of the exact total, S = |L0| + d max|t|.  The interval
+        endpoints take 4 roundings (gamma_4 S), and twice gamma_{d+4} S
+        covers both with room for the margin's own rounding."""
+        t = np.stack([t0, t1])
+        t = np.where(self.bit_mask, t, t[..., :1])  # padded slots repeat slot 0
+        lo, hi = t.min(axis=2)[..., None], t.max(axis=2)[..., None]  # (2, n, 1)
+        d = self.bit_deg[:, None].astype(float)
+        k = np.arange(self.dv + 1)
+        lower = L0 + (d - k) * lo[0] + k * lo[1]
+        upper = L0 + (d - k) * hi[0] + k * hi[1]
+        margin = 2.0 * _gamma(d + 4) * (abs(L0) + d * np.abs(t).max(axis=(0, 2))[:, None])
+        zero = np.logical_and.accumulate(lower - margin > 0.0, axis=1).sum(axis=1)
+        one = np.logical_and.accumulate(((upper + margin < 0.0) | (k > d))[:, ::-1], axis=1)
+        zero_below = np.minimum(zero, self.bit_deg + 1)
+        one_from = self.dv + 1 - one.sum(axis=1)
+        return (zero_below[:, None].astype(self.count_dtype),
+                one_from[:, None].astype(self.count_dtype))
+
+    def _retire_by_counts(self, syn: np.ndarray, L0: float, t0: np.ndarray, t1: np.ndarray):
+        """Iteration 1 decided from integer counts, in blocks of
+        ``count_rows`` trials: the (B,) mask of trials whose every bit has a
+        certified count and whose hard decision meets the syndrome, and the
+        hard decisions of those trials, (retired, n_bits) bool."""
+        zero_below, one_from = self._certified_counts(L0, t0, t1)
+        B = syn.shape[0]
+        packed = _pack_trials(syn)
+        step = self.count_rows // 8
+        retired = np.zeros(B, dtype=bool)
+        hards = [np.zeros((0, self.n), dtype=bool)]
+        for w in range(0, packed.shape[1], step):
+            lo, rows = 8 * w, min(B - 8 * w, 8 * step)
+            block = packed[:, w:w + step]
+            gathered = block[self.bit_check]  # (n, dv, bytes)
+            if self.padded:
+                gathered[~self.bit_mask] = 0
+            k = np.unpackbits(gathered, axis=2, count=rows).sum(axis=1, dtype=self.count_dtype)
+            hard = k >= one_from  # (n, rows)
+            miss = self._packed_parity(np.packbits(hard, axis=1)) ^ block
+            ok = ~np.unpackbits(np.bitwise_or.reduce(miss, axis=0), count=rows).astype(bool)
+            ok &= ~((k >= zero_below) & ~hard).any(axis=0)
+            retired[lo:lo + rows] = ok
+            hards.append(hard[:, ok].T)
+        return retired, np.concatenate(hards)
 
     def decode(self, syndromes: np.ndarray, prior: float):
         """Decode a (B, n_checks) uint8 syndrome batch.
@@ -236,11 +333,17 @@ class BatchDecoder:
             return est, conv, iters
 
         syn = syndromes[active].astype(bool)
-        # iteration-1 check-to-bit messages for syndrome bit 0 and 1, also
-        # laid out bit-major as (n, dv) with padded bit slots zeroed
-        table = self._check_update(np.full((2, self.m, self.dc), L0),
-                                   np.array([[False], [True]]))
-        t0, t1 = (np.where(self.bit_mask, tab.ravel()[self.bit_edge], 0.0) for tab in table)
+        table, t0, t1 = self._iter1_tables(L0)
+        retired, hard = self._retire_by_counts(syn, L0, t0, t1)
+        if retired.any():
+            rows = active[retired]
+            est[rows] = hard
+            conv[rows] = True
+            iters[rows] = 1
+            active = active[~retired]
+            if active.size == 0:
+                return est, conv, iters
+            syn = syn[~retired]
 
         for it in range(1, self.max_iter + 1):
             if it == 1:

@@ -118,6 +118,12 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials >= 1 required")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter >= 1 required, got {self.max_iter}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size >= 1 required, got {self.batch_size}")
+        if self.prior_override is not None and not 0.0 < self.prior_override < 0.5:
+            raise ValueError(f"prior must be in (0, 0.5), got {self.prior_override}")
         for f_m in self.f_m_values:  # every point, before any is simulated
             try:
                 ChannelModel(pauli_probability(f_m, self.convention))

@@ -164,6 +164,21 @@ def test_sim_rejects_bad_fm_before_simulating(capsys):
         assert "Traceback" not in err
 
 
+def test_sim_rejects_bad_options_before_simulating(capsys):
+    """--max-iter below 1 (which would count every nonzero syndrome as a
+    block error) and a prior outside (0, 0.5) exit 2 with one line."""
+    for opts, message in ((("--max-iter", "0"), "error: max_iter >= 1"),
+                          (("--max-iter", "-2"), "error: max_iter >= 1"),
+                          (("--prior", "0.5"), "error: prior must be in (0, 0.5)"),
+                          (("--prior", "0"), "error: prior must be in (0, 0.5)")):
+        code, out, err = run_cli(
+            capsys, "sim", "--ag", "2", "4", "--type", "I", "--fm", "0.02",
+            "--trials", "50", *opts
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(message)
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "code", "params", "--type", "II")
     assert code == 2

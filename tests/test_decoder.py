@@ -51,6 +51,13 @@ def test_invalid_prior(fano):
             sp_decode(g, 1, prior=bad)
 
 
+def test_invalid_max_iter(fano):
+    g = build_tanner(oriented_matrix(fano.structure, POINT_BY_BLOCK))
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_iter"):
+            BatchDecoder(g, max_iter=bad)
+
+
 def ml_syndrome_table(H: BitMatrix):
     """Exhaustive ML syndrome decoder: syndrome -> (min weight, argmin set)."""
     table: dict[int, tuple[int, list[int]]] = {}
@@ -216,7 +223,8 @@ def _decode_digest(dec: BatchDecoder, syn: np.ndarray, prior: float) -> str:
 
 
 # SHA-256 of est, conv and iters bytes, recorded on the decoder before the
-# table-driven first iteration; a decoder change must reproduce them exactly.
+# table-driven first iteration (the max_iter=1 entries: before the count
+# test); a decoder change must reproduce them exactly.
 GOLDEN_DECODES = {
     ("AG(2,16)/I", 0.02): "3f4c16a29dcdc127d5941e5844831bd9003a38d055e6afcf4ba27bc0d9aaf8a2",
     ("AG(2,16)/I", 0.045): "e65b57f6f15fe404cef9c3ce29ebe21e73627fec19a6640bd1eaf15221e271cf",
@@ -225,6 +233,13 @@ GOLDEN_DECODES = {
     ("EG(2,16)/I", 0.02): "4f317b71da52daa822ee0d8b6cccfe5ad5192713ef7a5f228a962497c52a606f",
     ("EG(2,16)/I", 0.045): "a50edac8948e62f8cd9dc98a304754b6dd89cb07db321cccfa2b5b7fa47be157",
     ("irregular 40x60", 0.15): "c41a7d853e0959c41cf29568d73a14785323732a249e1ef4eadc91eb159347e2",
+    ("AG(2,16)/I", 0.02, 1): "88900a1f52d3c8528e3805b4751365664abe5bf5dced3c8bb353ff359c672c71",
+    ("AG(2,16)/I", 0.045, 1): "487a71825d2d42d723dedc8b4c7986788d8e5a0e6f2f9e0e2aabc71c99df2405",
+    ("PG(2,16)/I", 0.02, 1): "07db0ec25d98470b69d6d7a08664c783e371e702118cf90785b2d2b12193f158",
+    ("PG(2,16)/I", 0.045, 1): "daa56355c76faecc2b95bd12c1fb475366202937aa530ec3543c72fdd0249a79",
+    ("EG(2,16)/I", 0.02, 1): "17e51f4bd52d85eea23abdc903cb25df96d5f8159983913b444e30ec5fb7a7ef",
+    ("EG(2,16)/I", 0.045, 1): "213958584ac4712bc3d241dee4f4beb584a05ff1774271a05fb5d7aec910e2aa",
+    ("irregular 40x60", 0.15, 1): "7fa0162e4ca80e17461b1581d36ff3f90c63cc294b11b3952375e36cb030fe6e",
 }
 
 
@@ -237,11 +252,22 @@ def test_golden_decode_hashes(cache, kind, f_m):
     assert digest == GOLDEN_DECODES[(f"{kind}(2,16)/I", f_m)]
 
 
+@pytest.mark.parametrize("kind", ["AG", "PG", "EG"])
+@pytest.mark.parametrize("f_m", [0.02, 0.045])
+def test_golden_one_iteration_hashes(cache, kind, f_m):
+    """The max_iter=1 decoder: iteration 1 alone, count test included."""
+    H = oriented_matrix(cache.geometry(kind, 2, 16).structure, BLOCK_BY_POINT)
+    _, syn, prior = _syndrome_batch(H, f_m, 256, seed=31)
+    digest = _decode_digest(BatchDecoder(build_tanner(H), max_iter=1), syn, prior)
+    assert digest == GOLDEN_DECODES[(f"{kind}(2,16)/I", f_m, 1)]
+
+
 def test_golden_decode_hash_irregular():
     H = _irregular_H()
     _, syn, prior = _syndrome_batch(H, 0.15, 256, seed=5)
-    digest = _decode_digest(BatchDecoder(build_tanner(H)), syn, prior)
-    assert digest == GOLDEN_DECODES[("irregular 40x60", 0.15)]
+    for key, dec in ((("irregular 40x60", 0.15), BatchDecoder(build_tanner(H))),
+                     (("irregular 40x60", 0.15, 1), BatchDecoder(build_tanner(H), max_iter=1))):
+        assert _decode_digest(dec, syn, prior) == GOLDEN_DECODES[key]
 
 
 def test_blocked_first_iteration_across_block_boundaries(cache):
@@ -314,3 +340,125 @@ def test_parity_matches_dense_product(cache):
             par = dec.parity(errors)
             assert par.dtype == np.uint8 and par.shape == syn.shape
             assert np.array_equal(par, syn)
+
+
+def _float_first_iteration(dec: BatchDecoder, syn: np.ndarray, prior: float):
+    """Iteration 1 summed inline from the two message tables, as the float
+    path does: (hard decisions (B, n), syndrome met (B,))."""
+    L0 = math.log((1.0 - prior) / prior)
+    _, t0, t1 = dec._iter1_tables(L0)
+    hard = L0 + np.where(syn.astype(bool)[:, dec.bit_check], t1, t0).sum(axis=2) < 0.0
+    return hard, (dec.parity(hard) == syn).all(axis=1)
+
+
+def _count_test(dec: BatchDecoder, syn: np.ndarray, prior: float):
+    """Certified thresholds, and the retired mask and estimates of the count
+    test on the nonzero rows of ``syn``."""
+    L0 = math.log((1.0 - prior) / prior)
+    _, t0, t1 = dec._iter1_tables(L0)
+    thresholds = dec._certified_counts(L0, t0, t1)
+    return thresholds, dec._retire_by_counts(syn[syn.any(axis=1)].astype(bool), L0, t0, t1)
+
+
+def _assert_count_test_is_float_first_iteration(dec, syn, prior, all_certified):
+    """The count test retires exactly the nonzero syndromes whose counts
+    (taken here from a dense gather over real slots) are all certified and
+    whose float iteration-1 decision meets them, with the float estimates;
+    the max_iter=1 decoder returns the float hard decisions."""
+    (zero_below, one_from), (retired, est_r) = _count_test(dec, syn, prior)
+    assert np.array_equal(zero_below, one_from) == all_certified
+    k = (syn[:, dec.bit_check] * dec.bit_mask).sum(axis=2)  # (B, n)
+    certified = ((k < zero_below.T) | (k >= one_from.T)).all(axis=1)
+    hard, solved = _float_first_iteration(dec, syn, prior)
+    nonzero = syn.any(axis=1)
+    assert np.array_equal(retired, (solved & certified)[nonzero])
+    assert np.array_equal(est_r, hard[nonzero][retired])
+    est, conv, iters = dec.decode(syn, prior)
+    assert np.array_equal(conv, solved | ~nonzero)
+    assert np.array_equal(est[nonzero], hard[nonzero]) and not est[~nonzero].any()
+    assert np.array_equal(iters, nonzero.astype(np.int32))
+    return retired
+
+
+def test_count_test_matches_float_first_iteration_exhaustively(fano):
+    """All 2^7 Fano syndromes over a grid of priors: every count is
+    certified, the count test retires exactly the nonzero syndromes whose
+    float iteration-1 decision meets them, with the same estimates, and the
+    max_iter=1 decoder returns the float hard decisions."""
+    dec = BatchDecoder(build_tanner(oriented_matrix(fano.structure, POINT_BY_BLOCK)),
+                       max_iter=1)
+    syn = ((np.arange(128)[:, None] >> np.arange(7)) & 1).astype(np.uint8)
+    for prior in np.linspace(0.005, 0.495, 50):
+        _assert_count_test_is_float_first_iteration(dec, syn, prior, all_certified=True)
+
+
+def test_count_test_on_padded_graph():
+    """Counts take real slots only: on the irregular graph, with isolated
+    bits and padded slots, the count test agrees with the float iteration 1.
+    Unequal check degrees give unequal slot values, so the interval leaves
+    some counts uncertified there."""
+    H = _irregular_H()
+    dec = BatchDecoder(build_tanner(H), max_iter=1)
+    assert dec.padded and (dec.bit_deg == 0).any()
+    retired = 0
+    for f_m in (0.05, 0.15, 0.3):
+        _, syn, prior = _syndrome_batch(H, f_m, 300, seed=17)
+        retired += _assert_count_test_is_float_first_iteration(
+            dec, syn, prior, all_certified=False).sum()
+    assert retired >= 100
+
+
+def test_uncertified_count_falls_back_to_float(cache):
+    """At a prior where L0 + (d - 2k) t0 crosses 0 for k = 4 on AG(2,4)/I
+    (d = 5), k = 4 is uncertified on both sides of the crossing, and
+    trials hitting it still decode as the float path does."""
+    H = oriented_matrix(cache.geometry("AG", 2, 4).structure, BLOCK_BY_POINT)
+    g = build_tanner(H)
+    dec = BatchDecoder(g, max_iter=1)
+    d, k = dec.dv, 4
+    assert not dec.padded and d == 5
+
+    def centre(p):
+        L0 = math.log((1.0 - p) / p)
+        _, t0, t1 = dec._iter1_tables(L0)
+        return L0 + (d - k) * t0[0, 0] + k * t1[0, 0]
+
+    lo, hi = 0.01, 0.45  # centre(lo) < 0 < centre(hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if centre(mid) < 0.0 else (lo, mid)
+    # weight-2 errors: the two bits share one line, so each sees k = 4
+    pairs = [(a, b) for a in range(H.cols) for b in range(a + 1, H.cols)]
+    errors = np.zeros((len(pairs), H.cols), dtype=bool)
+    for t, pair in enumerate(pairs):
+        errors[t, list(pair)] = True
+    syn = dec.parity(errors)
+    solved_at = {}
+    for prior in (lo, hi):
+        (zero_below, one_from), (retired, _) = _count_test(dec, syn, prior)
+        assert (zero_below <= k).all() and (one_from > k).all()
+        assert not retired.any()
+        hard, solved_at[prior] = _float_first_iteration(dec, syn, prior)
+        est1, conv1, _ = dec.decode(syn, prior)
+        assert np.array_equal(est1, hard) and np.array_equal(conv1, solved_at[prior])
+        est, conv, iters = BatchDecoder(g).decode(syn, prior)
+        assert np.array_equal(conv & (iters == 1), solved_at[prior]) and conv.all()
+    # the batch sum rounds the tie below 0 on the lower side, so those
+    # trials solve at iteration 1, and above 0 on the upper side; the scalar
+    # reference sums in another order and solves none at iteration 1 on
+    # either side, so it is compared on the upper side
+    assert solved_at[lo].all() and not solved_at[hi].any() and (iters == 2).all()
+    assert sp_decode(g, [int(v) for v in syn[0]], prior=lo).iterations_used == 2
+    for t in range(0, len(syn), 7):
+        out = sp_decode(g, [int(v) for v in syn[t]], prior=hi)
+        assert (bool(conv[t]), int(iters[t])) == (out.converged, out.iterations_used)
+        assert est[t].tolist() == [bool(b) for b in out.estimate_bits(H.cols)]
+
+
+def test_count_test_retires_most_of_the_anchor(cache):
+    """On AG(2,16)/I at f_m = 0.02 the count test alone retires at least
+    90% of the nonzero syndromes (a count, not a timing)."""
+    H = oriented_matrix(cache.geometry("AG", 2, 16).structure, BLOCK_BY_POINT)
+    dec = BatchDecoder(build_tanner(H))
+    _, syn, prior = _syndrome_batch(H, 0.02, 1024, seed=12)
+    _, (retired, _) = _count_test(dec, syn, prior)
+    assert retired.size > 900 and retired.mean() >= 0.9

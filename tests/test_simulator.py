@@ -200,6 +200,13 @@ def test_sim_config_rejects_bad_points_up_front():
         SimConfig(f_m_values=(0.01,), trials=10, seed=1, convention="bogus")
     SimConfig(f_m_values=(0.0, 1.0), trials=10, seed=1)
     SimConfig(f_m_values=(1 / 3,), trials=10, seed=1, convention="per-pauli")
+    for field, bad in (("max_iter", 0), ("max_iter", -3), ("batch_size", 0),
+                       ("prior_override", 0.0), ("prior_override", 0.5),
+                       ("prior_override", float("nan"))):
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            SimConfig(f_m_values=(0.01,), trials=10, seed=1, **{field: bad})
+    SimConfig(f_m_values=(0.01,), trials=10, seed=1, max_iter=1, batch_size=1,
+              prior_override=0.49)
 
 
 def test_estimate_bler_zero_fm(cache):
