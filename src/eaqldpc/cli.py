@@ -18,6 +18,7 @@ import json
 import platform
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -472,6 +473,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenProcessPool:
+        print("error: a worker process died; no result", file=sys.stderr)
+        return CHECK_FAILED
+    except KeyboardInterrupt:
+        print("interrupted; no result", file=sys.stderr)
+        return CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -282,12 +282,6 @@ class FiniteField:
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
 
     # --- vectors ------------------------------------------------------------
-    def vec_add(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.add(x, y) for x, y in zip(u, v))
-
-    def vec_scale(self, c: int, u: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.mul(c, x) for x in u)
-
     def normalize_projective(self, u: Sequence[int]) -> tuple[int, ...]:
         """Scale so the first nonzero coordinate is 1 (canonical representative)."""
         nz = next((i for i, x in enumerate(u) if x), None)

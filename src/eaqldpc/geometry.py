@@ -4,6 +4,12 @@ their closed-form GF(2) ranks, spreads, and minimum-weight witness codewords.
 Point orderings are canonical (projective representatives normalized to
 leading 1, affine points in lexicographic coordinate order) and lines are
 emitted in lexicographic block order, so indices are stable across runs.
+
+Lines are built once each, in numpy, from the addition and multiplication
+tables of GF(q); a point's number is read off its coordinates in base q.  The
+AG lines of direction d (leading 1 at j) are {h + lam*d} for the q^{m-1}
+points h with h_j = 0.  A PG line is spanned by its reduced basis u, w
+(leading 1s at i < j, u_j = 0): its points w and u + lam*w are normalized.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .designs import DesignError, IncidenceStructure, SpreadPartition, verify_spread
 from .fields import FiniteField, enumerate_subspace_reps, make_field, field_for_order, subfield_embedding
@@ -63,14 +71,33 @@ class WitnessCodeword:
             raise ValueError("weight != support size")
 
 
-def _line_closure(field: FiniteField, a: Sequence[int], b: Sequence[int]):
-    """Canonical representatives of all q+1 points on the projective line
-    through a and b: {a} plus {b + lam*a : lam in F_q}."""
-    pts = [field.normalize_projective(a)]
-    for lam in field.elements():
-        v = tuple(field.add(x, field.mul(lam, y)) for x, y in zip(b, a))
-        pts.append(field.normalize_projective(v))
-    return pts
+def _field_tables(field: FiniteField) -> tuple[np.ndarray, np.ndarray]:
+    """Addition and multiplication of GF(q) as q x q index arrays."""
+    e = field.elements()
+    add = np.array([[field.add(a, b) for b in e] for a in e], dtype=np.intp)
+    mul = np.array([[field.mul(a, b) for b in e] for a in e], dtype=np.intp)
+    return add, mul
+
+
+def _vectors(q: int, n: int) -> np.ndarray:
+    """All q^n coordinate vectors of length n, as rows in lexicographic order."""
+    return np.array(list(itertools.product(range(q), repeat=n)), dtype=np.intp).reshape(q**n, n)
+
+
+def _line_points(add: np.ndarray, mul: np.ndarray, base: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Coordinates of base + lam * step for every lam in F_q (tables from
+    ``_field_tables``), on a new second-to-last axis; base and step broadcast."""
+    lam = np.arange(len(add))[:, None]
+    return add[base[..., None, :], mul[lam, step[..., None, :]]]
+
+
+def _sorted_blocks(lines: list[np.ndarray]) -> tuple[tuple[int, ...], ...]:
+    """Blocks as sorted point tuples in lexicographic order.  Every block
+    refers to one shared int object per point, which keeps large designs
+    small in memory."""
+    arr = np.sort(np.concatenate(lines), axis=1)
+    arr = arr[np.lexsort(arr.T[::-1])]
+    return tuple(map(tuple, np.arange(arr.max() + 1).astype(object)[arr].tolist()))
 
 
 def build_pg(m: int, q: int) -> GeometryDesign:
@@ -78,81 +105,68 @@ def build_pg(m: int, q: int) -> GeometryDesign:
     if m < 2:
         raise DesignError("need m >= 2")
     field = field_for_order(q)
+    add, mul = _field_tables(field)
     points = enumerate_subspace_reps(field, m + 1)
-    index = {p: i for i, p in enumerate(points)}
-    v = len(points)
-    covered = [0] * v  # bitsets over points
-    blocks = []
-    for i in range(v):
-        row = covered[i]
-        for j in range(i + 1, v):
-            if (row >> j) & 1:
-                continue
-            line_pts = sorted(index[p] for p in set(_line_closure(field, points[i], points[j])))
-            blocks.append(tuple(line_pts))
-            for x in line_pts:
-                for y in line_pts:
-                    covered[x] |= 1 << y
-            row = covered[i]
-    S = IncidenceStructure(v=v, blocks=tuple(sorted(blocks)), provenance=f"pg({m},{q})")
+    # a point with its leading 1 at position L is number offset[L] + (base-q tail)
+    offset = np.cumsum([0] + [q ** (m - L) for L in range(m)])
+
+    def index(x: np.ndarray, lead: int) -> np.ndarray:
+        return offset[lead] + x[..., lead + 1 :] @ (q ** np.arange(m - lead - 1, -1, -1))
+
+    lines = []
+    for i in range(m + 1):
+        for j in range(i + 1, m + 1):
+            # each line once, by its reduced basis: u leads at i with u_j = 0,
+            # w leads at j; its points are w and u + lam*w (leading 1 at i)
+            free_u = [k for k in range(i + 1, m + 1) if k != j]
+            free = _vectors(q, len(free_u) + m - j)
+            u = np.zeros((len(free), m + 1), dtype=np.intp)
+            w = np.zeros((len(free), m + 1), dtype=np.intp)
+            u[:, i], w[:, j] = 1, 1
+            u[:, free_u], w[:, j + 1 :] = free[:, : len(free_u)], free[:, len(free_u) :]
+            on_line = index(_line_points(add, mul, u, w), i)
+            lines.append(np.column_stack([on_line, index(w, j)]))
+    S = IncidenceStructure(v=len(points), blocks=_sorted_blocks(lines), provenance=f"pg({m},{q})")
     expect_b = (q ** (m + 1) - 1) * (q**m - 1) // ((q**2 - 1) * (q - 1))
     if S.b != expect_b:
         raise DesignError(f"PG({m},{q}): got {S.b} lines, expected {expect_b}")
     return GeometryDesign(kind=PG, m=m, q=q, structure=S, point_coords=tuple(points))
 
 
-def _affine_points(field: FiniteField, m: int) -> list[tuple[int, ...]]:
-    return list(itertools.product(field.elements(), repeat=m))
-
-
 def build_ag(m: int, q: int) -> GeometryDesign:
     """Points and lines (1-flats) of AG(m, q): an S(2, q, q^m)."""
     if m < 2:
         raise DesignError("need m >= 2")
-    field = field_for_order(q)
-    points = _affine_points(field, m)
-    index = {p: i for i, p in enumerate(points)}
-    v = len(points)
-    directions = enumerate_subspace_reps(field, m)
-    blocks = []
-    for d in directions:
-        used = bytearray(v)
-        for i, p in enumerate(points):
-            if used[i]:
-                continue
-            line = sorted(
-                index[tuple(field.add(x, field.mul(lam, dd)) for x, dd in zip(p, d))]
-                for lam in field.elements()
-            )
-            for x in line:
-                used[x] = 1
-            blocks.append(tuple(line))
-    S = IncidenceStructure(v=v, blocks=tuple(sorted(blocks)), provenance=f"ag({m},{q})")
+    add, mul = _field_tables(field_for_order(q))
+    points = tuple(itertools.product(range(q), repeat=m))  # point number = base-q value
+    weights = q ** np.arange(m - 1, -1, -1)
+    lines = []
+    for j in range(m):
+        # directions with leading 1 at j; each such line meets x_j = 0 exactly once
+        dirs = np.zeros((q ** (m - 1 - j), m), dtype=np.intp)
+        dirs[:, j], dirs[:, j + 1 :] = 1, _vectors(q, m - 1 - j)
+        hyper = np.zeros((q ** (m - 1), m), dtype=np.intp)
+        hyper[:, np.arange(m) != j] = _vectors(q, m - 1)
+        on_line = _line_points(add, mul, hyper[None, :, :], dirs[:, None, :]) @ weights
+        lines.append(on_line.reshape(-1, q))
+    S = IncidenceStructure(v=len(points), blocks=_sorted_blocks(lines), provenance=f"ag({m},{q})")
     expect_b = q ** (m - 1) * (q**m - 1) // (q - 1)
     if S.b != expect_b:
         raise DesignError(f"AG({m},{q}): got {S.b} lines, expected {expect_b}")
-    return GeometryDesign(kind=AG, m=m, q=q, structure=S, point_coords=tuple(points))
+    return GeometryDesign(kind=AG, m=m, q=q, structure=S, point_coords=points)
 
 
 def build_eg(m: int, q: int) -> GeometryDesign:
     """AG(m, q) minus the zero point and the lines through it (partial design)."""
     ag = build_ag(m, q)
-    zero = ag.point_coords.index((0,) * m)
-    keep = [i for i in range(ag.structure.v) if i != zero]
-    remap = {p: i for i, p in enumerate(keep)}
-    blocks = [
-        tuple(sorted(remap[p] for p in blk))
-        for blk in ag.structure.blocks
-        if zero not in blk
-    ]
-    S = IncidenceStructure(
-        v=len(keep), blocks=tuple(sorted(blocks)), provenance=f"eg({m},{q})"
-    )
+    # the origin is AG point 0, so it starts every sorted block through it
+    lines = np.array(ag.structure.blocks)
+    blocks = _sorted_blocks([lines[lines[:, 0] > 0] - 1])
+    S = IncidenceStructure(v=ag.structure.v - 1, blocks=blocks, provenance=f"eg({m},{q})")
     expect_b = (q ** (m - 1) - 1) * (q**m - 1) // (q - 1)
     if S.b != expect_b:
         raise DesignError(f"EG({m},{q}): got {S.b} lines, expected {expect_b}")
-    coords = tuple(ag.point_coords[i] for i in keep)
-    return GeometryDesign(kind=EG, m=m, q=q, structure=S, point_coords=coords)
+    return GeometryDesign(kind=EG, m=m, q=q, structure=S, point_coords=ag.point_coords[1:])
 
 
 def build_geometry(kind: str, m: int, q: int) -> GeometryDesign:

@@ -1,10 +1,16 @@
 """Dense bit-packed GF(2) matrix algebra.
 
-Rows are stored as Python integers (bit j of row i is the (i, j) entry), which
-makes row XOR, Gaussian elimination and Gram-matrix products cheap at the
-scales this package needs (up to a few thousand rows/columns).  Hot loops that
-enumerate many vectors (weight distributions, pair collisions) export rows to
-packed numpy uint64 arrays and use ``np.bitwise_count``.
+A ``BitMatrix`` keeps its rows as Python integers (bit j of row i is the
+(i, j) entry); the algebra runs on packed ``uint64`` arrays of shape
+``(rows, ceil(cols/64))``, converted with ``int.to_bytes``/``int.from_bytes``.
+
+Elimination is one M4RI-style kernel (Albrecht, Bard and Hart, ACM TOMS
+2010), ``_echelon``: per 64-column word it finds the pivots on the word's
+distinct values, reduces the pivot rows among themselves and clears the word
+from all other rows through 256-entry tables of pivot-row combinations.
+Zero rows are dropped as they appear, so low-rank matrices stop early.  The
+fully reduced form is unique for a row space, so pivots and ``rref`` equal
+those of any Gauss-Jordan elimination.
 
 ``weight_distribution`` enumerates a span as an inner block of the 2^16
 combinations of the first 16 basis vectors times a Gray walk over the
@@ -13,19 +19,19 @@ combinations of the rest.  The inner block is stored word-major, as a
 contiguous, so the weights of one outer step are summed word by word into a
 ``uint8`` (``uint16`` from 256 bits) vector and binned with ``bincount``.
 
-All matrices are immutable after construction; derived data (rank profile,
-transpose) is computed lazily and cached.
+All matrices are immutable after construction; derived data (rank, rank
+profile, transpose) is computed lazily and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 WORD_BITS = 64
+PRODUCT_CHUNK_WORDS = 1 << 17  # words of B rows gathered at once by _product
 
 
 def _mask(cols: int) -> int:
@@ -35,7 +41,7 @@ def _mask(cols: int) -> int:
 class BitMatrix:
     """An immutable dense matrix over GF(2)."""
 
-    __slots__ = ("rows", "cols", "_bits", "_rank_profile", "_transpose")
+    __slots__ = ("rows", "cols", "_bits", "_rank", "_rank_profile", "_transpose")
 
     def __init__(self, rows: int, cols: int, bits: Iterable[int]):
         bits = tuple(int(b) & _mask(cols) for b in bits)
@@ -46,6 +52,7 @@ class BitMatrix:
         self.rows = rows
         self.cols = cols
         self._bits = bits
+        self._rank: Optional[int] = None
         self._rank_profile: Optional[RankProfile] = None
         self._transpose: Optional[BitMatrix] = None
 
@@ -67,13 +74,7 @@ class BitMatrix:
         a = np.asarray(array, dtype=np.uint8) % 2
         if a.ndim != 2:
             raise ValueError("expected a 2-D array")
-        bits = []
-        for row in a:
-            x = 0
-            for j in np.nonzero(row)[0]:
-                x |= 1 << int(j)
-            bits.append(x)
-        return cls(a.shape[0], a.shape[1], bits)
+        return cls(a.shape[0], a.shape[1], unpack_ints(pack_bool_rows(a)))
 
     # --- element access ---------------------------------------------------
     def row(self, i: int) -> int:
@@ -91,21 +92,11 @@ class BitMatrix:
     def data(self) -> tuple[int, ...]:
         """Row-major packed words (``WORD_BITS`` bits each)."""
         words_per_row = (self.cols + WORD_BITS - 1) // WORD_BITS
-        out = []
-        wm = (1 << WORD_BITS) - 1
-        for r in self._bits:
-            for w in range(words_per_row):
-                out.append((r >> (w * WORD_BITS)) & wm)
-        return tuple(out)
+        return tuple(self.to_packed()[:, :words_per_row].ravel().tolist())
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        for i, r in enumerate(self._bits):
-            while r:
-                low = r & -r
-                out[i, low.bit_length() - 1] = 1
-                r ^= low
-        return out
+        bits = np.unpackbits(self.to_packed().view(np.uint8), axis=1, bitorder="little")
+        return bits[:, : self.cols]
 
     def to_packed(self) -> np.ndarray:
         """Rows as a (rows, ceil(cols/64)) uint64 array."""
@@ -206,96 +197,136 @@ class DistanceBudget:
     randomized_seed: int = 0
 
 
-def rank(M: BitMatrix) -> RankProfile:
-    """Gaussian elimination rank profile (first-nonzero pivoting, no heuristics).
+def _combine(rows: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """XOR of the ``rows`` (at most 64) that each bitmask in ``coeff`` selects.
 
-    The returned ``rref`` is fully reduced (pivot columns cleared above and
-    below) and spans the same row space as ``M``.
+    Bit k of ``coeff[i]`` picks ``rows[k]``.  Every eight rows give one
+    256-entry table of their combinations, indexed by one byte of ``coeff``.
     """
-    mat = list(M.row_bits())
-    m = len(mat)
+    out = np.zeros((len(coeff), rows.shape[1]), dtype=np.uint64)
+    for g in range(0, len(rows), 8):
+        table = np.zeros((1 << len(rows[g : g + 8]), rows.shape[1]), dtype=np.uint64)
+        for i, r in enumerate(rows[g : g + 8]):
+            table[1 << i : 2 << i] = table[: 1 << i] ^ r
+        out ^= table[((coeff >> np.uint64(g)) & np.uint64(0xFF)).astype(np.intp)]
+    return out
+
+
+def _gather_bits(word: np.ndarray, bits: Sequence[int]) -> np.ndarray:
+    """Bit k of the result is bit ``bits[k]`` of ``word``."""
+    out = np.zeros(len(word), dtype=np.uint64)
+    for k, b in enumerate(bits):
+        out |= ((word >> np.uint64(b)) & np.uint64(1)) << np.uint64(k)
+    return out
+
+
+def _echelon(A: np.ndarray, reduced: bool) -> tuple[list[int], Optional[np.ndarray]]:
+    """Row-reduce the packed rows ``A`` (rows, words), one column word at a time.
+
+    Returns the pivot columns in ascending order and, when ``reduced``, the
+    fully reduced echelon rows (one per pivot, same order) as a packed array.
+    ``active`` holds the rows not yet reduced to zero, cut to the words from
+    the current one on; all their earlier words are zero.
+    """
+    words = A.shape[1]
+    active = A[A.any(axis=1)]
     pivots: list[int] = []
-    r = 0
-    for c in range(M.cols):
-        if r >= m:
+    basis = np.zeros((0, words), dtype=np.uint64)
+    for w in range(words):
+        if not len(active):
             break
-        bit = 1 << c
-        pr = next((i for i in range(r, m) if mat[i] & bit), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        piv = mat[r]
-        for i in range(m):
-            if i != r and (mat[i] & bit):
-                mat[i] ^= piv
-        pivots.append(c)
-        r += 1
-    rref = BitMatrix(r, M.cols, mat[:r])
-    return RankProfile(rank=r, pivot_columns=tuple(pivots), rref=rref)
+        word = active[:, 0]
+        # the word's pivots: eliminate on its distinct values, lowest bit first
+        vals, first = np.unique(word, return_index=True)
+        bits: list[int] = []
+        pick: list[int] = []
+        while present := int(np.bitwise_or.reduce(vals)):
+            low = present & -present
+            hit = np.flatnonzero(vals & np.uint64(low))
+            vals[hit] ^= vals[hit[0]]
+            bits.append(low.bit_length() - 1)
+            pick.append(int(first[hit[0]]))
+        if bits:
+            # reduce the picked rows so row j has bit bits[j] alone among the pivots
+            vals_p = [int(x) for x in word[pick]]
+            mix = [1 << j for j in range(len(bits))]
+            for j, b in enumerate(bits):
+                k = next(k for k in range(j, len(bits)) if vals_p[k] >> b & 1)
+                vals_p[j], vals_p[k] = vals_p[k], vals_p[j]
+                mix[j], mix[k] = mix[k], mix[j]
+                for i in range(len(bits)):
+                    if i != j and vals_p[i] >> b & 1:
+                        vals_p[i] ^= vals_p[j]
+                        mix[i] ^= mix[j]
+            R = _combine(active[pick], np.array(mix, dtype=np.uint64))
+            active ^= _combine(R, _gather_bits(word, bits))
+            if reduced:
+                basis[:, w:] ^= _combine(R, _gather_bits(basis[:, w], bits))
+                new = np.zeros((len(bits), words), dtype=np.uint64)
+                new[:, w:] = R
+                basis = np.vstack([basis, new])
+            pivots += [WORD_BITS * w + b for b in bits]
+        active = active[active[:, 1:].any(axis=1), 1:]
+    return pivots, basis if reduced else None
 
 
-def _rank_only(rows: Iterable[int]) -> int:
-    """Rank by incremental reduction against a lowest-bit pivot basis."""
-    basis: dict[int, int] = {}
-    rk = 0
-    for r in rows:
-        cur = r
-        while cur:
-            c = (cur & -cur).bit_length() - 1
-            piv = basis.get(c)
-            if piv is None:
-                basis[c] = cur
-                rk += 1
-                break
-            cur ^= piv
-    return rk
+def rank(M: BitMatrix) -> RankProfile:
+    """Rank profile of M: rank, pivot columns and the fully reduced row
+    echelon form (pivot columns cleared above and below, same row space)."""
+    pivots, basis = _echelon(M.to_packed(), reduced=True)
+    M._rank = len(pivots)
+    rref = BitMatrix(len(pivots), M.cols, unpack_ints(basis))
+    return RankProfile(rank=len(pivots), pivot_columns=tuple(pivots), rref=rref)
 
 
 def rank_value(M: BitMatrix) -> int:
-    """rank(M) without building a profile; eliminates on the narrower side
-    (rank is invariant under transposition, and narrow rows are cheap)."""
-    if M._rank_profile is not None:
-        return M._rank_profile.rank
-    A = M if M.cols <= M.rows else M.transpose()
-    return _rank_only(A.row_bits())
+    """rank(M), computed once per matrix and eliminated on the narrower side
+    (rank is invariant under transposition, and short rows are cheap)."""
+    if M._rank is None:
+        A = M if M.cols <= M.rows else M.transpose()
+        M._rank = A._rank = len(_echelon(A.to_packed(), reduced=False)[0])
+    return M._rank
+
+
+def _product(A: BitMatrix, B: BitMatrix) -> np.ndarray:
+    """Packed rows of A @ B: row i XORs the rows of B picked by the bits of
+    row i of A, in row chunks that gather about ``PRODUCT_CHUNK_WORDS`` words."""
+    if A.cols != B.rows:
+        raise ValueError(f"dimension mismatch: {A.cols} vs {B.rows}")
+    Ap, Bp = A.to_packed(), B.to_packed()
+    out = np.zeros((A.rows, Bp.shape[1]), dtype=np.uint64)
+    nnz = int(np.bitwise_count(Ap).sum())
+    step = max(1, PRODUCT_CHUNK_WORDS * A.rows // max(1, nnz * Bp.shape[1]))
+    for r0 in range(0, A.rows, step):
+        bits = np.unpackbits(Ap[r0 : r0 + step].view(np.uint8), axis=1, bitorder="little")
+        row, col = np.nonzero(bits)
+        if len(row):
+            rows, starts = np.unique(row, return_index=True)
+            out[r0 + rows] = np.bitwise_xor.reduceat(Bp[col], starts, axis=0)
+    return out
 
 
 def multiply(A: BitMatrix, B: BitMatrix) -> BitMatrix:
-    """C = A @ B over GF(2); XORs rows of B selected by the bits of each A row."""
-    if A.cols != B.rows:
-        raise ValueError(f"dimension mismatch: {A.cols} vs {B.rows}")
-    brows = B.row_bits()
-    out = []
-    for r in A.row_bits():
-        acc = 0
-        while r:
-            low = r & -r
-            acc ^= brows[low.bit_length() - 1]
-            r ^= low
-        out.append(acc)
-    return BitMatrix(A.rows, B.cols, out)
+    """C = A @ B over GF(2)."""
+    return BitMatrix(A.rows, B.cols, unpack_ints(_product(A, B)))
 
 
 def gram_rank(M: BitMatrix) -> int:
     """rank(M @ M.T) over GF(2)."""
-    return rank_value(multiply(M, M.transpose()))
+    return len(_echelon(_product(M, M.transpose()), reduced=False)[0])
 
 
 def nullspace_basis(M: BitMatrix) -> BitMatrix:
-    """Rows form a basis of {x : Mx = 0}; row count = cols - rank."""
+    """Rows form a basis of {x : Mx = 0}; row count = cols - rank.  Row i has
+    a 1 at the i-th free column f and at each pivot whose rref row holds f."""
     prof = M.rank_profile()
-    pivot_set = set(prof.pivot_columns)
-    free_cols = [c for c in range(M.cols) if c not in pivot_set]
-    basis = []
-    rref_rows = prof.rref.row_bits()
-    for f in free_cols:
-        v = 1 << f
-        fb = 1 << f
-        for row, pc in zip(rref_rows, prof.pivot_columns):
-            if row & fb:
-                v |= 1 << pc
-        basis.append(v)
-    return BitMatrix(len(basis), M.cols, basis)
+    free = np.ones(M.cols, dtype=bool)
+    free[list(prof.pivot_columns)] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((len(free), M.cols), dtype=np.uint8)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, list(prof.pivot_columns)] = prof.rref.to_dense()[:, free].T
+    return BitMatrix.from_dense(basis)
 
 
 def reduce_against(rref_rows: Sequence[int], pivots: Sequence[int], x: int) -> int:
@@ -330,22 +361,21 @@ def in_row_space(M: BitMatrix, x, length: Optional[int] = None) -> bool:
 def pack_ints(values: Sequence[int], nbits: int) -> np.ndarray:
     """Pack int bitmasks into a (len, ceil(nbits/64)) uint64 array."""
     words = max(1, (nbits + WORD_BITS - 1) // WORD_BITS)
-    out = np.zeros((len(values), words), dtype=np.uint64)
-    wm = (1 << WORD_BITS) - 1
-    for i, v in enumerate(values):
-        v = int(v)
-        w = 0
-        while v:
-            out[i, w] = v & wm
-            v >>= WORD_BITS
-            w += 1
-    return out
+    buf = b"".join(int(v).to_bytes(8 * words, "little") for v in values)
+    return np.frombuffer(buf, dtype="<u8").astype(np.uint64).reshape(len(values), words)
+
+
+def unpack_ints(packed: np.ndarray) -> list[int]:
+    """Rows of a packed (rows, words) uint64 array as int bitmasks."""
+    size = 8 * packed.shape[1]
+    buf = packed.astype("<u8").tobytes()
+    return [int.from_bytes(buf[i : i + size], "little") for i in range(0, len(buf), size)]
 
 
 def pack_bool_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack a (B, n) boolean array into (B, ceil(n/64)) uint64 rows."""
+    """Pack a (B, n) boolean array into (B, max(1, ceil(n/64))) uint64 rows."""
     B, n = bits.shape
-    words = (n + WORD_BITS - 1) // WORD_BITS
+    words = max(1, (n + WORD_BITS - 1) // WORD_BITS)
     padded = np.zeros((B, words * WORD_BITS), dtype=np.uint8)
     padded[:, :n] = bits
     return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)

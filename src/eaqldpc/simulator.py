@@ -122,6 +122,8 @@ class SimConfig:
             raise ValueError(f"max_iter >= 1 required, got {self.max_iter}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size >= 1 required, got {self.batch_size}")
+        if self.workers < 0:
+            raise ValueError(f"workers >= 0 required, got {self.workers}")
         if self.prior_override is not None and not 0.0 < self.prior_override < 0.5:
             raise ValueError(f"prior must be in (0, 0.5), got {self.prior_override}")
         for f_m in self.f_m_values:  # every point, before any is simulated

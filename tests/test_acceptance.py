@@ -45,6 +45,9 @@ ANCHOR_FM = 0.02
 SIM_TARGETS = {"AG": (1.0e-4, 800_000), "EG": (1.6e-4, 300_000), "PG": (3.8e-4, 600_000)}
 SWEEP_FMS = (0.02, 0.025, 0.03, 0.035)
 SWEEP_TRIALS = 20_000
+# frozen block-error counts of the seeded runs: (anchor, sweep at SWEEP_FMS)
+SIM_COUNTS = {"AG": (56, (4, 19, 53, 192)), "EG": (30, (4, 11, 64, 229)),
+              "PG": (123, (6, 27, 85, 350))}
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -270,6 +273,19 @@ def test_criterion_6_simulation(sim_results):
     for f in failures:
         print(f)
     _report("6 (BLER reproduction at f_m=0.02, statistical)", not failures)
+
+
+def test_criterion_6_frozen_counts(sim_results):
+    """The seeded anchor and sweep runs give exactly their recorded counts."""
+    got = {
+        kind: ((a.block_errors, a.trials), tuple((r.block_errors, r.trials) for r in sweep))
+        for kind, (a, sweep) in sim_results.items()
+    }
+    expect = {
+        kind: ((anchor, SIM_TARGETS[kind][1]), tuple((e, SWEEP_TRIALS) for e in sweep))
+        for kind, (anchor, sweep) in SIM_COUNTS.items()
+    }
+    _report("6 (frozen anchor and sweep counts)", got == expect, f"{got}")
 
 
 def test_criterion_7_property_suite(cache):

@@ -2,9 +2,10 @@
 
 import io
 import json
+import os
 import sys
 
-from eaqldpc import formats
+from eaqldpc import cli, formats, simulator
 from eaqldpc.cli import main
 
 
@@ -177,6 +178,38 @@ def test_sim_rejects_bad_options_before_simulating(capsys):
         )
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith(message)
+
+
+def test_sim_rejects_negative_threads_before_simulating(capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "estimate_bler", lambda *a, **k: runs.append(a))
+    code, out, err = run_cli(capsys, "sim", "--ag", "2", "4", "--type", "I", "--fm", "0.02",
+                             "--trials", "50", "--threads", "-3")
+    assert code == 2 and out == "" and runs == []
+    assert err == "error: workers >= 0 required, got -3\n"
+
+
+def _dying_worker_init(*args):
+    os._exit(3)
+
+
+def test_sim_dead_worker_exits_1_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(simulator, "_worker_init", _dying_worker_init)
+    code, out, err = run_cli(capsys, "sim", "--ag", "2", "4", "--type", "I", "--fm", "0.02",
+                             "--trials", "200", "--threads", "2")
+    assert code == 1 and out == ""
+    assert err == "error: a worker process died; no result\n"
+
+
+def test_interrupt_exits_1_with_one_line(capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "estimate_bler", interrupted)
+    code, out, err = run_cli(capsys, "sim", "--ag", "2", "4", "--type", "I", "--fm", "0.02",
+                             "--trials", "50")
+    assert code == 1 and out == ""
+    assert err == "interrupted; no result\n"
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,14 +1,18 @@
 """Geometries: construction counts, closed-form ranks vs elimination,
 spreads, and witness codewords."""
 
+import itertools
+
 import pytest
 
 from eaqldpc.designs import verify_partial_steiner, verify_steiner
+from eaqldpc.fields import enumerate_subspace_reps, field_for_order
 from eaqldpc.geometry import (
     DesignError,
     affine_hyperoval_trace,
     build_ag,
     build_eg,
+    build_geometry,
     build_pg,
     dual_hyperoval,
     hamada_phi,
@@ -221,3 +225,89 @@ def test_witness_indices_stable(cache):
     a = dual_hyperoval(cache.geometry("PG", 2, 4))
     b = dual_hyperoval(build_pg(2, 4))
     assert a.block_indices == b.block_indices
+
+
+# --- the line-closure builders the table-driven ones replaced, as oracles -----
+
+def _line_closure(field, a, b):
+    """Canonical representatives of all q+1 points on the projective line
+    through a and b: {a} plus {b + lam*a : lam in F_q}."""
+    pts = [field.normalize_projective(a)]
+    for lam in field.elements():
+        v = tuple(field.add(x, field.mul(lam, y)) for x, y in zip(b, a))
+        pts.append(field.normalize_projective(v))
+    return pts
+
+
+def pg_oracle(m, q):
+    """(points, sorted blocks) of PG(m, q), one line per uncovered point pair."""
+    field = field_for_order(q)
+    points = enumerate_subspace_reps(field, m + 1)
+    index = {p: i for i, p in enumerate(points)}
+    covered = [0] * len(points)
+    blocks = []
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if covered[i] >> j & 1:
+                continue
+            line = sorted(index[p] for p in set(_line_closure(field, points[i], points[j])))
+            blocks.append(tuple(line))
+            for x in line:
+                for y in line:
+                    covered[x] |= 1 << y
+    return tuple(points), tuple(sorted(blocks))
+
+
+def ag_oracle(m, q):
+    """(points, sorted blocks) of AG(m, q): every coset of every direction."""
+    field = field_for_order(q)
+    points = list(itertools.product(field.elements(), repeat=m))
+    index = {p: i for i, p in enumerate(points)}
+    blocks = []
+    for d in enumerate_subspace_reps(field, m):
+        used = bytearray(len(points))
+        for i, p in enumerate(points):
+            if used[i]:
+                continue
+            line = sorted(
+                index[tuple(field.add(x, field.mul(lam, dd)) for x, dd in zip(p, d))]
+                for lam in field.elements()
+            )
+            for x in line:
+                used[x] = 1
+            blocks.append(tuple(line))
+    return tuple(points), tuple(sorted(blocks))
+
+
+def eg_oracle(m, q):
+    points, blocks = ag_oracle(m, q)
+    zero = points.index((0,) * m)
+    remap = {p: i for i, p in enumerate(i for i in range(len(points)) if i != zero)}
+    kept = sorted(tuple(sorted(remap[p] for p in blk)) for blk in blocks if zero not in blk)
+    return tuple(p for i, p in enumerate(points) if i != zero), tuple(kept)
+
+
+# every geometry `tables all` builds with at most 5000 points
+TABLE_GEOMETRIES = [
+    ("PG", 2, 2), ("PG", 3, 2), ("PG", 4, 2), ("PG", 5, 2), ("PG", 6, 2), ("PG", 2, 3),
+    ("PG", 3, 3), ("PG", 4, 3), ("PG", 2, 4), ("PG", 3, 4), ("PG", 4, 4), ("PG", 2, 5),
+    ("PG", 3, 5), ("PG", 3, 7), ("PG", 2, 8), ("PG", 3, 8), ("PG", 2, 16), ("PG", 2, 32),
+    ("AG", 3, 2), ("AG", 4, 2), ("AG", 5, 2), ("AG", 6, 2), ("AG", 2, 3), ("AG", 3, 3),
+    ("AG", 4, 3), ("AG", 5, 3), ("AG", 2, 4), ("AG", 3, 4), ("AG", 4, 4), ("AG", 2, 5),
+    ("AG", 3, 5), ("AG", 3, 7), ("AG", 2, 8), ("AG", 3, 8), ("AG", 2, 16), ("AG", 2, 32),
+    ("AG", 2, 64),
+    ("EG", 3, 2), ("EG", 4, 2), ("EG", 5, 2), ("EG", 6, 2), ("EG", 3, 3), ("EG", 4, 3),
+    ("EG", 5, 3), ("EG", 2, 4), ("EG", 3, 4), ("EG", 4, 4), ("EG", 3, 5), ("EG", 3, 7),
+    ("EG", 2, 8), ("EG", 3, 8), ("EG", 2, 16), ("EG", 2, 32),
+]
+
+
+@pytest.mark.parametrize("kind,m,q", TABLE_GEOMETRIES)
+def test_geometry_matches_line_closure_oracle(kind, m, q):
+    design = build_geometry(kind, m, q)
+    oracle = {"PG": pg_oracle, "AG": ag_oracle, "EG": eg_oracle}[kind]
+    points, blocks = oracle(m, q)
+    assert design.structure.v == len(points) <= 5000
+    assert design.point_coords == points
+    assert design.structure.blocks == blocks
+    assert all(type(x) is int for blk in design.structure.blocks[:3] for x in blk)

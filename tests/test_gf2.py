@@ -7,6 +7,7 @@ from eaqldpc import gf2
 from eaqldpc.gf2 import (
     BitMatrix,
     DistanceBudget,
+    gram_rank,
     in_row_space,
     macwilliams_min_distance,
     min_distance,
@@ -16,6 +17,7 @@ from eaqldpc.gf2 import (
     rank_value,
     weight_distribution,
 )
+from test_acceptance import RANK_CROSS_VALIDATION
 
 
 def random_matrix(rng, rows, cols, density=0.5):
@@ -257,3 +259,136 @@ def test_data_packing_invariant():
     assert len(words) == 2 * 2  # two 64-bit words per row
     assert words[0] == 1 and words[1] == 1 << 5
     assert all(w < (1 << 64) for w in words)
+
+
+# --- the Python-int elimination the packed kernel replaced, kept as oracles --
+
+def rank_only_oracle(rows):
+    """Rank by incremental reduction against a lowest-bit pivot basis."""
+    basis: dict[int, int] = {}
+    for cur in rows:
+        while cur:
+            c = (cur & -cur).bit_length() - 1
+            if c not in basis:
+                basis[c] = cur
+                break
+            cur ^= basis[c]
+    return len(basis)
+
+
+def rank_oracle(M):
+    """(rank, pivot columns, rref rows) by first-nonzero-pivot Gauss-Jordan."""
+    mat = list(M.row_bits())
+    pivots = []
+    r = 0
+    for c in range(M.cols):
+        if r >= len(mat):
+            break
+        pr = next((i for i in range(r, len(mat)) if mat[i] >> c & 1), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        for i in range(len(mat)):
+            if i != r and mat[i] >> c & 1:
+                mat[i] ^= mat[r]
+        pivots.append(c)
+        r += 1
+    return r, tuple(pivots), tuple(mat[:r])
+
+
+def nullspace_oracle(M):
+    """Nullspace rows from the oracle rref: one per free column, in order."""
+    _, pivots, rref = rank_oracle(M)
+    out = []
+    for f in (c for c in range(M.cols) if c not in pivots):
+        v = 1 << f
+        for row, pc in zip(rref, pivots):
+            if row >> f & 1:
+                v |= 1 << pc
+        out.append(v)
+    return tuple(out)
+
+
+def multiply_oracle(A, B):
+    out = []
+    for r in A.row_bits():
+        acc = 0
+        for j in range(A.cols):
+            if r >> j & 1:
+                acc ^= B.row(j)
+        out.append(acc)
+    return tuple(out)
+
+
+def oracle_matrices():
+    """Random matrices across word boundaries: dense, sparse, all-zero, with
+    duplicate rows and of low rank (rows drawn from a small span)."""
+    rng = np.random.default_rng(2010)
+
+    def rand(bits, density):
+        x = 0
+        for j in np.flatnonzero(rng.random(bits) < density):
+            x |= 1 << int(j)
+        return x
+
+    for cols in (0, 1, 63, 64, 65, 127, 128, 4097):
+        for rows in (0, 1, 7, 70, 130):
+            for density in (0.5, 0.03):
+                bits = [rand(cols, density) for _ in range(rows)]
+                yield f"random-{rows}x{cols}-{density}", BitMatrix(rows, cols, bits)
+        yield f"zero-9x{cols}", BitMatrix.zeros(9, cols)
+        gens = [rand(cols, 0.5) for _ in range(5)]
+        low = [0] * 80
+        for i in range(80):
+            for g in gens:
+                if rng.random() < 0.5:
+                    low[i] ^= g
+        yield f"rank<=5-80x{cols}", BitMatrix(80, cols, low)
+        dup = [rand(cols, 0.2) for _ in range(12)] * 3
+        yield f"duplicates-36x{cols}", BitMatrix(36, cols, dup)
+
+
+ORACLE_CASES = list(oracle_matrices())
+
+
+@pytest.mark.parametrize("name,M", ORACLE_CASES, ids=[n for n, _ in ORACLE_CASES])
+def test_packed_kernel_matches_int_oracle(name, M):
+    rk, pivots, rref = rank_oracle(M)
+    prof = rank(BitMatrix(M.rows, M.cols, M.row_bits()))
+    assert (prof.rank, prof.pivot_columns, prof.rref.row_bits()) == (rk, pivots, rref)
+    assert prof.rref.cols == M.cols
+    assert nullspace_basis(BitMatrix(M.rows, M.cols, M.row_bits())).row_bits() == nullspace_oracle(M)
+    assert rank_value(BitMatrix(M.rows, M.cols, M.row_bits())) == rank_only_oracle(M.row_bits()) == rk
+    if M.rows <= 70:
+        assert gram_rank(M) == rank_only_oracle(multiply_oracle(M, M.transpose()))
+    assert gf2.unpack_ints(gf2.pack_ints(M.row_bits(), M.cols)) == list(M.row_bits())
+
+
+def test_rank_of_criterion_3_matrices_matches_int_oracle(cache):
+    for kind, m, q in RANK_CROSS_VALIDATION:
+        H = cache.geometry(kind, m, q).structure.point_by_block()
+        narrow = H if H.cols <= H.rows else H.transpose()
+        assert rank_value(H) == rank_only_oracle(narrow.row_bits()), (kind, m, q)
+
+
+def test_product_matches_oracle_in_every_chunking(monkeypatch):
+    rng = np.random.default_rng(31)
+    a = random_matrix(rng, 40, 130, density=0.1)
+    a = BitMatrix(41, 130, [*a.row_bits(), 0])  # a zero row of A has no segment
+    b = random_matrix(rng, 130, 70)
+    expect = multiply_oracle(a, b)
+    for chunk in (1, 64, 1 << 20):
+        monkeypatch.setattr(gf2, "PRODUCT_CHUNK_WORDS", chunk)
+        assert multiply(a, b).row_bits() == expect
+
+
+def test_rank_is_eliminated_once_per_matrix(monkeypatch, fano):
+    calls = []
+    echelon = gf2._echelon
+    monkeypatch.setattr(gf2, "_echelon", lambda *a, **k: calls.append(1) or echelon(*a, **k))
+    H = fano.structure.point_by_block()
+    assert rank_value(H) == rank_value(H) == 4
+    assert len(calls) == 1
+    P = BitMatrix(H.rows, H.cols, H.row_bits())
+    P.rank_profile()
+    assert rank_value(P) == 4 and len(calls) == 2
