@@ -62,10 +62,6 @@ class TannerGraph:
     check_bits: tuple[tuple[int, ...], ...]  # per check: sorted bit indices
     bit_checks: tuple[tuple[int, ...], ...]  # per bit: sorted check indices
 
-    @property
-    def n_edges(self) -> int:
-        return sum(len(cb) for cb in self.check_bits)
-
 
 @dataclass(frozen=True)
 class DecodeOutcome:
@@ -73,9 +69,6 @@ class DecodeOutcome:
     iterations_used: int
     error_estimate: int  # bit mask, bit j = estimated flip on bit j
     residual_syndrome: int  # bit mask over checks; zero iff converged
-
-    def estimate_bits(self, n: int) -> list[int]:
-        return [(self.error_estimate >> j) & 1 for j in range(n)]
 
 
 def build_tanner(H: BitMatrix) -> TannerGraph:

@@ -62,6 +62,8 @@ class IncidenceStructure:
     groups: Optional[tuple[tuple[int, ...], ...]] = None  # for GDDs
 
     def __post_init__(self):
+        if self.v < 0:
+            raise DesignError(f"negative point count v={self.v}")
         seen = set()
         for b in self.blocks:
             if list(b) != sorted(set(b)):
@@ -157,16 +159,22 @@ def _pair_coverage_counts(S: IncidenceStructure):
     return np.unique(np.concatenate(chunks), return_counts=True)
 
 
+def _check_no_double_cover(S: IncidenceStructure, ids, counts) -> None:
+    """Raise DoublyCoveredPairError on the first pair, in id order, that
+    ``_pair_coverage_counts`` found in more than one block."""
+    over = np.flatnonzero(counts > 1)
+    if over.size:
+        pid = int(ids[over[0]])
+        raise DoublyCoveredPairError((pid // S.v, pid % S.v))
+
+
 def verify_steiner(S: IncidenceStructure, mu: int) -> DesignParams:
     """Verify S is an S(2, mu, v): uniform block size, every pair exactly once."""
     for blk in S.blocks:
         if len(blk) != mu:
             raise BlockSizeError(blk, mu)
     ids, counts = _pair_coverage_counts(S)
-    over = np.nonzero(counts > 1)[0]
-    if over.size:
-        pid = int(ids[over[0]])
-        raise DoublyCoveredPairError((pid // S.v, pid % S.v))
+    _check_no_double_cover(S, ids, counts)
     total_pairs = S.v * (S.v - 1) // 2
     if ids.size != total_pairs:
         covered = set(int(x) for x in ids)
@@ -187,10 +195,7 @@ def verify_partial_steiner(S: IncidenceStructure, mu: int) -> None:
         if len(blk) != mu:
             raise BlockSizeError(blk, mu)
     ids, counts = _pair_coverage_counts(S)
-    over = np.nonzero(counts > 1)[0]
-    if over.size:
-        pid = int(ids[over[0]])
-        raise DoublyCoveredPairError((pid // S.v, pid % S.v))
+    _check_no_double_cover(S, ids, counts)
 
 
 def build_sts(v: int) -> IncidenceStructure:
@@ -245,6 +250,8 @@ def develop_cyclic(v: int, base_blocks: Sequence[Sequence[int]]) -> IncidenceStr
 
     Verification is the caller's job (the result need not be a design).
     """
+    if v < 1:
+        raise DesignError(f"cyclic development needs v >= 1, got {v}")
     out = set()
     for base in base_blocks:
         base = [x % v for x in base]
@@ -278,9 +285,7 @@ def verify_gdd(S: IncidenceStructure, mu: int) -> None:
             raise DesignError(f"block {blk} meets a group twice")
     # cross-group pairs exactly once
     ids, counts = _pair_coverage_counts(S)
-    if np.any(counts > 1):
-        pid = int(ids[np.nonzero(counts > 1)[0][0]])
-        raise DoublyCoveredPairError((pid // S.v, pid % S.v))
+    _check_no_double_cover(S, ids, counts)
     covered = set(int(x) for x in ids)
     for a in range(S.v):
         for b in range(a + 1, S.v):
@@ -493,18 +498,3 @@ def count_pasch(S: IncidenceStructure) -> int:
                     count += 1
     assert count % 6 == 0
     return count // 6
-
-
-def count_pasch_bruteforce(S: IncidenceStructure) -> int:
-    """Exhaustive 4-subset Pasch count (oracle for tests; tiny instances only)."""
-    from itertools import combinations
-
-    n = 0
-    for quad in combinations(range(len(S.blocks)), 4):
-        cover: dict[int, int] = {}
-        for j in quad:
-            for p in S.blocks[j]:
-                cover[p] = cover.get(p, 0) + 1
-        if len(cover) == 6 and all(c == 2 for c in cover.values()):
-            n += 1
-    return n

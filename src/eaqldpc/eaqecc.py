@@ -36,6 +36,7 @@ from .geometry import (
     parallel_class_pair,
     point_hyperoval,
     rank_formula,
+    validate_witness,
     _two_adic,
 )
 from .gf2 import BitMatrix, DistanceBudget, DistanceResult
@@ -272,24 +273,23 @@ def _formula_distance(kind: str, m: int, q: int, orientation: str):
 
 
 def _make_witness(design: GeometryDesign, orientation: str) -> Optional[WitnessCodeword]:
+    """The geometric witness that applies to this family and orientation, or
+    None.  It is not yet validated; ``distance_verdict`` does that against H."""
     kind, m, q = design.kind, design.m, design.q
     t = _two_adic(q)
-    try:
-        if orientation == POINT_BY_BLOCK:
-            if kind == PG:
-                return dual_hyperoval(design) if t is not None else (
-                    hyperbolic_quadric(design) if m >= 3 else None
-                )
-            if t is not None:
-                return affine_hyperoval_trace(design)
-            if kind == AG or (kind == EG and m >= 3):
-                return parallel_class_pair(design)
-            return None
-        if m == 2 and t is not None:
-            return point_hyperoval(design)
+    if orientation == POINT_BY_BLOCK:
+        if kind == PG:
+            return dual_hyperoval(design) if t is not None else (
+                hyperbolic_quadric(design) if m >= 3 else None
+            )
+        if t is not None:
+            return affine_hyperoval_trace(design)
+        if kind == AG or (kind == EG and m >= 3):
+            return parallel_class_pair(design)
         return None
-    except DesignError:
-        return None
+    if m == 2 and t is not None:
+        return point_hyperoval(design)
+    return None
 
 
 def _structural_lower(design, orientation: str) -> tuple[int, str]:
@@ -369,13 +369,7 @@ def distance_verdict(
     if isinstance(design, GeometryDesign):
         witness = _make_witness(design, orientation)
         if witness is not None:
-            # validate against the caller's H, not just the construction matrix
-            acc = 0
-            cols = H.transpose().row_bits()
-            for j in witness.block_indices:
-                acc ^= cols[j]
-            if acc != 0:
-                raise DesignError(f"witness {witness.kind} fails against H")
+            validate_witness(H, witness)
             sources.append(f"witness:{witness.kind} (weight {witness.weight})")
             upper = min(upper, witness.weight)
 
@@ -528,14 +522,3 @@ def family_params(kind: str, orientation: str, m: int, q: int) -> EaqeccParams:
         girth=6,
         provenance=f"closed-form:{kind.lower()}({m},{q})/{type_label(orientation)}",
     )
-
-
-def net_rate_report(params: EaqeccParams) -> dict:
-    """Rate and net rate as exact fractions plus 4-decimal roundings."""
-    rate, net = params.rate, params.net_rate
-    return {
-        "rate": rate,
-        "net_rate": net,
-        "rate_4dp": f"{float(rate):.4f}",
-        "net_rate_4dp": f"{float(net):.4f}",
-    }

@@ -85,6 +85,10 @@ def write_alist(H: BitMatrix, fh: TextIO) -> None:
 
 
 def read_alist(fh: TextIO) -> BitMatrix:
+    """Parse an alist file.  A malformed one raises DesignError, or ValueError
+    on a token that is not an integer: negative sizes, a truncated stream, an
+    index outside 1..m (column lists) or 1..n (row lists), an index repeated
+    in one list, or degree and row lists that disagree with the column lists."""
     tokens = fh.read().split()
     pos = 0
 
@@ -96,28 +100,30 @@ def read_alist(fh: TextIO) -> BitMatrix:
         pos += k
         return out
 
-    n, m = take(2)
-    max_col, max_row = take(2)
+    def indices(k: int, bound: int, where: str) -> list[int]:
+        """The nonzero entries of the next k tokens, made 0-based."""
+        live = [x for x in take(k) if x != 0]
+        if not all(0 < x <= bound for x in live) or len(set(live)) != len(live):
+            raise DesignError(f"{where}: index outside 1..{bound} or repeated")
+        return [x - 1 for x in live]
+
+    n, m, max_col, max_row = take(4)
+    if min(n, m, max_col, max_row) < 0:
+        raise DesignError("negative size in alist header")
     col_deg = take(n)
     row_deg = take(m)
     rows = [0] * m
     for j in range(n):
-        entries = take(max_col)
-        live = [x for x in entries if x != 0]
+        live = indices(max_col, m, f"column {j}")
         if len(live) != col_deg[j]:
             raise DesignError(f"column {j}: degree list disagrees with entries")
         for i in live:
-            rows[i - 1] |= 1 << j
+            rows[i] |= 1 << j
     # row lists are redundant; verify they agree
     for i in range(m):
-        entries = take(max_row)
-        live = sorted(x - 1 for x in entries if x != 0)
+        live = indices(max_row, n, f"row {i}")
         if len(live) != row_deg[i]:
             raise DesignError(f"row {i}: degree list disagrees with entries")
-        got = rows[i]
-        expect = 0
-        for j in live:
-            expect |= 1 << j
-        if got != expect:
+        if rows[i] != sum(1 << j for j in live):
             raise DesignError(f"row {i}: row list disagrees with column lists")
     return BitMatrix(m, n, rows)

@@ -1,6 +1,11 @@
 """Point-line designs of projective, affine and punctured-affine geometries,
 their closed-form GF(2) ranks, spreads, and minimum-weight witness codewords.
 
+The witness builders only construct: each maps its lines or points to block
+or point indices and builds no incidence matrix.  ``distance_verdict``
+validates a witness once, with ``validate_witness``, against the H that
+defines the code.
+
 Point orderings are canonical (projective representatives normalized to
 leading 1, affine points in lexicographic coordinate order) and lines are
 emitted in lexicographic block order, so indices are stable across runs.
@@ -56,7 +61,8 @@ class GeometryDesign:
 
 @dataclass(frozen=True)
 class WitnessCodeword:
-    """A set of column indices covering every row an even number of times.
+    """A set of column indices meant to cover every row an even number of
+    times; ``validate_witness`` checks that against a parity-check matrix.
 
     For point-by-block matrices the columns are blocks; for block-by-point
     matrices they are points.  kind names the geometric construction.
@@ -64,11 +70,10 @@ class WitnessCodeword:
 
     kind: str
     block_indices: tuple[int, ...]
-    weight: int
 
-    def __post_init__(self):
-        if self.weight != len(self.block_indices):
-            raise ValueError("weight != support size")
+    @property
+    def weight(self) -> int:
+        return len(self.block_indices)
 
 
 def _field_tables(field: FiniteField) -> tuple[np.ndarray, np.ndarray]:
@@ -336,61 +341,32 @@ def ag_hyperplane_spread(design: GeometryDesign) -> SpreadPartition:
     return spread
 
 
-# --- witness codewords --------------------------------------------------------
-
-def _block_lookup(design: GeometryDesign) -> dict[tuple[int, ...], int]:
-    return {blk: i for i, blk in enumerate(design.structure.blocks)}
-
+# --- witness codewords (constructed here, validated by distance_verdict) -------
 
 def dual_hyperoval(design: GeometryDesign) -> WitnessCodeword:
     """q+2 lines of a plane of PG(m, 2^t), covering every point 0 or 2 times.
 
     The line set {X0 + b X1 + b^2 X2 = 0 : b in F_q} plus {X1 = 0}, {X2 = 0},
     embedded in the plane spanned by the first three coordinates for m > 2.
+    Returned unvalidated, like every builder here: ``distance_verdict``
+    checks it against the code's H.
     """
     if design.kind != PG:
         raise DesignError("dual hyperoval lives in PG")
     if _two_adic(design.q) is None:
         raise DesignError("dual hyperovals exist if and only if q is even")
     field = design.field
-    m = design.m
-    lookup = _block_lookup(design)
-
-    def line_of(condition) -> int:
-        pts = [
-            i
-            for i, p in enumerate(design.point_coords)
-            if all(x == 0 for x in p[3:]) and condition(p)
-        ]
-        blk = tuple(sorted(pts))
-        if blk not in lookup:
-            raise DesignError("hyperoval line is not a block")
-        return lookup[blk]
-
-    support = []
-    for beta in field.elements():
-        b2 = field.mul(beta, beta)
-        support.append(
-            line_of(
-                lambda p, beta=beta, b2=b2: field.add(
-                    p[0], field.add(field.mul(beta, p[1]), field.mul(b2, p[2]))
-                )
-                == 0
-            )
-        )
-    support.append(line_of(lambda p: p[1] == 0))
-    support.append(line_of(lambda p: p[2] == 0))
-    support = tuple(sorted(support))
-    if len(set(support)) != field.q + 2:
-        raise DesignError("dual hyperoval lines are not distinct")
-    w = WitnessCodeword(kind="dual_hyperoval", block_indices=support, weight=len(support))
-    validate_witness(design.structure.point_by_block(), w)
-    return w
+    plane = [p for p in design.point_coords if not any(p[3:])]
+    forms = [(1, b, field.mul(b, b)) for b in field.elements()] + [(0, 1, 0), (0, 0, 1)]
+    lines = [[p for p in plane if _dot(field, form, p) == 0] for form in forms]
+    return _lines_to_witness(design, lines, "dual_hyperoval")
 
 
 def hyperbolic_quadric(design: GeometryDesign) -> WitnessCodeword:
     """The 2(q+1) ruling lines of {x0 x3 = x1 x2} in a 3-subspace of PG(m, q),
-    q odd: every point covered 0 or 2 times."""
+    q odd: every point covered 0 or 2 times.  The quadric's points are
+    (su, sv, tu, tv); one ruling fixes (s:t), the other fixes (u:v).
+    Returned unvalidated: ``distance_verdict`` checks it against the code's H."""
     if design.kind != PG:
         raise DesignError("hyperbolic quadric lives in PG")
     if _two_adic(design.q) is not None:
@@ -398,32 +374,16 @@ def hyperbolic_quadric(design: GeometryDesign) -> WitnessCodeword:
     if design.m < 3:
         raise DesignError("need m >= 3")
     field = design.field
-    m = design.m
-    lookup = _block_lookup(design)
-    point_index = {p: i for i, p in enumerate(design.point_coords)}
-    proj_pairs = enumerate_subspace_reps(field, 2)  # (s:t) representatives
+    pad = (0,) * (design.m - 3)
+    pairs = enumerate_subspace_reps(field, 2)  # (s:t) representatives
 
-    def embed(x0, x1, x2, x3) -> int:
-        vec = (x0, x1, x2, x3) + (0,) * (m - 3)
-        return point_index[field.normalize_projective(vec)]
+    def point(st, uv) -> tuple[int, ...]:
+        vec = tuple(field.mul(a, b) for a in st for b in uv) + pad
+        return field.normalize_projective(vec)
 
-    support = []
-    for (s, t) in proj_pairs:  # ruling 1: fix (s:t)
-        pts = [embed(field.mul(s, u), field.mul(s, vv), field.mul(t, u), field.mul(t, vv))
-               for (u, vv) in proj_pairs]
-        blk = tuple(sorted(set(pts)))
-        support.append(lookup[blk])
-    for (u, vv) in proj_pairs:  # ruling 2: fix (u:v)
-        pts = [embed(field.mul(s, u), field.mul(s, vv), field.mul(t, u), field.mul(t, vv))
-               for (s, t) in proj_pairs]
-        blk = tuple(sorted(set(pts)))
-        support.append(lookup[blk])
-    support = tuple(sorted(support))
-    if len(set(support)) != 2 * (field.q + 1):
-        raise DesignError("quadric ruling lines are not distinct")
-    w = WitnessCodeword(kind="hyperbolic_quadric", block_indices=support, weight=len(support))
-    validate_witness(design.structure.point_by_block(), w)
-    return w
+    lines = [[point(st, uv) for uv in pairs] for st in pairs]
+    lines += [[point(st, uv) for st in pairs] for uv in pairs]
+    return _lines_to_witness(design, lines, "hyperbolic_quadric")
 
 
 def _lines_to_witness(
@@ -449,7 +409,7 @@ def _lines_to_witness(
             [tuple(field.add(x, t) for x, t in zip(pt, tau)) for pt in line]
             for line in lines
         ]
-    lookup = _block_lookup(design)
+    lookup = {blk: i for i, blk in enumerate(design.structure.blocks)}
     point_index = {p: i for i, p in enumerate(design.point_coords)}
     support = []
     for line in lines:
@@ -457,25 +417,21 @@ def _lines_to_witness(
         if blk not in lookup:
             raise DesignError(f"{kind}: line {blk} is not a block")
         support.append(lookup[blk])
-    support = tuple(sorted(support))
-    if len(set(support)) != len(lines):
-        raise DesignError(f"{kind}: lines are not distinct")
-    w = WitnessCodeword(kind=kind, block_indices=support, weight=len(support))
-    validate_witness(design.structure.point_by_block(), w)
-    return w
+    return WitnessCodeword(kind=kind, block_indices=tuple(sorted(support)))
 
 
 def parallel_class_pair(design: GeometryDesign) -> WitnessCodeword:
     """Two full parallel classes of a 2-flat: 2q lines covering each point of
     the flat exactly twice — the weight-2q dependent set behind the odd-q
     Type II distances.  For EG the configuration is translated off the origin
-    (needs m >= 3: in a plane the two classes cover every point)."""
+    (needs m >= 3: in a plane the two classes cover every point).
+    Returned unvalidated: ``distance_verdict`` checks it against the code's H."""
     if design.kind not in (AG, EG):
         raise DesignError("parallel-class pair lives in AG/EG")
     if design.kind == EG and design.m < 3:
         raise DesignError("EG parallel-class pair needs m >= 3")
     field = design.field
-    q, m = design.q, design.m
+    m = design.m
     lines = []
     for direction, other in (((1, 0), (0, 1)), ((0, 1), (1, 0))):
         for c in field.elements():
@@ -493,40 +449,18 @@ def affine_hyperoval_trace(design: GeometryDesign) -> WitnessCodeword:
     a dual hyperoval through the line at infinity, restricted to the affine
     part.  In coordinates: {1 + b x + b^2 y = 0} for b != 0 plus {x = 0} and
     {y = 0}, in the first-two-coordinates flat.  For EG the configuration is
-    translated off the origin."""
+    translated off the origin.  Returned unvalidated: ``distance_verdict``
+    checks it against the code's H."""
     if design.kind not in (AG, EG):
         raise DesignError("affine hyperoval trace lives in AG/EG")
-    q = design.q
-    if _two_adic(q) is None:
+    if _two_adic(design.q) is None:
         raise DesignError("needs q even")
     field = design.field
-    m = design.m
-
-    def solutions(condition) -> list[tuple[int, ...]]:
-        return [
-            (x, y) + (0,) * (m - 2)
-            for x in field.elements()
-            for y in field.elements()
-            if condition(x, y)
-        ]
-
-    lines = []
-    for beta in field.elements():
-        if beta == 0:
-            continue
-        b2 = field.mul(beta, beta)
-        lines.append(
-            solutions(
-                lambda x, y, beta=beta, b2=b2: field.add(
-                    1, field.add(field.mul(beta, x), field.mul(b2, y))
-                )
-                == 0
-            )
-        )
-    lines.append(solutions(lambda x, y: x == 0))
-    lines.append(solutions(lambda x, y: y == 0))
-    if any(len(line) != q for line in lines):
-        raise DesignError("hyperoval trace produced a non-line")
+    e = field.elements()
+    plane = [(x, y) + (0,) * (design.m - 2) for x in e for y in e]
+    # in characteristic 2, 1 + s = 0 exactly when s = 1
+    lines = [[p for p in plane if _dot(field, (b, field.mul(b, b)), p) == 1] for b in e if b]
+    lines += [[p for p in plane if p[0] == 0], [p for p in plane if p[1] == 0]]
     return _lines_to_witness(design, lines, "affine_hyperoval_trace")
 
 
@@ -542,60 +476,43 @@ def point_hyperoval(design: GeometryDesign) -> WitnessCodeword:
 
     Restricted to m = 2: in higher dimensions a line transverse to the plane
     would meet the set once, so plane hyperovals are not codewords there.
+    Returned unvalidated: ``distance_verdict`` checks it against the code's H.
     """
-    q = design.q
-    if _two_adic(q) is None:
+    if _two_adic(design.q) is None:
         raise DesignError("hyperovals need q even")
     if design.m != 2:
         raise DesignError("point hyperoval witness requires m = 2")
     field = design.field
-    if design.kind == PG:
-        pts = [field.normalize_projective((1, t, field.mul(t, t))) for t in field.elements()]
-        pts.append((0, 1, 0))
-        pts.append((0, 0, 1))
-        point_index = {p: i for i, p in enumerate(design.point_coords)}
-        support = tuple(sorted(point_index[p] for p in pts))
-        w = WitnessCodeword(kind="point_hyperoval", block_indices=support, weight=q + 2)
-        validate_witness(design.structure.block_by_point(), w)
-        return w
-    # AG / EG: start from the PG hyperoval and move an external line to infinity
-    hyper = [field.normalize_projective((1, t, field.mul(t, t))) for t in field.elements()]
-    hyper += [(0, 1, 0), (0, 0, 1)]
-    ext = None
-    for a, b, c in itertools.product(field.elements(), repeat=3):
-        if (a, b, c) == (0, 0, 0):
-            continue
-        if all(
-            field.add(field.mul(a, p[0]), field.add(field.mul(b, p[1]), field.mul(c, p[2]))) != 0
-            for p in hyper
-        ):
-            ext = (a, b, c)
-            break
-    if ext is None:
-        raise DesignError("no external line to the hyperoval found")
-    # coordinate change sending ext to the first coordinate form
-    rows = [ext]
-    for cand in itertools.product(field.elements(), repeat=3):
-        if len(rows) == 3:
-            break
-        if _rank3(field, rows + [cand]) == len(rows) + 1:
-            rows.append(cand)
-    affine_pts = []
-    for p in hyper:
-        img = tuple(_dot(field, row, p) for row in rows)
-        inv = field.inv(img[0])  # nonzero: ext is external to the hyperoval
-        affine_pts.append((field.mul(inv, img[1]), field.mul(inv, img[2])))
-    if len(set(affine_pts)) != q + 2:
-        raise DesignError("hyperoval transform collapsed points")
-    if design.kind == EG:
-        t0 = affine_pts[0]
-        affine_pts = [(field.sub(x, t0[0]), field.sub(y, t0[1])) for (x, y) in affine_pts]
-        affine_pts = [p for p in affine_pts if p != (0, 0)]
+    pts = [(1, t, field.mul(t, t)) for t in field.elements()] + [(0, 1, 0), (0, 0, 1)]
+    if design.kind != PG:
+        # AG / EG: move a line external to the PG hyperoval to infinity
+        ext = next(
+            (f for f in itertools.product(field.elements(), repeat=3)
+             if any(f) and all(_dot(field, f, p) != 0 for p in pts)),
+            None,
+        )
+        if ext is None:
+            raise DesignError("no external line to the hyperoval found")
+        # coordinate change sending ext to the first coordinate form
+        rows = [ext]
+        for cand in itertools.product(field.elements(), repeat=3):
+            if len(rows) == 3:
+                break
+            if _rank3(field, rows + [cand]) == len(rows) + 1:
+                rows.append(cand)
+        affine_pts = []
+        for p in pts:
+            img = tuple(_dot(field, row, p) for row in rows)
+            inv = field.inv(img[0])  # nonzero: ext is external to the hyperoval
+            affine_pts.append((field.mul(inv, img[1]), field.mul(inv, img[2])))
+        pts = affine_pts
+        if design.kind == EG:
+            x0, y0 = pts[0]
+            pts = [(field.sub(x, x0), field.sub(y, y0)) for (x, y) in pts[1:]]
     point_index = {p: i for i, p in enumerate(design.point_coords)}
-    support = tuple(sorted(point_index[p] for p in affine_pts))
-    w = WitnessCodeword(kind="point_hyperoval", block_indices=support, weight=len(support))
-    validate_witness(design.structure.block_by_point(), w)
-    return w
+    return WitnessCodeword(
+        kind="point_hyperoval", block_indices=tuple(sorted(point_index[p] for p in pts))
+    )
 
 
 def _dot(field: FiniteField, a: Sequence[int], b: Sequence[int]) -> int:
@@ -625,10 +542,14 @@ def _rank3(field: FiniteField, rows) -> int:
 
 
 def validate_witness(H, w: WitnessCodeword) -> None:
-    """Check the witness columns of H sum to zero over GF(2)."""
+    """Check that the witness is a codeword of the code with parity-check
+    matrix H: distinct columns that sum to zero over GF(2).  It reads H's
+    cached transpose, which ``oriented_pair`` links, so it builds no matrix."""
+    if len(set(w.block_indices)) != w.weight:
+        raise DesignError(f"witness {w.kind} repeats a column")
     acc = 0
     cols = H.transpose().row_bits()
     for j in w.block_indices:
         acc ^= cols[j]
     if acc != 0:
-        raise DesignError(f"witness {w.kind} is not a dependent column set")
+        raise DesignError(f"witness {w.kind} is not a codeword of H")

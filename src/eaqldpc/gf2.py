@@ -88,12 +88,6 @@ class BitMatrix:
             raise IndexError("column out of range")
         return (self._bits[i] >> j) & 1
 
-    @property
-    def data(self) -> tuple[int, ...]:
-        """Row-major packed words (``WORD_BITS`` bits each)."""
-        words_per_row = (self.cols + WORD_BITS - 1) // WORD_BITS
-        return tuple(self.to_packed()[:, :words_per_row].ravel().tolist())
-
     def to_dense(self) -> np.ndarray:
         bits = np.unpackbits(self.to_packed().view(np.uint8), axis=1, bitorder="little")
         return bits[:, : self.cols]
@@ -123,14 +117,6 @@ class BitMatrix:
 
     def __matmul__(self, other: BitMatrix) -> BitMatrix:
         return multiply(self, other)
-
-    def mul_vector(self, x: int) -> int:
-        """Matrix-vector product M @ x where x is a column bit vector."""
-        out = 0
-        for i, r in enumerate(self._bits):
-            if (r & x).bit_count() & 1:
-                out |= 1 << i
-        return out
 
     def __eq__(self, other) -> bool:
         return (

@@ -19,7 +19,6 @@ from eaqldpc.designs import (
     check_admissible,
     compose_gdd_spread,
     count_pasch,
-    count_pasch_bruteforce,
     delete_subdesigns,
     develop_cyclic,
     tanner_girth,
@@ -81,6 +80,12 @@ def test_develop_cyclic_fano():
     S = develop_cyclic(7, [(0, 1, 3)])
     assert S.b == 7
     verify_steiner(S, 3)
+
+
+@pytest.mark.parametrize("v", [0, -5])
+def test_develop_cyclic_rejects_empty_point_set(v):
+    with pytest.raises(DesignError):
+        develop_cyclic(v, [(0, 1)])
 
 
 def test_develop_cyclic_sts13():
@@ -210,6 +215,19 @@ def test_pair_coverage_counts_mixed_block_sizes():
     assert tanner_girth(S) == 4
     empty = _pair_coverage_counts(IncidenceStructure(v=3, blocks=()))
     assert [x.size for x in empty] == [0, 0]
+
+
+def count_pasch_bruteforce(S: IncidenceStructure) -> int:
+    """Exhaustive 4-subset Pasch count (oracle; tiny instances only)."""
+    n = 0
+    for quad in combinations(range(len(S.blocks)), 4):
+        cover: dict[int, int] = {}
+        for j in quad:
+            for p in S.blocks[j]:
+                cover[p] = cover.get(p, 0) + 1
+        if len(cover) == 6 and all(c == 2 for c in cover.values()):
+            n += 1
+    return n
 
 
 def test_count_pasch_fano(fano):

@@ -15,7 +15,6 @@ from eaqldpc.eaqecc import (
     expected_c,
     family_params,
     hillebrandt_bounds,
-    net_rate_report,
     normalize_orientation,
     oriented_matrix,
 )
@@ -152,6 +151,22 @@ def test_distance_verdict_eg216_type_i(cache):
     assert (params.n, params.k, params.c) == (255, 111, 16)
 
 
+def test_distance_verdict_rejects_a_witness_outside_the_code(fano, monkeypatch):
+    """A construction bug surfaces: a support that is not a codeword of H
+    fails validation even where its weight (4 = d) passes every bound."""
+    from eaqldpc import eaqecc
+    from eaqldpc.geometry import WitnessCodeword
+
+    bogus = WitnessCodeword(kind="dual_hyperoval", block_indices=(0, 1, 2, 3))
+    monkeypatch.setattr(eaqecc, "_make_witness", lambda design, orientation: bogus)
+    with pytest.raises(DesignError, match="not a codeword"):
+        distance_verdict(fano, POINT_BY_BLOCK)
+    repeated = WitnessCodeword(kind="dual_hyperoval", block_indices=(0, 0, 1, 1))
+    monkeypatch.setattr(eaqecc, "_make_witness", lambda design, orientation: repeated)
+    with pytest.raises(DesignError, match="repeats a column"):
+        distance_verdict(fano, POINT_BY_BLOCK)
+
+
 def test_distance_verdict_sts_window():
     S = build_sts(9)
     verdict = distance_verdict(S, POINT_BY_BLOCK)
@@ -181,9 +196,8 @@ def test_family_params_uncovered():
 
 def test_net_rate_report(cache):
     params, _ = cache.params("AG", 2, 16, BLOCK_BY_POINT)
-    rep = net_rate_report(params)
-    assert rep["net_rate"] == Fraction(110 - 16, 256)
-    assert rep["net_rate_4dp"] == "0.3672"
+    assert params.net_rate == Fraction(110 - 16, 256)
+    assert f"{float(params.net_rate):.4f}" == "0.3672"
     params2, _ = cache.params("PG", 4, 3, POINT_BY_BLOCK)
     assert f"{float(params2.rate):.4f}" == "0.9008"
 

@@ -1,11 +1,13 @@
 """Geometries: construction counts, closed-form ranks vs elimination,
 spreads, and witness codewords."""
 
+import hashlib
 import itertools
 
 import pytest
 
 from eaqldpc.designs import verify_partial_steiner, verify_steiner
+from eaqldpc.eaqecc import BLOCK_BY_POINT, POINT_BY_BLOCK, _make_witness
 from eaqldpc.fields import enumerate_subspace_reps, field_for_order
 from eaqldpc.geometry import (
     DesignError,
@@ -311,3 +313,77 @@ def test_geometry_matches_line_closure_oracle(kind, m, q):
     assert design.point_coords == points
     assert design.structure.blocks == blocks
     assert all(type(x) is int for blk in design.structure.blocks[:3] for x in blk)
+
+
+# (Type II, Type I) witness of `_make_witness` for each table geometry, as
+# (kind, weight, first 16 hex digits of the SHA-256 of the comma-joined block
+# indices), or None where no construction applies
+WITNESS_PINS = {
+    ('PG', 2, 2): (('dual_hyperoval', 4, '0c5358ec073bf88b'), ('point_hyperoval', 4, '3f8cd46988947f56')),
+    ('PG', 3, 2): (('dual_hyperoval', 4, '50126375275aac67'), None),
+    ('PG', 4, 2): (('dual_hyperoval', 4, '94c5f1c48817d874'), None),
+    ('PG', 5, 2): (('dual_hyperoval', 4, 'e197e601dbe9982d'), None),
+    ('PG', 6, 2): (('dual_hyperoval', 4, '87b5d9f3df79d095'), None),
+    ('PG', 2, 3): (None, None),
+    ('PG', 3, 3): (('hyperbolic_quadric', 8, '3ecbfbf79fa8771f'), None),
+    ('PG', 4, 3): (('hyperbolic_quadric', 8, 'c669e572c11fa03f'), None),
+    ('PG', 2, 4): (('dual_hyperoval', 6, '6d7a83c6a31ebbe4'), ('point_hyperoval', 6, '025e7d9964850d51')),
+    ('PG', 3, 4): (('dual_hyperoval', 6, '9a9e12ef91b63265'), None),
+    ('PG', 4, 4): (('dual_hyperoval', 6, '0736f15eda605885'), None),
+    ('PG', 2, 5): (None, None),
+    ('PG', 3, 5): (('hyperbolic_quadric', 12, 'e22112c384b31511'), None),
+    ('PG', 3, 7): (('hyperbolic_quadric', 16, '1ffc30dedfef8843'), None),
+    ('PG', 2, 8): (('dual_hyperoval', 10, '3890e8d971ba02af'), ('point_hyperoval', 10, 'b3c921aa074cebb4')),
+    ('PG', 3, 8): (('dual_hyperoval', 10, 'b8e12d7bfc33c767'), None),
+    ('PG', 2, 16): (('dual_hyperoval', 18, '1e836880322e452f'), ('point_hyperoval', 18, 'de2bfb8c916081a5')),
+    ('PG', 2, 32): (('dual_hyperoval', 34, 'c5c8b233fb73fc6f'), ('point_hyperoval', 34, '0aef82f1435ef79f')),
+    ('AG', 3, 2): (('affine_hyperoval_trace', 3, 'a5f4717c9b2be827'), None),
+    ('AG', 4, 2): (('affine_hyperoval_trace', 3, '63ff49458f6761dd'), None),
+    ('AG', 5, 2): (('affine_hyperoval_trace', 3, '6aae435550677afc'), None),
+    ('AG', 6, 2): (('affine_hyperoval_trace', 3, '9d7d16945f6b342c'), None),
+    ('AG', 2, 3): (('parallel_class_pair', 6, '87362bcd1a52e0a2'), None),
+    ('AG', 3, 3): (('parallel_class_pair', 6, '9765fdd946733f07'), None),
+    ('AG', 4, 3): (('parallel_class_pair', 6, '32ec9ab921fbf47d'), None),
+    ('AG', 5, 3): (('parallel_class_pair', 6, '574a06878a43eec8'), None),
+    ('AG', 2, 4): (('affine_hyperoval_trace', 5, '5239c31e647e5118'), ('point_hyperoval', 6, '4f971ad7de215aa1')),
+    ('AG', 3, 4): (('affine_hyperoval_trace', 5, '59fed4b6ccb170e5'), None),
+    ('AG', 4, 4): (('affine_hyperoval_trace', 5, '6266b9275ab6237b'), None),
+    ('AG', 2, 5): (('parallel_class_pair', 10, '1f12b62a77df8d8e'), None),
+    ('AG', 3, 5): (('parallel_class_pair', 10, 'e03012a8bfbe008c'), None),
+    ('AG', 3, 7): (('parallel_class_pair', 14, 'eb9624317dc5c5ad'), None),
+    ('AG', 2, 8): (('affine_hyperoval_trace', 9, '83bcde6f6c54df1a'), ('point_hyperoval', 10, '725574feef996770')),
+    ('AG', 3, 8): (('affine_hyperoval_trace', 9, 'e0eb49f0dabc07b3'), None),
+    ('AG', 2, 16): (('affine_hyperoval_trace', 17, 'd5a8d21c51c1f8f1'), ('point_hyperoval', 18, '0d6d663535019215')),
+    ('AG', 2, 32): (('affine_hyperoval_trace', 33, '9cd4b208a5970e0b'), ('point_hyperoval', 34, 'ed5dabfe74483704')),
+    ('AG', 2, 64): (('affine_hyperoval_trace', 65, 'e0ac2a8f9d759fff'), ('point_hyperoval', 66, 'b5acb3f5d778bddd')),
+    ('EG', 3, 2): (('affine_hyperoval_trace', 3, '67bdb60115f913dc'), None),
+    ('EG', 4, 2): (('affine_hyperoval_trace', 3, 'd229e1ee4a30c6cb'), None),
+    ('EG', 5, 2): (('affine_hyperoval_trace', 3, '314216e320cb4d65'), None),
+    ('EG', 6, 2): (('affine_hyperoval_trace', 3, 'd2463d62dd728fe2'), None),
+    ('EG', 3, 3): (('parallel_class_pair', 6, '96ec5c757f4d277b'), None),
+    ('EG', 4, 3): (('parallel_class_pair', 6, 'd59b88c434271cd0'), None),
+    ('EG', 5, 3): (('parallel_class_pair', 6, '50bdab63849a20fe'), None),
+    ('EG', 2, 4): (('affine_hyperoval_trace', 5, '15f798971fb178ad'), ('point_hyperoval', 5, 'ac1f74cff7f6d595')),
+    ('EG', 3, 4): (('affine_hyperoval_trace', 5, '8b35a10c330a81bc'), None),
+    ('EG', 4, 4): (('affine_hyperoval_trace', 5, 'f35b3c16720aa3cb'), None),
+    ('EG', 3, 5): (('parallel_class_pair', 10, '75b286de85d61f81'), None),
+    ('EG', 3, 7): (('parallel_class_pair', 14, '748d398a470d0dbf'), None),
+    ('EG', 2, 8): (('affine_hyperoval_trace', 9, '60018a45e3882488'), ('point_hyperoval', 9, '5a5227eeeb17fb39')),
+    ('EG', 3, 8): (('affine_hyperoval_trace', 9, '08b67b7b347597ea'), None),
+    ('EG', 2, 16): (('affine_hyperoval_trace', 17, '9edb34d42dea096e'), ('point_hyperoval', 17, 'eb4976d70181cd12')),
+    ('EG', 2, 32): (('affine_hyperoval_trace', 33, '5e422df33c6b68e6'), ('point_hyperoval', 33, 'd92ed6b9fd171019')),
+}
+
+
+def _witness_pin(w):
+    if w is None:
+        return None
+    digest = hashlib.sha256(",".join(map(str, w.block_indices)).encode()).hexdigest()
+    return w.kind, w.weight, digest[:16]
+
+
+@pytest.mark.parametrize("kind,m,q", TABLE_GEOMETRIES)
+def test_witness_pins(cache, kind, m, q):
+    design = cache.geometry(kind, m, q)
+    got = tuple(_witness_pin(_make_witness(design, o)) for o in (POINT_BY_BLOCK, BLOCK_BY_POINT))
+    assert got == WITNESS_PINS[(kind, m, q)]
