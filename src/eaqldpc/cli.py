@@ -26,18 +26,16 @@ import numpy as np
 from . import __version__, formats
 from .designs import (
     DesignError,
-    IncidenceStructure,
     build_sts,
     build_transversal_design,
     check_admissible,
+    delete_subdesigns,
     develop_cyclic,
     tanner_girth,
     verify_partial_steiner,
     verify_steiner,
 )
 from .eaqecc import (
-    BLOCK_BY_POINT,
-    POINT_BY_BLOCK,
     assemble_params,
     family_params,
     normalize_orientation,
@@ -45,7 +43,6 @@ from .eaqecc import (
     type_label,
 )
 from .geometry import AG, EG, PG, ag_hyperplane_spread, build_geometry, pg_spread
-from .designs import delete_subdesigns
 from .simulator import (
     CONVENTION_PER_PAULI,
     CONVENTION_TOTAL,

@@ -14,7 +14,9 @@ tie-to-zero hard decision:
 bit-to-check message is the prior LLR, so a check-to-bit message depends
 only on its slot and its check's syndrome bit; the tables are the general
 check-node update run once on syndrome bit 0 and once on 1, hence exact.
-Iteration 1 runs in row blocks of about ``ITER1_BLOCK_BYTES``, so that its
+The loop starts from these messages, so every iteration runs one body: the
+bit update, then the check update for the next iteration.  The bit update
+runs in row blocks of about ``ITER1_BLOCK_BYTES``, so that its gathered
 (rows, n_bits, bit degree) float64 messages stay in cache instead of being
 allocated and page-faulted at full batch size (70 MB for 2000 trials of
 AG(2,16)); each trial's arithmetic is unchanged.
@@ -29,8 +31,8 @@ decision ``totals < 0`` exactly, tie-to-zero included, from the integer k
 alone.  ``decode`` counts k for every bit in the packed domain and retires,
 at iteration 1, each trial whose counts are all certified and whose hard
 decision meets its syndrome.  The rest (unconverged trials, and trials with
-a count near a tie) run the float iteration 1 and the loop as before, so
-every trial's result is the float path's.
+a count near a tie) enter the float loop at iteration 1, so every trial's
+result is the float path's.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .gf2 import BitMatrix
 
 LLR_CLAMP = 30.0
 DEFAULT_MAX_ITER = 100
-ITER1_BLOCK_BYTES = 4 << 20  # iteration-1 message block: a few MiB, cache-resident
+ITER1_BLOCK_BYTES = 4 << 20  # bit-update and count-test block: a few MiB, cache-resident
 UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -186,6 +188,8 @@ class BatchDecoder:
                  clamp: float = LLR_CLAMP):
         if max_iter < 1:
             raise ValueError(f"max_iter >= 1 required, got {max_iter}")
+        if not any(graph.check_bits):
+            raise ValueError("zero parity-check matrix")
         self.graph = graph
         self.max_iter = max_iter
         self.clamp = float(clamp)
@@ -211,7 +215,7 @@ class BatchDecoder:
         self.bit_deg = self.bit_mask.sum(axis=1)
         self.padded = not (self.check_mask.all() and self.bit_mask.all())
         self.m, self.n, self.dc, self.dv = m, n, dc, dv
-        self.iter1_rows = max(1, ITER1_BLOCK_BYTES // (n * dv * 8))
+        self.block_rows = max(1, ITER1_BLOCK_BYTES // (n * dv * 8))
         # the count pass unpacks (n, dv, rows) uint8 syndrome bits per block
         self.count_rows = max(8, ITER1_BLOCK_BYTES // (n * dv) // 8 * 8)
         self.count_dtype = np.min_scalar_type(dv + 1)
@@ -338,21 +342,18 @@ class BatchDecoder:
                 return est, conv, iters
             syn = syn[~retired]
 
+        m_cb = np.where(syn[:, :, None], table[1], table[0])  # iteration 1's messages
         for it in range(1, self.max_iter + 1):
-            if it == 1:
+            totals = np.empty((syn.shape[0], self.n))
+            for lo in range(0, syn.shape[0], self.block_rows):
                 # the gathered block is laid out trial-fastest, so the sum
                 # adds each bit's slots in slot order; a contiguous slot
                 # axis would sum pairwise and change the last bits
-                totals = np.empty((syn.shape[0], self.n))
-                for lo in range(0, syn.shape[0], self.iter1_rows):
-                    block = syn[lo:lo + self.iter1_rows, self.bit_check]
-                    totals[lo:lo + self.iter1_rows] = L0 + np.where(block, t1, t0).sum(axis=2)
-            else:
-                m_cb = self._check_update(m_bc, syn)
-                incoming = m_cb.reshape(m_cb.shape[0], -1)[:, self.bit_edge]
+                block = m_cb[lo:lo + self.block_rows].reshape(-1, self.m * self.dc)
+                incoming = block[:, self.bit_edge]
                 if self.padded:
                     incoming[:, ~self.bit_mask] = 0.0
-                totals = L0 + incoming.sum(axis=2)
+                totals[lo:lo + self.block_rows] = L0 + incoming.sum(axis=2)
             hard = totals < 0.0
 
             ok = (self.parity(hard) == syn).all(axis=1)
@@ -365,16 +366,10 @@ class BatchDecoder:
                 keep = np.nonzero(~ok)[0]
                 active = active[keep]
                 if active.size == 0:
-                    return est, conv, iters
-                syn = syn[keep]
-                totals = totals[keep]
-                hard = hard[keep]
-                if it > 1:
-                    m_cb = m_cb[keep]
+                    break
+                syn, totals, hard, m_cb = syn[keep], totals[keep], hard[keep], m_cb[keep]
             if it == self.max_iter:
                 est[active] = hard
-                return est, conv, iters
-            if it == 1:
-                m_cb = np.where(syn[:, :, None], table[1], table[0])
-            m_bc = totals[:, self.check_nbr] - m_cb
+                break
+            m_cb = self._check_update(totals[:, self.check_nbr] - m_cb, syn)
         return est, conv, iters

@@ -8,7 +8,7 @@ bit-for-bit across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -170,6 +170,8 @@ def _check_no_double_cover(S: IncidenceStructure, ids, counts) -> None:
 
 def verify_steiner(S: IncidenceStructure, mu: int) -> DesignParams:
     """Verify S is an S(2, mu, v): uniform block size, every pair exactly once."""
+    if mu < 2:
+        raise DesignError(f"a Steiner system S(2, mu, v) needs mu >= 2, got {mu}")
     for blk in S.blocks:
         if len(blk) != mu:
             raise BlockSizeError(blk, mu)

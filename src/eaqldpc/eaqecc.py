@@ -22,7 +22,6 @@ from .designs import (
     SpreadPartition,
     tanner_girth,
     verify_partial_steiner,
-    verify_steiner,
 )
 from .geometry import (
     AG,
@@ -165,20 +164,13 @@ def expected_c(
     design_params: DesignParams,
     orientation: str,
     deletion_record: Optional[DeletionRecord] = None,
-    family: Optional[tuple[str, int, int]] = None,
 ):
     """Theorem-predicted ebit count c, or an interval (lo, hi) when no closed
-    form applies.  ``family`` = (kind, m, q) enables the geometry-specific
-    forms for Type I and EG codes."""
+    form applies."""
     orientation = normalize_orientation(orientation)
-    v, mu, r = design_params.v, design_params.mu, design_params.r
+    v, r = design_params.v, design_params.r
 
     if orientation == POINT_BY_BLOCK:
-        if family is not None and family[0] == EG:
-            kind, m, q = family
-            if _two_adic(q) is not None:
-                return (q**m - q) // (q - 1)
-            return (1, v)  # no closed form endorsed for q odd
         if deletion_record is None:
             return 1 if r % 2 == 1 else v - 1
         if r % 2 == 0:
@@ -201,17 +193,6 @@ def expected_c(
         )
 
     # Type I (block-by-point)
-    if family is not None:
-        kind, m, q = family
-        t = _two_adic(q)
-        if m == 2 and t is not None:
-            if kind == PG:
-                return 1
-            if kind in (AG, EG):
-                return q
-        if t is not None:
-            bound = rank_formula(kind, m, q)
-            return (1, bound)
     return (1, v - 1 if v > 1 else 1)
 
 

@@ -41,7 +41,6 @@ from .geometry import (
     ag_hyperplane_spread,
     build_geometry,
     pg_spread,
-    rank_formula,
 )
 from .gf2 import DistanceBudget
 

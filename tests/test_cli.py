@@ -1,12 +1,17 @@
 """End-to-end CLI checks (in-process main() invocations)."""
 
+import contextlib
 import io
 import json
 import os
 import sys
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from eaqldpc import cli, formats, simulator
 from eaqldpc.cli import main
+from eaqldpc.gf2 import BitMatrix
 
 
 def run_cli(capsys, *argv):
@@ -215,3 +220,100 @@ def test_interrupt_exits_1_with_one_line(capsys, monkeypatch):
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "code", "params", "--type", "II")
     assert code == 2
+
+
+# --- fuzzing: malformed input ends with exit 0, 1 or 2 and one line --------
+
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
+_small = st.integers(-3, 12).map(str)
+_token = st.one_of(_small, st.sampled_from(["", "x", "1.5", "0x3", "-", "nan", "1e3", "#"]))
+
+
+@st.composite
+def _malformed_files(draw):
+    """Design-like text (a header, blocks of distinct in-range points or of
+    arbitrary tokens, a comment), an alist file where a design or base-block
+    file is expected, or noise."""
+    kind = draw(st.sampled_from(["design", "tokens", "alist", "noise"]))
+    if kind == "alist":
+        rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+        bits = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+        buf = io.StringIO()
+        formats.write_alist(BitMatrix(rows, cols, bits), buf)
+        return buf.getvalue()
+    if kind == "noise":
+        return draw(st.text(alphabet="0123456789 -#\nx.,", max_size=50))
+    if kind == "design":
+        v = draw(st.integers(-1, 9))
+        block = st.lists(st.integers(0, max(v - 1, 0)), min_size=1, max_size=4, unique=True)
+        blocks = [map(str, b) for b in draw(st.lists(block, max_size=12, unique_by=frozenset))]
+        lines = [f"{v} {len(blocks)}"]
+    else:
+        blocks = draw(st.lists(st.lists(_token, max_size=4), max_size=12))
+        lines = [f"{draw(_small)} {draw(_small)}"]
+    lines += [" ".join(b) for b in blocks]
+    lines.insert(draw(st.integers(0, len(lines))), "# comment")
+    return "\n".join(lines) + "\n"
+
+
+def _assert_clean_exit(argv):
+    """main(argv), argparse's exits included, ends with exit 0, 1 or 2, no
+    traceback, and at most one stderr line on failure."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code:
+        assert err.count("\n") <= 1, (argv, err)
+
+
+@FUZZ
+@given(_malformed_files(), st.sampled_from(["verify", "params", "distance", "export-alist",
+                                             "sim", "develop"]), st.sampled_from(["I", "II"]))
+def test_fuzz_malformed_input_files(tmp_path_factory, text, command, code_type):
+    path = tmp_path_factory.getbasetemp() / "fuzz-input.txt"
+    path.write_text(text)
+    f = str(path)
+    argv = {
+        "verify": ["design", "verify", f, "--mu", "3"],
+        "params": ["code", "params", "--design", f, "--type", code_type],
+        "distance": ["code", "distance", "--design", f, "--type", code_type],
+        "export-alist": ["code", "export-alist", "--design", f, "--type", code_type],
+        "sim": ["sim", "--design", f, "--type", code_type, "--fm", "0.05", "--trials", "8"],
+        "develop": ["design", "develop", "--base-file", f],
+    }[command]
+    _assert_clean_exit(argv)
+
+
+@FUZZ
+@given(st.text(alphabet="0123456789,;- x", max_size=20), st.integers(-3, 15))
+def test_fuzz_bases_strings(bases, v):
+    _assert_clean_exit(["design", "develop", "--v", str(v), f"--bases={bases}"])
+
+
+@FUZZ
+@given(st.lists(st.one_of(st.floats(0.0, 0.3).map(repr), st.floats().map(repr), _token),
+                max_size=4).map(",".join))
+def test_fuzz_fm_lists(fm):
+    _assert_clean_exit(["sim", "--pg", "2", "2", "--type", "II", f"--fm={fm}", "--trials", "4"])
+
+
+def test_empty_code_exits_2_with_one_line(tmp_path, capsys):
+    """A design with no incidences has no Tanner graph edges to decode."""
+    path = tmp_path / "empty.design"
+    path.write_text("3 0\n")
+    code, out, err = run_cli(capsys, "sim", "--design", str(path), "--type", "I",
+                             "--fm", "0.05", "--trials", "8")
+    assert code == 2 and out == ""
+    assert err == "error: zero parity-check matrix\n"
+
+
+def test_develop_blocks_of_one_point_fail_verification(capsys):
+    code, out, err = run_cli(capsys, "design", "develop", "--v", "1", "--bases", "0")
+    assert code == 1 and out == ""
+    assert err == "verification FAILED: a Steiner system S(2, mu, v) needs mu >= 2, got 1\n"

@@ -275,17 +275,24 @@ def test_golden_decode_hash_irregular():
         assert _decode_digest(dec, syn, prior) == GOLDEN_DECODES[key]
 
 
-def test_blocked_first_iteration_across_block_boundaries(cache):
-    """A batch spanning three iteration-1 blocks plus a remainder decodes
-    exactly as its block-sized slices do, and as the scalar reference."""
+def test_blocked_bit_update_across_block_boundaries(cache):
+    """A batch whose float loop spans three bit-update blocks plus a
+    remainder, at iteration 1 and after, decodes exactly as its block-sized
+    slices do, and as the scalar reference."""
     H = oriented_matrix(cache.geometry("AG", 2, 16).structure, BLOCK_BY_POINT)
     g = build_tanner(H)
     dec = BatchDecoder(g)
-    rows = dec.iter1_rows
+    rows = dec.block_rows
     assert 1 < rows < 1024
-    _, syn, prior = _syndrome_batch(H, 0.045, 3 * rows + rows // 3, seed=8)
+    _, pool, prior = _syndrome_batch(H, 0.06, 6 * rows, seed=8)
+    pool = pool[pool.any(axis=1)]
+    L0 = math.log((1.0 - prior) / prior)
+    _, t0, t1 = dec._iter1_tables(L0)
+    retired, _ = dec._retire_by_counts(pool.astype(bool), L0, t0, t1)
+    syn = pool[~retired][:3 * rows + rows // 3]  # no trial leaves before the float loop
+    assert len(syn) == 3 * rows + rows // 3
     est, conv, iters = dec.decode(syn, prior)
-    assert (iters >= 2).sum() >= 10  # unconverged trials leave iteration 1
+    assert (iters >= 2).sum() > 3 * rows  # iteration 2 crosses the boundaries too
     slices = [dec.decode(syn[lo:lo + rows], prior) for lo in range(0, len(syn), rows)]
     assert len(slices) == 4
     for got, parts in zip((est, conv, iters), zip(*slices)):
@@ -293,7 +300,8 @@ def test_blocked_first_iteration_across_block_boundaries(cache):
     sample = []
     for lo in range(0, len(syn), rows):
         block = np.arange(lo, min(lo + rows, len(syn)))
-        sample += [block[iters[block] == 1][0], block[(iters[block] >= 2) & conv[block]][0]]
+        done = block[conv[block]]
+        sample += [done[0], done[np.argmax(iters[done])]]
     for t in sample:
         out = sp_decode(g, [int(v) for v in syn[t]], prior=prior)
         assert (bool(conv[t]), int(iters[t])) == (out.converged, out.iterations_used)

@@ -105,15 +105,6 @@ def test_expected_c_mixed_parities_rejected():
         expected_c(params, POINT_BY_BLOCK, rec)
 
 
-def test_expected_c_type_i_closed_forms():
-    params = verify_steiner(build_sts(7), 3)  # any Steiner params; family drives the result
-    assert expected_c(params, BLOCK_BY_POINT, family=("PG", 2, 16)) == 1
-    assert expected_c(params, BLOCK_BY_POINT, family=("AG", 2, 16)) == 16
-    assert expected_c(params, BLOCK_BY_POINT, family=("EG", 2, 8)) == 8
-    lo, hi = expected_c(params, BLOCK_BY_POINT, family=("PG", 3, 2))
-    assert lo == 1 and hi == 11  # bounded by the rank formula
-
-
 def test_hillebrandt_bounds():
     assert hillebrandt_bounds(7, 3) == (4, 7)
     assert hillebrandt_bounds(9, 3) == (5, 9)
