@@ -18,6 +18,7 @@ import json
 import platform
 import sys
 import time
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -49,7 +50,7 @@ from .simulator import (
     SimConfig,
     estimate_bler,
 )
-from .tables import TABLE_BUDGET, TABLE_IDS, ConstructionCache, compute_table, diff_report, rows_to_csv
+from .tables import TABLE_IDS, ConstructionCache, compute_table, diff_report, rows_to_csv
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -234,7 +235,7 @@ def cmd_code_params(args) -> int:
         girth = params.girth
     else:
         design, label = _load_structure(args)
-        params, verdict = assemble_params(design, orientation, TABLE_BUDGET)
+        params, verdict = assemble_params(design, orientation)
         verdict_status = (
             ("exact" if verdict.certified else "theorem-only")
             if params.d.status == "exact"
@@ -259,7 +260,7 @@ def cmd_code_params(args) -> int:
 def cmd_code_distance(args) -> int:
     orientation = normalize_orientation(args.type)
     design, label = _load_structure(args)
-    params, verdict = assemble_params(design, orientation, TABLE_BUDGET)
+    params, verdict = assemble_params(design, orientation)
     r = verdict.result
     print(f"{label} type {type_label(orientation)}: d status={r.status} "
           f"lower={r.lower} upper={r.upper} certified={verdict.certified}")
@@ -290,7 +291,7 @@ def cmd_tables(args) -> int:
     for t in ids:
         if t not in TABLE_IDS:
             raise SystemExit2(f"unknown table {t}; valid: {', '.join(TABLE_IDS)} or 'all'")
-    cache = ConstructionCache(TABLE_BUDGET)
+    cache = ConstructionCache()
     all_ok = True
     outputs = []
     for t in ids:
@@ -454,6 +455,10 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _warn_one_line(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
@@ -461,7 +466,9 @@ def main(argv=None) -> int:
     if args.command == "sim" and not hasattr(args, "seed"):
         args.seed = 1
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warn_one_line
+            return args.func(args)
     except SystemExit2 as e:
         return int(e.code)
     except DesignError as e:

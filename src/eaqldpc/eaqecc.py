@@ -38,7 +38,7 @@ from .geometry import (
     validate_witness,
     _two_adic,
 )
-from .gf2 import BitMatrix, DistanceBudget, DistanceResult
+from .gf2 import BitMatrix, DistanceResult
 
 POINT_BY_BLOCK = "point_by_block"  # Type II
 BLOCK_BY_POINT = "block_by_point"  # Type I
@@ -304,7 +304,6 @@ def distance_verdict(
     design,
     orientation: str,
     H: Optional[BitMatrix] = None,
-    budget: Optional[DistanceBudget] = None,
 ) -> DistanceVerdict:
     """Assemble the minimum distance of the classical ingredient code from
     exhaustive enumeration, closed-form family values, witness codewords and
@@ -315,8 +314,6 @@ def distance_verdict(
     contradicting enumeration, raises DesignError).
     """
     orientation = normalize_orientation(orientation)
-    if budget is None:
-        budget = DistanceBudget()
     structure = design.structure if isinstance(design, GeometryDesign) else design
     if H is None:
         H = oriented_matrix(structure, orientation)
@@ -354,19 +351,21 @@ def distance_verdict(
             sources.append(f"witness:{witness.kind} (weight {witness.weight})")
             upper = min(upper, witness.weight)
 
-    enum_result: Optional[DistanceResult] = None
-    rk = gf2.rank_value(H)  # narrow-side elimination; profile only if we enumerate
-    dim = H.cols - rk
-    if dim <= budget.exponent_cap or rk <= budget.dual_exponent_cap:
-        enum_result = gf2.min_distance(H, "enumerate_codewords", budget)
-        sources.append("enumeration:codewords-exhaustive")
-
+    enum_result = gf2.min_distance(H)
     if enum_result is not None:
         d = enum_result.upper
         if formula_value is not None and formula_value != d:
             raise DesignError(
                 f"formula distance {formula_value} contradicts enumeration {d}"
             )
+        if d == 0:
+            # H has full column rank: no nonzero codeword, and no bound applies
+            return DistanceVerdict(
+                result=enum_result,
+                sources=("enumeration:trivial-code (full column rank, no nonzero codeword)",),
+                certified=True,
+            )
+        sources.append("enumeration:codewords-exhaustive")
         if witness is not None and witness.weight < d:
             raise DesignError("validated witness lighter than enumerated distance")
         if not (lower <= d <= upper):
@@ -414,7 +413,6 @@ def distance_verdict(
 def assemble_params(
     design,
     orientation: str,
-    budget: Optional[DistanceBudget] = None,
     provenance: str = "",
     with_girth: bool = True,
 ) -> tuple[EaqeccParams, DistanceVerdict]:
@@ -423,7 +421,7 @@ def assemble_params(
     structure = design.structure if isinstance(design, GeometryDesign) else design
     H = oriented_matrix(structure, orientation)
     base = css_from_parity_check(H, orientation)
-    verdict = distance_verdict(design, orientation, H, budget)
+    verdict = distance_verdict(design, orientation, H)
     girth = tanner_girth(structure) if with_girth else None
     params = EaqeccParams(
         n=base.n,

@@ -19,6 +19,10 @@ combinations of the rest.  The inner block is stored word-major, as a
 contiguous, so the weights of one outer step are summed word by word into a
 ``uint8`` (``uint16`` from 256 bits) vector and binned with ``bincount``.
 
+``min_distance`` is exhaustive only: it enumerates the code (up to 2^26
+codewords) or its dual (up to 2^28 vectors, then an exact MacWilliams
+transform) and returns None when both are larger.
+
 All matrices are immutable after construction; derived data (rank, rank
 profile, transpose) is computed lazily and cached.
 """
@@ -32,6 +36,9 @@ import numpy as np
 
 WORD_BITS = 64
 PRODUCT_CHUNK_WORDS = 1 << 17  # words of B rows gathered at once by _product
+# min_distance enumerates at most 2^26 codewords, or 2^28 dual-code vectors
+CODEWORD_EXPONENT_CAP = 26
+DUAL_EXPONENT_CAP = 28
 
 
 def _mask(cols: int) -> int:
@@ -60,10 +67,6 @@ class BitMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> BitMatrix:
         return cls(rows, cols, [0] * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> BitMatrix:
-        return cls(n, n, [1 << i for i in range(n)])
 
     @classmethod
     def from_rows(cls, row_bits: Sequence[int], cols: int) -> BitMatrix:
@@ -169,18 +172,6 @@ class DistanceResult:
             raise ValueError("lower > upper")
         if self.status == "exact" and self.lower != self.upper:
             raise ValueError("exact result must have lower == upper")
-
-
-@dataclass(frozen=True)
-class DistanceBudget:
-    """Resource limits for min_distance strategies."""
-
-    exponent_cap: int = 26  # enumerate when code dimension <= cap
-    dual_exponent_cap: int = 26  # MacWilliams path when rank <= cap
-    support_weight_cap: int = 6
-    support_pair_budget: int = 1 << 24  # max column pairs hashed for weight-4
-    randomized_trials: int = 2000
-    randomized_seed: int = 0
 
 
 def _combine(rows: np.ndarray, coeff: np.ndarray) -> np.ndarray:
@@ -440,234 +431,36 @@ def macwilliams_min_distance(dual_counts: Sequence[int], nbits: int, dual_dim: i
     return 0  # trivial code
 
 
-# --- low-weight support search ----------------------------------------------
+def min_distance(M: BitMatrix) -> Optional[DistanceResult]:
+    """Exact minimum distance of the binary code with parity-check matrix M,
+    by exhaustive enumeration, or None when no side is within its cap.
 
-def _column_signatures(cols_packed: np.ndarray, seed: int = 0x5EED) -> np.ndarray:
-    """64-bit GF(2) random-projection signatures, linear under XOR."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    nwords = cols_packed.shape[1]
-    sig = np.zeros(cols_packed.shape[0], dtype=np.uint64)
-    for bit in range(64):
-        masks = rng.integers(0, 1 << 63, size=nwords, dtype=np.uint64) * np.uint64(2) + rng.integers(0, 2, size=nwords, dtype=np.uint64)
-        par = np.bitwise_count(cols_packed & masks[None, :]).sum(axis=1) & 1
-        sig |= par.astype(np.uint64) << np.uint64(bit)
-    return sig
-
-
-def _search_weight_le4(columns: Sequence[int], nbits: int, pair_budget: int) -> tuple[Optional[tuple[int, ...]], int]:
-    """Exhaustive search for a dependent column set of size <= 4.
-
-    Returns (support or None, certified_weight_bound): supports of every
-    weight up to the bound were exhausted.  Weight-4 search is skipped when
-    C(b,2) exceeds ``pair_budget`` (the bound then stops at 3).
+    The code side enumerates the 2^dim codewords when dim = cols - rank is at
+    most ``CODEWORD_EXPONENT_CAP`` and no larger than rank (or the dual side
+    is over its cap); up to dim 18 a Gray walk also returns a witness support,
+    above it ``weight_distribution`` only counts.  Otherwise the dual side
+    enumerates the 2^rank vectors of the row space when rank is at most
+    ``DUAL_EXPONENT_CAP`` and takes d from the exact MacWilliams transform.
+    The rank comes from ``rank_value``; M is fully reduced only once a side
+    is chosen.
     """
-    b = len(columns)
-    # weight 1: a zero column
-    for j, c in enumerate(columns):
-        if c == 0:
-            return (j,), 1
-    # weight 2: duplicate columns
-    seen: dict[int, int] = {}
-    for j, c in enumerate(columns):
-        if c in seen:
-            return (seen[c], j), 2
-        seen[c] = j
-    if b < 3:
-        return None, 4
-    cols_packed = pack_ints(columns, nbits)
-    sig = _column_signatures(cols_packed)
-    sig_sorted = np.sort(sig)
-    col_index = seen  # column bitmask -> index
-    # weight 3: pair XOR equal to a third column
-    for i in range(b - 1):
-        x = sig[i] ^ sig[i + 1 :]
-        hit = np.nonzero(np.isin(x, sig_sorted, assume_unique=False))[0]
-        for h in hit:
-            j = i + 1 + int(h)
-            c3 = columns[i] ^ columns[j]
-            k = col_index.get(c3)
-            if k is not None and k != i and k != j:
-                return tuple(sorted((i, j, k))), 3
-    n_pairs = b * (b - 1) // 2
-    if n_pairs > pair_budget:
-        return None, 3
-    # weight 4: two disjoint pairs with equal XOR (signature collision, verified)
-    pair_sig = np.empty(n_pairs, dtype=np.uint64)
-    pair_i = np.empty(n_pairs, dtype=np.int32)
-    pair_j = np.empty(n_pairs, dtype=np.int32)
-    pos = 0
-    for i in range(b - 1):
-        cnt = b - 1 - i
-        pair_sig[pos : pos + cnt] = sig[i] ^ sig[i + 1 :]
-        pair_i[pos : pos + cnt] = i
-        pair_j[pos : pos + cnt] = np.arange(i + 1, b, dtype=np.int32)
-        pos += cnt
-    order = np.argsort(pair_sig, kind="stable")
-    ps = pair_sig[order]
-    run_starts = np.nonzero(np.concatenate(([True], ps[1:] != ps[:-1])))[0]
-    run_ends = np.concatenate((run_starts[1:], [len(ps)]))
-    for lo, hi in zip(run_starts, run_ends):
-        if hi - lo < 2:
-            continue
-        members = order[lo:hi]
-        for x in range(len(members)):
-            ia, ja = int(pair_i[members[x]]), int(pair_j[members[x]])
-            for y in range(x + 1, len(members)):
-                ib, jb = int(pair_i[members[y]]), int(pair_j[members[y]])
-                if len({ia, ja, ib, jb}) == 4 and columns[ia] ^ columns[ja] == columns[ib] ^ columns[jb]:
-                    return tuple(sorted((ia, ja, ib, jb))), 4
-    return None, 4
-
-
-def _support_dfs(columns: Sequence[int], nbits: int, max_weight: int) -> Optional[tuple[int, ...]]:
-    """Find any dependent column set of size <= max_weight (complete search).
-
-    Branch rule: the lowest set bit of the running XOR must be cancelled by a
-    later-chosen column containing that bit, so every dependent set is reached.
-    Intended for small instances; weights <= 4 should use the hashed search.
-    """
-    by_bit: list[list[int]] = [[] for _ in range(nbits)]
-    for j, c in enumerate(columns):
-        cc = c
-        while cc:
-            low = cc & -cc
-            by_bit[low.bit_length() - 1].append(j)
-            cc ^= low
-    max_colw = max((c.bit_count() for c in columns), default=1) or 1
-
-    def extend(acc: int, chosen: list[int]) -> Optional[list[int]]:
-        if acc == 0:
-            return list(chosen)
-        remaining = max_weight - len(chosen)
-        if remaining <= 0 or (acc.bit_count() + max_colw - 1) // max_colw > remaining:
-            return None
-        bit = (acc & -acc).bit_length() - 1
-        for j in by_bit[bit]:
-            if j in chosen:
-                continue
-            chosen.append(j)
-            got = extend(acc ^ columns[j], chosen)
-            if got is not None:
-                return got
-            chosen.pop()
-        return None
-
-    for j0 in range(len(columns)):
-        got = extend(columns[j0], [j0])
-        if got is not None and len(got) > 1:
-            return tuple(sorted(got))
-    return None
-
-
-def min_distance(
-    M: BitMatrix,
-    strategy: str = "auto",
-    budget: Optional[DistanceBudget] = None,
-) -> DistanceResult:
-    """Minimum distance of the binary code with parity-check matrix M.
-
-    Strategies:
-      - "enumerate_codewords": exhaustive; requires dim = cols - rank <= cap,
-        or rank <= dual cap (dual-side enumeration + exact MacWilliams
-        transform — same exhaustive guarantee from the other side).
-      - "enumerate_supports": exhaustive over column supports up to the weight
-        cap; exact if a codeword is found at or below the certified bound,
-        otherwise a bounded result.
-      - "randomized_search": random combinations of a nullspace basis; after
-        each draw the lightest vector so far is greedily peeled by adding
-        basis vectors while that lowers its weight; upper bound only.
-      - "auto": codeword/dual enumeration when within caps, else supports,
-        else randomized.
-    """
-    if budget is None:
-        budget = DistanceBudget()
-    prof = M.rank_profile()
-    dim = M.cols - prof.rank
+    rk = rank_value(M)
+    dim = M.cols - rk
     if dim == 0:
         return DistanceResult("exact", 0, 0, None)
-
-    def by_codewords() -> DistanceResult:
-        code_side_ok = dim <= budget.exponent_cap
-        dual_side_ok = prof.rank <= budget.dual_exponent_cap
-        if code_side_ok and (dim <= prof.rank or not dual_side_ok):
-            basis = nullspace_basis(M).row_bits()
-            if dim <= 18:
-                w, v = _min_weight_with_witness(basis, M.cols)
-                wit = tuple(j for j in range(M.cols) if (v >> j) & 1)
-                return DistanceResult("exact", w, w, wit)
-            counts = weight_distribution(basis, M.cols)
-            d = next(w for w in range(1, M.cols + 1) if counts[w] > 0)
-            return DistanceResult("exact", d, d, None)
-        if dual_side_ok:
-            dual_counts = weight_distribution(prof.rref.row_bits(), M.cols)
-            d = macwilliams_min_distance(dual_counts, M.cols, prof.rank)
-            return DistanceResult("exact", d, d, None)
-        raise ValueError(
-            f"enumeration infeasible: dim={dim} > cap {budget.exponent_cap} and "
-            f"rank={prof.rank} > dual cap {budget.dual_exponent_cap}"
-        )
-
-    def by_supports() -> DistanceResult:
-        columns = M.transpose().row_bits()
-        found, certified = _search_weight_le4(columns, M.rows, budget.support_pair_budget)
-        if found is not None:
-            return DistanceResult("exact", len(found), len(found), found)
-        wcap = budget.support_weight_cap
-        if wcap > certified:
-            got = _support_dfs(columns, M.rows, wcap)
-            if got is not None and len(got) <= certified + 1:
-                # DFS found the first weight above the hashed range
-                return DistanceResult("exact", len(got), len(got), got)
-            if got is not None:
-                return DistanceResult("bounded", certified + 1, len(got), got)
-            certified = wcap
-        return DistanceResult("bounded", certified + 1, M.cols, None)
-
-    def by_random() -> DistanceResult:
-        rng = np.random.Generator(np.random.Philox(key=budget.randomized_seed))
-        best_w = M.cols
-        best_v = None
+    code_side_ok = dim <= CODEWORD_EXPONENT_CAP
+    dual_side_ok = rk <= DUAL_EXPONENT_CAP
+    if code_side_ok and (dim <= rk or not dual_side_ok):
         basis = nullspace_basis(M).row_bits()
-        for _ in range(budget.randomized_trials):
-            x = 0
-            for v in basis:
-                if rng.integers(0, 2):
-                    x ^= v
-            w = x.bit_count()
-            if 0 < w < best_w:
-                best_w, best_v = w, x
-            # greedy peeling: try removing basis vectors to reduce weight
-            improved = True
-            while improved and best_v is not None:
-                improved = False
-                for v in basis:
-                    w2 = (best_v ^ v).bit_count()
-                    if 0 < w2 < best_w:
-                        best_v ^= v
-                        best_w = w2
-                        improved = True
-        wit = None
-        if best_v is not None:
-            wit = tuple(j for j in range(M.cols) if (best_v >> j) & 1)
-        return DistanceResult("bounded", 1, best_w, wit)
-
-    if strategy == "enumerate_codewords":
-        return by_codewords()
-    if strategy == "enumerate_supports":
-        return by_supports()
-    if strategy == "randomized_search":
-        return by_random()
-    if strategy != "auto":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if dim <= budget.exponent_cap or prof.rank <= budget.dual_exponent_cap:
-        return by_codewords()
-    res = by_supports()
-    if res.status == "exact":
-        return res
-    rnd = by_random()
-    lower = res.lower
-    upper = min(res.upper, rnd.upper)
-    wit = rnd.witness if rnd.upper <= res.upper else res.witness
-    if lower == upper:
-        return DistanceResult("exact", lower, upper, wit)
-    return DistanceResult("bounded", lower, upper, wit)
+        if dim <= 18:
+            w, v = _min_weight_with_witness(basis, M.cols)
+            wit = tuple(j for j in range(M.cols) if (v >> j) & 1)
+            return DistanceResult("exact", w, w, wit)
+        counts = weight_distribution(basis, M.cols)
+        d = next(w for w in range(1, M.cols + 1) if counts[w] > 0)
+        return DistanceResult("exact", d, d, None)
+    if dual_side_ok:
+        dual_counts = weight_distribution(M.rank_profile().rref.row_bits(), M.cols)
+        d = macwilliams_min_distance(dual_counts, M.cols, rk)
+        return DistanceResult("exact", d, d, None)
+    return None

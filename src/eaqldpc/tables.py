@@ -42,13 +42,8 @@ from .geometry import (
     build_geometry,
     pg_spread,
 )
-from .gf2 import DistanceBudget
 
 TABLE_IDS = ["I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI", "XII", "XIII"]
-
-# Distance budget used for table reproduction: the 2^28 dual-side cap covers
-# the q=8 plane codes; anything larger falls back to witness/formula paths.
-TABLE_BUDGET = DistanceBudget(exponent_cap=26, dual_exponent_cap=28)
 
 
 def trunc4(x: Fraction) -> str:
@@ -230,8 +225,7 @@ class RowResult:
 class ConstructionCache:
     """Shared geometry/parameter cache so table runs build each design once."""
 
-    def __init__(self, budget: DistanceBudget = TABLE_BUDGET):
-        self.budget = budget
+    def __init__(self):
         self._geoms: dict[tuple, GeometryDesign] = {}
         self._params: dict[tuple, tuple[EaqeccParams, DistanceVerdict]] = {}
         self._spreads: dict[tuple, SpreadPartition] = {}
@@ -246,7 +240,7 @@ class ConstructionCache:
         key = (kind, m, q, orientation)
         if key not in self._params:
             design = self.geometry(kind, m, q)
-            self._params[key] = assemble_params(design, orientation, self.budget)
+            self._params[key] = assemble_params(design, orientation)
         return self._params[key]
 
     def spread(self, kind: str, m: int, q: int, s: Optional[int] = None) -> SpreadPartition:

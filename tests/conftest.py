@@ -1,13 +1,13 @@
 import pytest
 
-from eaqldpc.tables import TABLE_BUDGET, ConstructionCache
+from eaqldpc.tables import ConstructionCache
 
 
 @pytest.fixture(scope="session")
 def cache():
     """Shared construction cache: each geometry/parameter set is built once
     per test session."""
-    return ConstructionCache(TABLE_BUDGET)
+    return ConstructionCache()
 
 
 @pytest.fixture(scope="session")

@@ -8,8 +8,9 @@ Criteria (zero tolerance unless stated):
   3. closed-form ranks vs brute-force elimination on every in-budget
      geometry, plus the odd-q full/almost-full rank laws;
   4. distance certification: enumeration-exact wherever min(dim, codim) is
-     within budget; otherwise a validated witness matching the claimed d and
-     a certified counting lower bound, or an explicit theorem-only marker;
+     within the enumeration caps; otherwise a validated witness matching the
+     claimed d and a certified counting lower bound, or an explicit
+     theorem-only marker;
   5. rates table XI to 4 decimals;
   6. depolarizing-channel Monte Carlo at f_m = 0.02 reproduces the published
      block error rates within a factor of 3 for the three Type I plane codes,
@@ -115,7 +116,7 @@ def test_criterion_3_rank_formulas(cache):
 
 
 # rows whose d must be certified by exhaustive enumeration (dim or dual-side
-# rank within the 2^28 budget)
+# rank within the 2^26 / 2^28 enumeration caps)
 ENUMERATION_CERTIFIED = [
     ("I", "PG", POINT_BY_BLOCK, 3, 2), ("I", "PG", POINT_BY_BLOCK, 4, 2),
     ("I", "PG", POINT_BY_BLOCK, 2, 8),

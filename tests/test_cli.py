@@ -4,11 +4,14 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eaqldpc
 from eaqldpc import cli, formats, simulator
 from eaqldpc.cli import main
 from eaqldpc.gf2 import BitMatrix
@@ -317,3 +320,33 @@ def test_develop_blocks_of_one_point_fail_verification(capsys):
     code, out, err = run_cli(capsys, "design", "develop", "--v", "1", "--bases", "0")
     assert code == 1 and out == ""
     assert err == "verification FAILED: a Steiner system S(2, mu, v) needs mu >= 2, got 1\n"
+
+
+def trivial_design(tmp_path):
+    """One block of two points: as a Type II code, H is 3x1 of rank 1, so
+    the classical code holds only the zero word and k = 0."""
+    path = tmp_path / "trivial.design"
+    path.write_text("3 1\n0 1\n")
+    return path
+
+
+def test_trivial_code_distance_is_exact_zero(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "code", "distance", "--design", str(trivial_design(tmp_path)),
+                           "--type", "II")
+    assert code == 0
+    assert "d status=exact lower=0 upper=0 certified=True" in out
+    assert "source: enumeration:trivial-code" in out
+
+
+def test_library_warning_is_one_stderr_line(tmp_path):
+    """Run as a separate process: pytest would capture the warning in-process."""
+    src = str(Path(eaqldpc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    design = str(trivial_design(tmp_path))
+    for sub in ("distance", "params"):
+        run = subprocess.run(
+            [sys.executable, "-m", "eaqldpc.cli", "code", sub, "--design", design, "--type", "II"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0
+        assert run.stderr == "warning: degenerate code: k = 0 <= 0 (n=1, rank=1, c=1)\n"

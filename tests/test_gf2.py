@@ -6,7 +6,6 @@ import pytest
 from eaqldpc import gf2
 from eaqldpc.gf2 import (
     BitMatrix,
-    DistanceBudget,
     gram_rank,
     in_row_space,
     macwilliams_min_distance,
@@ -32,6 +31,10 @@ def random_matrix(rng, rows, cols, density=0.5):
     return BitMatrix(rows, cols, bits)
 
 
+def identity(n):
+    return BitMatrix(n, n, [1 << i for i in range(n)])
+
+
 def brute_min_distance(M):
     """Gray-code enumeration oracle over all nonzero codewords."""
     basis = nullspace_basis(M).row_bits()
@@ -49,7 +52,7 @@ def brute_min_distance(M):
 
 
 def test_rank_identity():
-    assert rank(BitMatrix.identity(3)).rank == 3
+    assert rank(identity(3)).rank == 3
 
 
 def test_rank_fano(fano):
@@ -89,14 +92,14 @@ def test_multiply_identity_and_associativity():
         a = random_matrix(rng, 5, 7)
         b = random_matrix(rng, 7, 4)
         c = random_matrix(rng, 4, 6)
-        assert multiply(BitMatrix.identity(5), a) == a
-        assert multiply(a, BitMatrix.identity(7)) == a
+        assert multiply(identity(5), a) == a
+        assert multiply(a, identity(7)) == a
         assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
 
 
 def test_multiply_dimension_mismatch():
     with pytest.raises(ValueError):
-        multiply(BitMatrix.identity(3), BitMatrix.identity(4))
+        multiply(identity(3), identity(4))
 
 
 def test_fano_gram_is_allones(fano):
@@ -107,7 +110,7 @@ def test_fano_gram_is_allones(fano):
 
 
 def test_nullspace_identity_empty():
-    ns = nullspace_basis(BitMatrix.identity(4))
+    ns = nullspace_basis(identity(4))
     assert ns.rows == 0
 
 
@@ -164,34 +167,79 @@ def test_min_distance_fano_matches_bruteforce(fano):
     assert acc == 0 and len(res.witness) == 4
 
 
-def test_min_distance_strategies_agree_random():
+def count_calls(monkeypatch, name):
+    """Replace gf2.<name> by a wrapper that logs each call, so a test can
+    tell which enumeration branch min_distance took."""
+    calls = []
+    original = getattr(gf2, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gf2, name, wrapper)
+    return calls
+
+
+def test_min_distance_code_side_witness_matches_bruteforce(monkeypatch):
+    """dim <= rank and dim <= 18: the Gray walk, with a witness support."""
+    walks = count_calls(monkeypatch, "_min_weight_with_witness")
+    counts = count_calls(monkeypatch, "weight_distribution")
     rng = np.random.default_rng(13)
     checked = 0
-    for _ in range(40):
-        m = random_matrix(rng, int(rng.integers(2, 9)), int(rng.integers(2, 11)), density=0.4)
-        cw = min_distance(m, "enumerate_codewords")
-        if cw.lower == 0:
+    for _ in range(20):
+        m = random_matrix(rng, 8, 14, density=0.4)
+        rk = rank_value(m)
+        if not 0 < m.cols - rk <= rk:
             continue
-        sup = min_distance(m, "enumerate_supports")
-        if sup.status == "exact":
-            assert sup.lower == cw.lower
-            checked += 1
-        else:
-            assert sup.lower <= cw.lower <= sup.upper
-        rnd = min_distance(m, "randomized_search", DistanceBudget(randomized_trials=200))
-        assert rnd.upper >= cw.upper
-    assert checked > 5
+        res = min_distance(m)
+        checked += 1
+        assert (res.status, res.lower) == ("exact", brute_min_distance(m))
+        acc = 0
+        for j in res.witness:
+            acc ^= m.transpose().row(j)
+        assert acc == 0 and len(res.witness) == res.upper
+    assert checked > 10 and len(walks) == checked and not counts
 
 
-def test_min_distance_dual_side_matches_direct():
-    # force the MacWilliams path by shrinking the code-side cap
+def test_min_distance_code_side_counting_matches_dual_side(monkeypatch):
+    """18 < dim <= rank: weight counting only; the dual side (forced by a
+    zero code-side cap) and brute force give the same distance."""
+    rng = np.random.default_rng(29)
+    m = random_matrix(rng, 19, 38)
+    while rank_value(m) != 19:
+        m = random_matrix(rng, 19, 38)
+    walks = count_calls(monkeypatch, "_min_weight_with_witness")
+    counts = count_calls(monkeypatch, "weight_distribution")
+    transforms = count_calls(monkeypatch, "macwilliams_min_distance")
+    code_side = min_distance(m)
+    assert (len(walks), len(counts), len(transforms)) == (0, 1, 0)
+    assert code_side.status == "exact" and code_side.witness is None
+    monkeypatch.setattr(gf2, "CODEWORD_EXPONENT_CAP", 0)
+    dual_side = min_distance(m)
+    assert (len(walks), len(counts), len(transforms)) == (0, 2, 1)
+    assert dual_side == code_side
+    assert code_side.lower == brute_min_distance(m)
+
+
+def test_min_distance_dual_side_matches_bruteforce(monkeypatch):
+    """dim > rank: the row space is enumerated and MacWilliams gives d."""
+    walks = count_calls(monkeypatch, "_min_weight_with_witness")
+    transforms = count_calls(monkeypatch, "macwilliams_min_distance")
     rng = np.random.default_rng(17)
     for _ in range(10):
         m = random_matrix(rng, 6, 14, density=0.35)
-        direct = min_distance(m, "enumerate_codewords")
-        tight = DistanceBudget(exponent_cap=0, dual_exponent_cap=16)
-        dual = min_distance(m, "enumerate_codewords", tight)
-        assert (dual.status, dual.lower) == ("exact", direct.lower)
+        res = min_distance(m)
+        assert (res.status, res.lower) == ("exact", brute_min_distance(m))
+    assert len(transforms) == 10 and not walks
+
+
+def test_min_distance_over_both_caps_is_none_without_reduction(monkeypatch):
+    monkeypatch.setattr(gf2, "CODEWORD_EXPONENT_CAP", 1)
+    monkeypatch.setattr(gf2, "DUAL_EXPONENT_CAP", 3)
+    m = BitMatrix.from_rows([0b111, 0b1010, 0b11100, 0b110001], 6)
+    assert min_distance(m) is None
+    assert m._rank_profile is None  # only rank_value ran
 
 
 def test_weight_distribution_vs_bruteforce():
@@ -245,7 +293,7 @@ def test_macwilliams_roundtrip():
 
 
 def test_min_distance_trivial_code():
-    res = min_distance(BitMatrix.identity(5))
+    res = min_distance(identity(5))
     assert res.status == "exact" and res.lower == res.upper == 0
 
 
