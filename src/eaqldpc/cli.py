@@ -37,20 +37,21 @@ from .designs import (
     verify_steiner,
 )
 from .eaqecc import (
+    DistanceVerdict,
     assemble_params,
     family_params,
     normalize_orientation,
     oriented_matrix,
     type_label,
 )
-from .geometry import AG, EG, PG, ag_hyperplane_spread, build_geometry, pg_spread
+from .geometry import AG, EG, PG, GeometryDesign, ag_hyperplane_spread, build_geometry, pg_spread
 from .simulator import (
     CONVENTION_PER_PAULI,
     CONVENTION_TOTAL,
     SimConfig,
     estimate_bler,
 )
-from .tables import TABLE_IDS, ConstructionCache, compute_table, diff_report, rows_to_csv
+from .tables import TABLE_IDS, ConstructionCache, _d_cell, compute_table, diff_report, rows_to_csv
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -224,25 +225,23 @@ def _load_structure(args):
     return design, f"{kind.lower()}({m},{q})"
 
 
+def _load_matrix(args, orientation: str):
+    """(H, label): the parity-check matrix of --pg/--ag/--eg or --design FILE."""
+    design, label = _load_structure(args)
+    structure = design.structure if isinstance(design, GeometryDesign) else design
+    return oriented_matrix(structure, orientation), label
+
+
 def cmd_code_params(args) -> int:
     orientation = normalize_orientation(args.type)
     if args.family:
         kind_s, m_v, q_v = _pick_geometry(args)
         params = family_params(kind_s, orientation, m_v, q_v)
         # closed-form values carry no enumeration certificate
-        verdict_status = "theorem-only" if params.d.status == "exact" else "bounded"
-        d_lo, d_hi = params.d.lower, params.d.upper
-        girth = params.girth
+        verdict = DistanceVerdict(params.d, sources=())
     else:
         design, label = _load_structure(args)
         params, verdict = assemble_params(design, orientation)
-        verdict_status = (
-            ("exact" if verdict.certified else "theorem-only")
-            if params.d.status == "exact"
-            else "bounded"
-        )
-        d_lo, d_hi = params.d.lower, params.d.upper
-        girth = params.girth
         if args.design:
             kind_s, m_v, q_v = label, "", ""
         else:
@@ -250,8 +249,8 @@ def cmd_code_params(args) -> int:
     header = "kind,orientation,m,q,n,k,d_status,d_lower,d_upper,c,rank_h,girth,rate,net_rate\n"
     row = (
         f"{kind_s},{type_label(orientation)},{m_v},{q_v},{params.n},{params.k},"
-        f"{verdict_status},{d_lo},{d_hi},{params.c},{params.rank_h},{girth},"
-        f"{float(params.rate):.4f},{float(params.net_rate):.4f}\n"
+        f"{_d_cell(verdict)[0]},{params.d.lower},{params.d.upper},{params.c},{params.rank_h},"
+        f"{params.girth},{float(params.rate):.4f},{float(params.net_rate):.4f}\n"
     )
     _emit(header + row, args.out, args)
     return 0
@@ -273,9 +272,7 @@ def cmd_code_distance(args) -> int:
 
 def cmd_code_export_alist(args) -> int:
     orientation = normalize_orientation(args.type)
-    design, label = _load_structure(args)
-    structure = design.structure if hasattr(design, "structure") else design
-    H = oriented_matrix(structure, orientation)
+    H, label = _load_matrix(args, orientation)
     buf = io.StringIO()
     formats.write_alist(H, buf)
     _emit(buf.getvalue(), args.out, args)
@@ -324,9 +321,7 @@ def cmd_tables(args) -> int:
 
 def cmd_sim(args) -> int:
     orientation = normalize_orientation(args.type)
-    design, label = _load_structure(args)
-    structure = design.structure if hasattr(design, "structure") else design
-    H = oriented_matrix(structure, orientation)
+    H, label = _load_matrix(args, orientation)
     config = SimConfig(
         f_m_values=tuple(float(x) for x in args.fm.split(",")),
         trials=args.trials,
@@ -462,9 +457,6 @@ def _warn_one_line(message, category, filename, lineno, file=None, line=None):
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    # seed/threads ride on the namespace for subcommands that use them
-    if args.command == "sim" and not hasattr(args, "seed"):
-        args.seed = 1
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _warn_one_line

@@ -33,6 +33,7 @@ from .geometry import (
     dual_hyperoval,
     hyperbolic_quadric,
     parallel_class_pair,
+    design_counts,
     point_hyperoval,
     rank_formula,
     validate_witness,
@@ -217,60 +218,56 @@ def hillebrandt_bounds(v: int, mu: int) -> tuple[int, int]:
 # --- distance assembly -------------------------------------------------------
 
 def _formula_distance(kind: str, m: int, q: int, orientation: str):
-    """(value-or-None, source string, is_lower_bound_only) per family."""
-    t = _two_adic(q)
+    """The family case of a geometry code: (d or None, source, lower_only,
+    witness builder or None).  d is the closed-form distance, only a lower
+    bound when lower_only; the builder constructs the family's witness
+    codeword.  Builders are read from this module's names on each call, so
+    a wrapped or patched builder is the one that runs."""
+    even = _two_adic(q) is not None
     if orientation == POINT_BY_BLOCK:
         if kind == PG:
-            if t is not None:
-                return q + 2, "formula:pg-line-code-distance-even-q (q+2)", False
+            if even:
+                return q + 2, "formula:pg-line-code-distance-even-q (q+2)", False, dual_hyperoval
             if m >= 3:
-                return 2 * (q + 1), "formula:pg-line-code-distance-odd-q (2q+2)", False
-            v = (q ** (m + 1) - 1) // (q - 1)
-            b = v
-            return b, "formula:pg-plane-odd-q-trivial-code (d = n)", False
+                return (2 * (q + 1), "formula:pg-line-code-distance-odd-q (2q+2)", False,
+                        hyperbolic_quadric)
+            b = design_counts(PG, m, q)[1]
+            return b, "formula:pg-plane-odd-q-trivial-code (d = n)", False, None
         if kind == AG:
-            if t is not None:
-                return q + 1, "formula:affine-line-code-distance-even-q (q+1)", False
-            return 2 * q, "formula:affine-line-code-distance-odd-q (2q)", False
+            if even:
+                return (q + 1, "formula:affine-line-code-distance-even-q (q+1)", False,
+                        affine_hyperoval_trace)
+            return 2 * q, "formula:affine-line-code-distance-odd-q (2q)", False, parallel_class_pair
         if kind == EG:
-            if t is not None:
-                return q + 1, "formula:punctured-affine-line-code-distance-even-q (q+1)", False
+            if even:
+                return (q + 1, "formula:punctured-affine-line-code-distance-even-q (q+1)", False,
+                        affine_hyperoval_trace)
             if m > 2:
-                return 2 * q, "formula:punctured-affine-line-code-distance-odd-q (2q)", False
-            return None, "", False
-    else:
-        if t is None:
-            return None, "", False
+                return (2 * q, "formula:punctured-affine-line-code-distance-odd-q (2q)", False,
+                        parallel_class_pair)
+    elif even:
+        # plane hyperovals only: off the plane a transverse line meets one once
+        hyperoval = point_hyperoval if m == 2 else None
         if kind == PG:
-            return (q + 2) * q ** (m - 2), "formula:pg-point-code-distance ((q+2)q^(m-2))", False
+            return ((q + 2) * q ** (m - 2), "formula:pg-point-code-distance ((q+2)q^(m-2))", False,
+                    hyperoval)
         if kind == AG:
-            return (q + 2) * q ** (m - 2), "formula:affine-point-code-distance ((q+2)q^(m-2))", False
+            return ((q + 2) * q ** (m - 2), "formula:affine-point-code-distance ((q+2)q^(m-2))",
+                    False, hyperoval)
         if kind == EG:
-            d = (q**m - 1) // (q - 1)
+            d = design_counts(EG, m, q)[2] + 1  # (q^m-1)/(q-1)
             if m == 2:
-                return d, "formula:punctured-affine-point-code-distance (q+1 at m=2)", False
-            return d, "formula:punctured-affine-point-code-bch-lower ((q^m-1)/(q-1))", True
-    return None, "", False
+                return (d, "formula:punctured-affine-point-code-distance (q+1 at m=2)", False,
+                        hyperoval)
+            return d, "formula:punctured-affine-point-code-bch-lower ((q^m-1)/(q-1))", True, None
+    return None, "", False, None
 
 
 def _make_witness(design: GeometryDesign, orientation: str) -> Optional[WitnessCodeword]:
-    """The geometric witness that applies to this family and orientation, or
-    None.  It is not yet validated; ``distance_verdict`` does that against H."""
-    kind, m, q = design.kind, design.m, design.q
-    t = _two_adic(q)
-    if orientation == POINT_BY_BLOCK:
-        if kind == PG:
-            return dual_hyperoval(design) if t is not None else (
-                hyperbolic_quadric(design) if m >= 3 else None
-            )
-        if t is not None:
-            return affine_hyperoval_trace(design)
-        if kind == AG or (kind == EG and m >= 3):
-            return parallel_class_pair(design)
-        return None
-    if m == 2 and t is not None:
-        return point_hyperoval(design)
-    return None
+    """The geometric witness of this family and orientation, or None.  It is
+    not yet validated; ``distance_verdict`` does that against H."""
+    build = _formula_distance(design.kind, design.m, design.q, orientation)[3]
+    return build(design) if build else None
 
 
 def _structural_lower(design, orientation: str) -> tuple[int, str]:
@@ -325,9 +322,9 @@ def distance_verdict(
     if src_struct:
         sources.append(src_struct)
 
-    formula_value = None
+    formula_value, witness = None, None
     if isinstance(design, GeometryDesign):
-        val, src, lower_only = _formula_distance(
+        val, src, lower_only, _ = _formula_distance(
             design.kind, design.m, design.q, orientation
         )
         if val is not None:
@@ -336,6 +333,7 @@ def distance_verdict(
                 lower = max(lower, val)
             else:
                 formula_value = val
+        witness = _make_witness(design, orientation)
     elif isinstance(design, IncidenceStructure):
         sizes = {len(b) for b in structure.blocks}
         # verified STS: nonzero codewords weigh between 4 and 8
@@ -343,13 +341,10 @@ def distance_verdict(
             upper = min(upper, 8)
             sources.append("formula:steiner-triple-code-distance-window (4..8)")
 
-    witness = None
-    if isinstance(design, GeometryDesign):
-        witness = _make_witness(design, orientation)
-        if witness is not None:
-            validate_witness(H, witness)
-            sources.append(f"witness:{witness.kind} (weight {witness.weight})")
-            upper = min(upper, witness.weight)
+    if witness is not None:
+        validate_witness(H, witness)
+        sources.append(f"witness:{witness.kind} (weight {witness.weight})")
+        upper = min(upper, witness.weight)
 
     enum_result = gf2.min_distance(H)
     if enum_result is not None:
@@ -414,7 +409,6 @@ def assemble_params(
     design,
     orientation: str,
     provenance: str = "",
-    with_girth: bool = True,
 ) -> tuple[EaqeccParams, DistanceVerdict]:
     """Full parameter derivation for a design in one orientation."""
     orientation = normalize_orientation(orientation)
@@ -422,7 +416,6 @@ def assemble_params(
     H = oriented_matrix(structure, orientation)
     base = css_from_parity_check(H, orientation)
     verdict = distance_verdict(design, orientation, H)
-    girth = tanner_girth(structure) if with_girth else None
     params = EaqeccParams(
         n=base.n,
         k=base.k,
@@ -430,7 +423,7 @@ def assemble_params(
         d=verdict.result,
         rank_h=base.rank_h,
         orientation=orientation,
-        girth=girth,
+        girth=tanner_girth(structure),
         provenance=provenance or getattr(structure, "provenance", ""),
     )
     return params, verdict
@@ -446,45 +439,26 @@ _FAMILY_HELP = (
 
 def family_params(kind: str, orientation: str, m: int, q: int) -> EaqeccParams:
     """Fully closed-form [[n, k, d; c]] for the supported geometry families,
-    computed without building a matrix."""
+    computed without building a matrix.  Type II PG/AG take c from
+    ``expected_c``; EG Type II and the Type I planes have their own c."""
     orientation = normalize_orientation(orientation)
-    t = _two_adic(q)
-    d_val, d_src, lower_only = _formula_distance(kind, m, q, orientation)
-    if orientation == POINT_BY_BLOCK:
-        if kind == PG:
-            v = (q ** (m + 1) - 1) // (q - 1)
-            n = (q ** (m + 1) - 1) * (q**m - 1) // ((q**2 - 1) * (q - 1))
-            c = 1 if t is not None or m % 2 == 1 else v - 1
-        elif kind == AG:
-            n = q ** (m - 1) * (q**m - 1) // (q - 1)
-            c = 1 if t is not None or m % 2 == 1 else q**m - 1
-        elif kind == EG:
-            if t is None:
-                raise ValueError(
-                    f"no closed form for Type II EG with q odd; {_FAMILY_HELP}"
-                )
-            n = (q ** (m - 1) - 1) * (q**m - 1) // (q - 1)
-            c = (q**m - q) // (q - 1)
-        else:
-            raise ValueError(f"unknown geometry kind {kind!r}")
+    even = _two_adic(q) is not None
+    if orientation == POINT_BY_BLOCK and kind == EG and not even:
+        raise ValueError(f"no closed form for Type II EG with q odd; {_FAMILY_HELP}")
+    if orientation == BLOCK_BY_POINT and not (even and m == 2):
+        raise ValueError(
+            f"no closed form for Type I {kind} with m={m}, q={q}; {_FAMILY_HELP}"
+        )
+    v, b, r, mu = design_counts(kind, m, q)
+    if orientation == BLOCK_BY_POINT:
+        n, c = v, (1 if kind == PG else q)
+    elif kind == EG:
+        n, c = b, r  # c = (q^m - q)/(q - 1)
     else:
-        if t is None or m != 2:
-            raise ValueError(
-                f"no closed form for Type I {kind} with m={m}, q={q}; {_FAMILY_HELP}"
-            )
-        if kind == PG:
-            n = q**2 + q + 1
-            c = 1
-        elif kind == AG:
-            n = q**2
-            c = q
-        elif kind == EG:
-            n = q**2 - 1
-            c = q
-        else:
-            raise ValueError(f"unknown geometry kind {kind!r}")
+        n, c = b, expected_c(DesignParams(v=v, mu=mu, lam=1, b=b, r=r), orientation)
     rk = rank_formula(kind, m, q)
     k = n - 2 * rk + c
+    d_val, _, lower_only, _ = _formula_distance(kind, m, q, orientation)
     if d_val is None:
         d = DistanceResult("bounded", 1, n)
     elif lower_only:

@@ -12,6 +12,7 @@ table entry cannot pass silently.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import Sequence
 
@@ -69,78 +70,13 @@ def _poly_mul_mod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int
 
 
 def _poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Irreducibility of a monic polynomial over GF(p): x^{p^i} tests.
-
-    f of degree e is irreducible iff x^{p^e} = x (mod f) and
-    gcd(x^{p^{e/r}} - x, f) = 1 for every prime r | e.
-    """
+    """Irreducibility of a monic polynomial over GF(p) by trial division: f
+    of degree e is irreducible iff no monic g of degree 1..e/2 divides it."""
     e = len(coeffs) - 1
-    if e == 1:
-        return True
-
-    def xpow_pk(k: int) -> tuple[int, ...]:
-        # x^(p^k) mod f by repeated Frobenius on the polynomial ring
-        cur = tuple([0, 1] + [0] * (e - 2)) if e >= 2 else (0,)
-        for _ in range(k):
-            # raise to p-th power: (sum a_i x^i)^p = sum a_i x^(i p)
-            nxt = [0] * (e * p)
-            for i, a in enumerate(cur):
-                if a:
-                    nxt[i * p] = (nxt[i * p] + a) % p
-            # reduce mod f
-            for d in range(len(nxt) - 1, e - 1, -1):
-                c = nxt[d]
-                if c:
-                    nxt[d] = 0
-                    for k2 in range(e):
-                        nxt[d - e + k2] = (nxt[d - e + k2] - c * coeffs[k2]) % p
-            cur = tuple(nxt[:e])
-        return cur
-
-    x_poly = tuple([0, 1] + [0] * (e - 2))
-    if xpow_pk(e) != x_poly:
-        return False
-
-    def poly_gcd(a: list[int], b: list[int]) -> list[int]:
-        a, b = list(a), list(b)
-        while any(b):
-            while b and b[-1] == 0:
-                b.pop()
-            if not b:
-                break
-            # a mod b
-            while len(a) >= len(b) and any(a):
-                while a and a[-1] == 0:
-                    a.pop()
-                if len(a) < len(b):
-                    break
-                factor = (a[-1] * pow(b[-1], -1, p)) % p
-                shift = len(a) - len(b)
-                for i, c in enumerate(b):
-                    a[i + shift] = (a[i + shift] - factor * c) % p
-            a, b = b, a
-        return a
-
-    r = 2
-    ee = e
-    prime_divisors = set()
-    while r * r <= ee:
-        if ee % r == 0:
-            prime_divisors.add(r)
-            while ee % r == 0:
-                ee //= r
-        r += 1
-    if ee > 1:
-        prime_divisors.add(ee)
-    for r in prime_divisors:
-        g = xpow_pk(e // r)
-        diff = [(g[i] - (1 if i == 1 else 0)) % p for i in range(e)]
-        if not any(diff):
-            return False
-        gcd = poly_gcd(list(coeffs), diff)
-        nonzero = [i for i, c in enumerate(gcd) if c]
-        if nonzero and max(nonzero) >= 1:  # gcd of degree >= 1: reducible
-            return False
+    for d in range(1, e // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            if not any(_poly_mul_mod(coeffs, (1,), low + (1,), p)):  # f mod g
+                return False
     return True
 
 
@@ -148,8 +84,6 @@ def _least_irreducible(p: int, e: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree e over GF(p)."""
     if e == 1:
         return (0, 1)
-    import itertools
-
     for low in itertools.product(range(p), repeat=e):
         coeffs = tuple(low) + (1,)
         if coeffs[0] == 0:
@@ -355,8 +289,6 @@ def enumerate_subspace_reps(field: FiniteField, dim_ambient: int) -> list[tuple[
     reps: list[tuple[int, ...]] = []
     for lead in range(dim_ambient):
         # vectors (0,...,0,1,*,...,*) with the 1 at position `lead`
-        import itertools
-
         for tail in itertools.product(range(q), repeat=dim_ambient - lead - 1):
             reps.append((0,) * lead + (1,) + tail)
     assert len(reps) == (q**dim_ambient - 1) // (q - 1)

@@ -47,16 +47,27 @@ class GeometryDesign:
 
     @property
     def mu(self) -> int:
-        return self.q + 1 if self.kind == PG else self.q
+        return design_counts(self.kind, self.m, self.q)[3]
 
     @property
     def replication(self) -> int:
-        q, m = self.q, self.m
-        if self.kind == PG:
-            return (q**m - 1) // (q - 1)
-        if self.kind == AG:
-            return (q**m - 1) // (q - 1)
-        return (q**m - 1) // (q - 1) - 1
+        return design_counts(self.kind, self.m, self.q)[2]
+
+
+def design_counts(kind: str, m: int, q: int) -> tuple[int, int, int, int]:
+    """(v, b, r, mu) of the point-line design of PG(m, q), AG(m, q) or EG(m, q):
+    points, lines, lines through a point and points on a line, b = v r / mu.
+    EG is AG without the origin and the r lines through it."""
+    r = (q**m - 1) // (q - 1)
+    if kind == PG:
+        v, mu = (q ** (m + 1) - 1) // (q - 1), q + 1
+    elif kind == AG:
+        v, mu = q**m, q
+    elif kind == EG:
+        v, r, mu = q**m - 1, r - 1, q
+    else:
+        raise ValueError(f"unknown geometry kind {kind!r}")
+    return v, v * r // mu, r, mu
 
 
 @dataclass(frozen=True)
@@ -96,6 +107,16 @@ def _line_points(add: np.ndarray, mul: np.ndarray, base: np.ndarray, step: np.nd
     return add[base[..., None, :], mul[lam, step[..., None, :]]]
 
 
+def _checked_design(kind: str, m: int, q: int, lines: list[np.ndarray], point_coords) -> GeometryDesign:
+    """The design on these lines, once its line count matches ``design_counts``."""
+    b = design_counts(kind, m, q)[1]
+    S = IncidenceStructure(v=len(point_coords), blocks=_sorted_blocks(lines),
+                           provenance=f"{kind.lower()}({m},{q})")
+    if S.b != b:
+        raise DesignError(f"{kind}({m},{q}): got {S.b} lines, expected {b}")
+    return GeometryDesign(kind=kind, m=m, q=q, structure=S, point_coords=tuple(point_coords))
+
+
 def _sorted_blocks(lines: list[np.ndarray]) -> tuple[tuple[int, ...], ...]:
     """Blocks as sorted point tuples in lexicographic order.  Every block
     refers to one shared int object per point, which keeps large designs
@@ -131,11 +152,7 @@ def build_pg(m: int, q: int) -> GeometryDesign:
             u[:, free_u], w[:, j + 1 :] = free[:, : len(free_u)], free[:, len(free_u) :]
             on_line = index(_line_points(add, mul, u, w), i)
             lines.append(np.column_stack([on_line, index(w, j)]))
-    S = IncidenceStructure(v=len(points), blocks=_sorted_blocks(lines), provenance=f"pg({m},{q})")
-    expect_b = (q ** (m + 1) - 1) * (q**m - 1) // ((q**2 - 1) * (q - 1))
-    if S.b != expect_b:
-        raise DesignError(f"PG({m},{q}): got {S.b} lines, expected {expect_b}")
-    return GeometryDesign(kind=PG, m=m, q=q, structure=S, point_coords=tuple(points))
+    return _checked_design(PG, m, q, lines, points)
 
 
 def build_ag(m: int, q: int) -> GeometryDesign:
@@ -154,11 +171,7 @@ def build_ag(m: int, q: int) -> GeometryDesign:
         hyper[:, np.arange(m) != j] = _vectors(q, m - 1)
         on_line = _line_points(add, mul, hyper[None, :, :], dirs[:, None, :]) @ weights
         lines.append(on_line.reshape(-1, q))
-    S = IncidenceStructure(v=len(points), blocks=_sorted_blocks(lines), provenance=f"ag({m},{q})")
-    expect_b = q ** (m - 1) * (q**m - 1) // (q - 1)
-    if S.b != expect_b:
-        raise DesignError(f"AG({m},{q}): got {S.b} lines, expected {expect_b}")
-    return GeometryDesign(kind=AG, m=m, q=q, structure=S, point_coords=points)
+    return _checked_design(AG, m, q, lines, points)
 
 
 def build_eg(m: int, q: int) -> GeometryDesign:
@@ -166,12 +179,7 @@ def build_eg(m: int, q: int) -> GeometryDesign:
     ag = build_ag(m, q)
     # the origin is AG point 0, so it starts every sorted block through it
     lines = np.array(ag.structure.blocks)
-    blocks = _sorted_blocks([lines[lines[:, 0] > 0] - 1])
-    S = IncidenceStructure(v=ag.structure.v - 1, blocks=blocks, provenance=f"eg({m},{q})")
-    expect_b = (q ** (m - 1) - 1) * (q**m - 1) // (q - 1)
-    if S.b != expect_b:
-        raise DesignError(f"EG({m},{q}): got {S.b} lines, expected {expect_b}")
-    return GeometryDesign(kind=EG, m=m, q=q, structure=S, point_coords=ag.point_coords[1:])
+    return _checked_design(EG, m, q, [lines[lines[:, 0] > 0] - 1], ag.point_coords[1:])
 
 
 def build_geometry(kind: str, m: int, q: int) -> GeometryDesign:
@@ -229,24 +237,18 @@ def rank_formula(kind: str, m: int, q: int):
     """Closed-form GF(2) rank of the point-line incidence matrix.
 
     PG: Hamada's phi for q = 2^t, v-1 for q odd.  AG: phi(m)-phi(m-1) for
-    q = 2^t, q^m (full) for q odd.  EG: phi(m)-phi(m-1)-1 for q = 2^t; for q
+    q = 2^t, v (full) for q odd.  EG: phi(m)-phi(m-1)-1 for q = 2^t; for q
     odd no closed form is endorsed (Hamada conjectured full rank) and the
     interval (lower, upper) = (1, v) is returned for brute-force resolution.
     """
+    v = design_counts(kind, m, q)[0]
     t = _two_adic(q)
+    if t is None:
+        return {PG: v - 1, AG: v, EG: (1, v)}[kind]
     if kind == PG:
-        if t is not None:
-            return hamada_phi(m, t)
-        return (q ** (m + 1) - 1) // (q - 1) - 1
-    if kind == AG:
-        if t is not None:
-            return hamada_phi(m, t) - (hamada_phi(m - 1, t) if m >= 2 else 0)
-        return q**m
-    if kind == EG:
-        if t is not None:
-            return hamada_phi(m, t) - (hamada_phi(m - 1, t) if m >= 2 else 0) - 1
-        return (1, q**m - 1)
-    raise ValueError(f"unknown geometry kind {kind!r}")
+        return hamada_phi(m, t)
+    affine = hamada_phi(m, t) - (hamada_phi(m - 1, t) if m >= 2 else 0)
+    return affine if kind == AG else affine - 1
 
 
 # --- spreads ------------------------------------------------------------------

@@ -314,7 +314,7 @@ def reduce_against(rref_rows: Sequence[int], pivots: Sequence[int], x: int) -> i
     return x
 
 
-def in_row_space(M: BitMatrix, x, length: Optional[int] = None) -> bool:
+def in_row_space(M: BitMatrix, x) -> bool:
     """True iff x is a GF(2) combination of the rows of M.
 
     ``x`` may be an int bitmask (bit j = coordinate j) or a 0/1 sequence whose
@@ -325,8 +325,6 @@ def in_row_space(M: BitMatrix, x, length: Optional[int] = None) -> bool:
         if len(seq) != M.cols:
             raise ValueError(f"vector length {len(seq)} != cols {M.cols}")
         x = sum(1 << j for j, v in enumerate(seq) if int(v) & 1)
-    elif length is not None and length != M.cols:
-        raise ValueError(f"vector length {length} != cols {M.cols}")
     elif x >> M.cols:
         raise ValueError("vector has bits beyond matrix width")
     prof = M.rank_profile()

@@ -40,6 +40,7 @@ from .geometry import (
     GeometryDesign,
     ag_hyperplane_spread,
     build_geometry,
+    design_counts,
     pg_spread,
 )
 
@@ -255,6 +256,8 @@ class ConstructionCache:
 
 
 def _d_cell(verdict: DistanceVerdict) -> tuple[str, object]:
+    """(d status, d or (lower, upper)): "exact" when certified, "theorem-only"
+    for an exact value that rests on a closed form alone, else "bounded"."""
     r = verdict.result
     if r.status == "exact":
         return ("exact" if verdict.certified else "theorem-only"), r.upper
@@ -303,7 +306,7 @@ def _table_X(cache: ConstructionCache) -> list[RowResult]:
     out = _geometry_table("X", EG, POINT_BY_BLOCK, GOLDEN_X, cache)
     for row in out:
         m, q = row.computed["m"], row.computed["q"]
-        v = q**m - 1
+        v = design_counts(EG, m, q)[0]
         full = row.computed["rank"] == v
         row.computed["full_rank_conjecture"] = "holds" if full else "COUNTEREXAMPLE"
         if not full:
@@ -389,9 +392,10 @@ def _table_XII(cache: ConstructionCache) -> list[RowResult]:
         for (m, q) in samples:
             fam = family_params(kind, orientation, m, q)
             params, verdict = cache.params(kind, m, q, orientation)
+            d_status, d_val = _d_cell(verdict)
             computed = {
                 "n": params.n, "k": params.k, "c": params.c, "rank": params.rank_h,
-                "d_status": _d_cell(verdict)[0], "d": _d_cell(verdict)[1],
+                "d_status": d_status, "d": d_val,
             }
             expected = {
                 "n": fam.n, "k": fam.k, "c": fam.c, "rank": fam.rank_h,
@@ -402,7 +406,6 @@ def _table_XII(cache: ConstructionCache) -> list[RowResult]:
                 and fam.rank_h == params.rank_h
             )
             notes = []
-            d_status, d_val = _d_cell(verdict)
             if fam.d.status == "exact" and d_status in ("exact", "theorem-only"):
                 if fam.d.upper != d_val:
                     ok = False

@@ -4,7 +4,8 @@ Criteria (zero tolerance unless stated):
   1. parameter tables I/II/V/VI/VII/VIII/IX/X/XII - n, k, c recomputed from
      constructed matrices via GF(2) elimination;
   2. deletion tables III/IV/XIII - n, rank, k, c and the 4-decimal rate by
-     actually deleting spread parts;
+     actually deleting spread parts, and the printed d inside the distance
+     verdict of every folded structure (exact and certified on XIII);
   3. closed-form ranks vs brute-force elimination on every in-budget
      geometry, plus the odd-q full/almost-full rank laws;
   4. distance certification: enumeration-exact wherever min(dim, codim) is
@@ -29,16 +30,17 @@ import numpy as np
 import pytest
 
 from eaqldpc.decoder import build_tanner, sp_decode
-from eaqldpc.designs import build_sts, tanner_girth, verify_steiner
+from eaqldpc.designs import build_sts, delete_subdesigns, tanner_girth, verify_steiner
 from eaqldpc.eaqecc import (
     BLOCK_BY_POINT,
     POINT_BY_BLOCK,
+    distance_verdict,
     oriented_matrix,
 )
 from eaqldpc.gf2 import gram_rank, rank_value
 from eaqldpc.geometry import hamada_phi, rank_formula
 from eaqldpc.simulator import SimConfig, estimate_bler
-from eaqldpc.tables import compute_table, diff_report
+from eaqldpc.tables import GOLDEN_III, GOLDEN_IV, GOLDEN_XIII, compute_table, diff_report
 from test_decoder import mul_vector
 
 SIM_SEED = 20260808
@@ -69,12 +71,30 @@ def test_criterion_1_parameter_tables(cache):
             f"{len(bad)} mismatching rows" if bad else "all rows match")
 
 
+# table -> (geometry, m, q, spread s, golden rows, d certified by enumeration)
+DELETION_TABLES = {
+    "III": ("PG", 5, 2, 2, GOLDEN_III, False),
+    "IV": ("AG", 3, 4, None, GOLDEN_IV, False),
+    "XIII": ("AG", 3, 3, None, GOLDEN_XIII, True),
+}
+
+
 def test_criterion_2_deletion_tables(cache):
     bad = []
-    for t in ("III", "IV", "XIII"):
+    for t, (kind, m, q, s, golden, certified) in DELETION_TABLES.items():
         rows = compute_table(t, cache)
-        bad += [r for r in rows if r.status == "mismatch"]
-    _report("2 (deletion tables III/IV/XIII exact)", not bad,
+        bad += [f"table {t} [{r.label}]" for r in rows if r.status == "mismatch"]
+        design, spread = cache.geometry(kind, m, q), cache.spread(kind, m, q, s)
+        for subs, *_, d, _c, _rate in golden:
+            folded = delete_subdesigns(design.structure, spread, subs)
+            verdict = distance_verdict(folded, POINT_BY_BLOCK)
+            r = verdict.result
+            if not r.lower <= d <= r.upper or verdict.certified != certified:
+                bad.append(f"table {t} minus {subs}: printed d={d}, verdict "
+                           f"[{r.lower},{r.upper}] certified={verdict.certified}")
+    for b in bad:
+        print(b)
+    _report("2 (deletion tables III/IV/XIII exact, d inside its verdict)", not bad,
             f"{len(bad)} mismatching rows" if bad else "all rows match")
 
 

@@ -1,6 +1,9 @@
 """CSS parameter derivation, ebit formulas, distance verdicts, closed forms."""
 
+import dataclasses
+import hashlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -183,6 +186,42 @@ def test_family_params_uncovered():
         family_params("PG", "I", 3, 2)  # Type I beyond planes has no closed c
     with pytest.raises(ValueError):
         family_params("EG", "II", 3, 3)  # q odd EG: rank not closed-form
+
+
+GRID_Q = (2, 3, 4, 5, 7, 8, 9, 16, 32, 64)
+WITNESS_BUILDERS = ("dual_hyperoval", "hyperbolic_quadric", "parallel_class_pair",
+                    "affine_hyperoval_trace", "point_hyperoval")
+# SHA-256 over every grid case below, recorded before the family case split
+# and the design counts were given one home each
+FAMILY_GRID_SHA256 = "62782ad5734caf2dca6489ae2479dfb4527970ded1a3f4cf4ba398ccb3fcef42"
+
+
+def test_family_closed_form_grid_frozen(monkeypatch):
+    """Frozen closed forms on PG/AG/EG x I/II x m 2..6 x GRID_Q: every
+    family_params field (or its ValueError text), the distance case
+    (d, source, lower_only) and the kind of witness that would be built.
+    The builders are stubbed to return their own name, so no geometry is
+    constructed and the witness is looked up exactly as distance_verdict
+    looks it up."""
+    from eaqldpc import eaqecc
+
+    for name in WITNESS_BUILDERS:
+        monkeypatch.setattr(eaqecc, name, lambda design, name=name: name)
+    lines, covered = [], 0
+    for kind in ("PG", "AG", "EG"):
+        for orientation in (POINT_BY_BLOCK, BLOCK_BY_POINT):
+            for m in range(2, 7):
+                for q in GRID_Q:
+                    try:
+                        fam = repr(dataclasses.astuple(family_params(kind, orientation, m, q)))
+                        covered += 1
+                    except ValueError as e:
+                        fam = f"ValueError: {e}"
+                    case = eaqecc._formula_distance(kind, m, q, orientation)[:3]
+                    witness = eaqecc._make_witness(SimpleNamespace(kind=kind, m=m, q=q), orientation)
+                    lines.append(f"{kind} {orientation} {m} {q} | {fam} | {case!r} | {witness}")
+    assert covered == 148
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == FAMILY_GRID_SHA256
 
 
 def test_net_rate_report(cache):

@@ -1,8 +1,12 @@
 """Finite field tables: axioms, generators, projective representatives."""
 
+import itertools
+
 import pytest
 
 from eaqldpc.fields import (
+    _least_irreducible,
+    _poly_is_irreducible,
     enumerate_subspace_reps,
     field_for_order,
     make_field,
@@ -119,3 +123,57 @@ def test_subfield_embedding_gf4_gf16():
             assert emb[sub.add(a, b)] == big.add(emb[a], emb[b])
             assert emb[sub.mul(a, b)] == big.mul(emb[a], emb[b])
     assert len(set(emb.values())) == 4
+
+
+# (p, e) -> the lexicographically least monic irreducible, low to high
+LEAST_IRREDUCIBLE = {
+    (2, 13): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1),
+    (2, 15): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1),
+    (2, 16): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1),
+    (3, 9): (1, 0, 0, 0, 0, 0, 2, 1, 0, 1),
+    (3, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1),
+    (13, 4): (1, 0, 0, 1, 1),
+    (251, 2): (1, 0, 1),
+}
+
+
+@pytest.mark.parametrize("p,e", sorted(LEAST_IRREDUCIBLE))
+def test_least_irreducible_moduli_pinned(p, e):
+    assert _least_irreducible(p, e) == LEAST_IRREDUCIBLE[(p, e)]
+
+
+def _monic(p: int, e: int):
+    return [low + (1,) for low in itertools.product(range(p), repeat=e)]
+
+
+def _mobius(n: int) -> int:
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p,top", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_irreducibility_against_a_product_sieve(p, top):
+    """Every monic polynomial of degree 1..top: the verdict equals "not a
+    product of two monic polynomials of lower degree", and the irreducible
+    count of each degree is Gauss's (1/e) sum_{d | e} mu(d) p^(e/d)."""
+    for e in range(1, top + 1):
+        reducible = set()
+        for d in range(1, e // 2 + 1):
+            for f in _monic(p, d):
+                for g in _monic(p, e - d):
+                    prod = [0] * (e + 1)
+                    for i, x in enumerate(f):
+                        for j, y in enumerate(g):
+                            prod[i + j] = (prod[i + j] + x * y) % p
+                    reducible.add(tuple(prod))
+        verdicts = {f: _poly_is_irreducible(f, p) for f in _monic(p, e)}
+        assert all(verdicts[f] == (f not in reducible) for f in verdicts)
+        gauss = sum(_mobius(d) * p ** (e // d) for d in range(1, e + 1) if e % d == 0) // e
+        assert sum(verdicts.values()) == gauss

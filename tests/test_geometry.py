@@ -16,6 +16,7 @@ from eaqldpc.geometry import (
     build_eg,
     build_geometry,
     build_pg,
+    design_counts,
     dual_hyperoval,
     hamada_phi,
     hyperbolic_quadric,
@@ -58,6 +59,17 @@ def test_build_eg_counts(cache):
     eg32 = cache.geometry("EG", 3, 2)
     assert (eg32.structure.v, eg32.structure.b) == (7, 21)
     verify_partial_steiner(eg32.structure, 2)
+
+
+@pytest.mark.parametrize("kind,m,q", [("PG", 3, 3), ("PG", 2, 8), ("AG", 3, 4), ("EG", 3, 3),
+                                       ("EG", 2, 16)])
+def test_design_counts_match_built_geometries(cache, kind, m, q):
+    design = cache.geometry(kind, m, q)
+    S = design.structure
+    v, b, r, mu = design_counts(kind, m, q)
+    assert (S.v, S.b) == (v, b)
+    assert set(S.replication_counts()) == {r} and {len(blk) for blk in S.blocks} == {mu}
+    assert (design.replication, design.mu) == (r, mu)
 
 
 def test_eg_point_degrees(cache):
