@@ -475,6 +475,9 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted; no result", file=sys.stderr)
         return CHECK_FAILED
+    except MemoryError:  # numpy's allocation errors and a worker's re-raised one too
+        print("error: out of memory; no result", file=sys.stderr)
+        return CHECK_FAILED
 
 
 if __name__ == "__main__":

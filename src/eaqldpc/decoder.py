@@ -1,14 +1,12 @@
 """Syndrome-based sum-product decoding on Tanner graphs.
 
-Two implementations share the same flooding schedule (all checks in index
-order, then all bits in index order), prior handling, +/-30 LLR clamp and
-tie-to-zero hard decision:
-
-- ``sp_decode``: scalar reference, one syndrome at a time (a test oracle);
-- ``BatchDecoder``: float64 numpy engine decoding many syndromes at once
-  (the simulator's hot path), with converged trials retired from the batch
-  after every iteration.  Messages are per-trial independent, so retiring
-  rows cannot change any trial's arithmetic.
+``BatchDecoder`` is the one decoding engine: a float64 numpy flooding
+schedule (all checks in index order, then all bits in index order) with a
++/-30 LLR clamp and tie-to-zero hard decision, decoding many syndromes at
+once, with converged trials retired from the batch after every iteration.
+Messages are per-trial independent, so retiring rows cannot change any
+trial's arithmetic.  The tests keep a scalar one-syndrome-at-a-time
+reference, ``sp_decode``, as its oracle.
 
 ``BatchDecoder`` reads iteration 1 from two message tables.  There every
 bit-to-check message is the prior LLR, so a check-to-bit message depends
@@ -65,33 +63,13 @@ class TannerGraph:
     bit_checks: tuple[tuple[int, ...], ...]  # per bit: sorted check indices
 
 
-@dataclass(frozen=True)
-class DecodeOutcome:
-    converged: bool
-    iterations_used: int
-    error_estimate: int  # bit mask, bit j = estimated flip on bit j
-    residual_syndrome: int  # bit mask over checks; zero iff converged
-
-
 def build_tanner(H: BitMatrix) -> TannerGraph:
     """Adjacency of H: checks = rows, bits = columns."""
-    check_bits = []
-    bit_checks: list[list[int]] = [[] for _ in range(H.cols)]
-    for i in range(H.rows):
-        r = H.row(i)
-        cb = []
-        while r:
-            low = r & -r
-            j = low.bit_length() - 1
-            cb.append(j)
-            bit_checks[j].append(i)
-            r ^= low
-        check_bits.append(tuple(cb))
     return TannerGraph(
         n_bits=H.cols,
         n_checks=H.rows,
-        check_bits=tuple(check_bits),
-        bit_checks=tuple(tuple(x) for x in bit_checks),
+        check_bits=H.supports(),
+        bit_checks=H.transpose().supports(),
     )
 
 
@@ -100,74 +78,6 @@ def _prior_llr(prior: float) -> float:
         raise ValueError(f"prior flip probability must be in (0, 0.5), got {prior}")
     return math.log((1.0 - prior) / prior)
 
-
-def sp_decode(
-    graph: TannerGraph,
-    syndrome,
-    prior: float,
-    max_iter: int = DEFAULT_MAX_ITER,
-    clamp: float = LLR_CLAMP,
-) -> DecodeOutcome:
-    """Log-domain sum-product syndrome decoding (scalar reference).
-
-    ``syndrome`` is an int bitmask over checks or a 0/1 sequence of length
-    n_checks.  Check-to-bit messages use the tanh product rule with the
-    check's syndrome bit as sign; convergence means H @ estimate = syndrome.
-
-    It agrees bit for bit with ``BatchDecoder`` only away from ties: it sums
-    a bit's messages in another order, so where an iteration-1 total lies
-    within rounding of 0 (on AG(2,4) Type I at prior 0.19098300562505255 the
-    batch sum is -2.2e-16) the two can converge at different iterations.
-    """
-    if not isinstance(syndrome, int):
-        seq = list(syndrome)
-        if len(seq) != graph.n_checks:
-            raise ValueError("syndrome length != number of checks")
-        syndrome = sum(1 << i for i, v in enumerate(seq) if int(v) & 1)
-    L0 = _prior_llr(prior)
-    m_bc = {
-        (i, j): L0 for i, cb in enumerate(graph.check_bits) for j in cb
-    }
-    m_cb = {edge: 0.0 for edge in m_bc}
-    estimate = 0
-
-    def hard_syndrome(est: int) -> int:
-        s = 0
-        for i, cb in enumerate(graph.check_bits):
-            par = 0
-            for j in cb:
-                par ^= (est >> j) & 1
-            s |= par << i
-        return s
-
-    if syndrome == 0:
-        return DecodeOutcome(True, 0, 0, 0)
-    for it in range(1, max_iter + 1):
-        for i, cb in enumerate(graph.check_bits):  # checks in index order
-            sign = -1.0 if (syndrome >> i) & 1 else 1.0
-            ts = [math.tanh(0.5 * m_bc[(i, j)]) for j in cb]
-            for a, j in enumerate(cb):
-                prod = sign
-                for b, t in enumerate(ts):
-                    if b != a:
-                        prod *= t
-                prod = min(max(prod, -0.999999999999), 0.999999999999)
-                val = 2.0 * math.atanh(prod)
-                m_cb[(i, j)] = min(max(val, -clamp), clamp)
-        totals = [L0] * graph.n_bits
-        for (i, j), val in m_cb.items():
-            totals[j] += val
-        for j, checks in enumerate(graph.bit_checks):  # bits in index order
-            for i in checks:
-                m_bc[(i, j)] = totals[j] - m_cb[(i, j)]
-        estimate = sum(1 << j for j in range(graph.n_bits) if totals[j] < 0.0)
-        res = hard_syndrome(estimate) ^ syndrome
-        if res == 0:
-            return DecodeOutcome(True, it, estimate, 0)
-    return DecodeOutcome(False, max_iter, estimate, hard_syndrome(estimate) ^ syndrome)
-
-
-# --- batched engine ----------------------------------------------------------
 
 def _pack_trials(bits: np.ndarray) -> np.ndarray:
     """(B, k) 0/1 batch -> (k, ceil(B / 8)) uint8, trials packed 8 per byte;

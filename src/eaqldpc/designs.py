@@ -79,18 +79,12 @@ class IncidenceStructure:
         return len(self.blocks)
 
     def point_by_block(self) -> BitMatrix:
-        rows = [0] * self.v
-        for j, blk in enumerate(self.blocks):
-            for p in blk:
-                rows[p] |= 1 << j
-        return BitMatrix(self.v, self.b, rows)
+        """The v x b incidence matrix: ``block_by_point``'s transpose, which
+        it caches, so either orientation reaches the other without a build."""
+        return self.block_by_point().transpose()
 
     def block_by_point(self) -> BitMatrix:
-        rows = [0] * self.b
-        for j, blk in enumerate(self.blocks):
-            for p in blk:
-                rows[j] |= 1 << p
-        return BitMatrix(self.b, self.v, rows)
+        return BitMatrix.from_supports(self.blocks, self.v)
 
     def blocks_through(self) -> list[list[int]]:
         """Indices of the blocks on each point, in block order."""

@@ -119,37 +119,25 @@ class DeletionRecord:
         return cls(orders, reps, covered == S.v)
 
 
-def oriented_pair(structure: IncidenceStructure) -> tuple[BitMatrix, BitMatrix]:
-    """(point_by_block, block_by_point) with their transpose caches linked,
-    so Gram products never re-derive a transpose from scratch."""
-    A = structure.point_by_block()
-    B = structure.block_by_point()
-    A._transpose = B
-    B._transpose = A
-    return A, B
-
-
 def oriented_matrix(structure: IncidenceStructure, orientation: str) -> BitMatrix:
-    A, B = oriented_pair(structure)
-    return A if normalize_orientation(orientation) == POINT_BY_BLOCK else B
+    """The Type II (point-by-block) or Type I (block-by-point) parity-check
+    matrix; only the requested orientation is built."""
+    if normalize_orientation(orientation) == POINT_BY_BLOCK:
+        return structure.point_by_block()
+    return structure.block_by_point()
 
 
 def css_from_parity_check(H: BitMatrix, orientation: str) -> EaqeccParams:
     """Code parameters of the CSS EAQECC built on the classical code with
     parity-check matrix H (distance is derived separately)."""
     orientation = normalize_orientation(orientation)
-    if all(r == 0 for r in H.row_bits()):
+    if not H.to_packed().any():
         raise ValueError("zero parity-check matrix")
     n = H.cols
     rk = gf2.rank_value(H)
     c = gf2.gram_rank(H)
     k = n - 2 * rk + c
-    if k <= 0:
-        warnings.warn(
-            f"degenerate code: k = {k} <= 0 (n={n}, rank={rk}, c={c})",
-            stacklevel=2,
-        )
-    return EaqeccParams(
+    params = EaqeccParams(
         n=n,
         k=k,
         c=c,
@@ -159,6 +147,14 @@ def css_from_parity_check(H: BitMatrix, orientation: str) -> EaqeccParams:
         girth=None,
         provenance="computed",
     )
+    # warn only about parameters that passed validation, so a rejected
+    # matrix ends with the one error line
+    if k <= 0:
+        warnings.warn(
+            f"degenerate code: k = {k} <= 0 (n={n}, rank={rk}, c={c})",
+            stacklevel=2,
+        )
+    return params
 
 
 def expected_c(

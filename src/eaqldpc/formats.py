@@ -60,16 +60,8 @@ def read_base_blocks(fh: TextIO) -> tuple[int, list[tuple[int, ...]]]:
 def write_alist(H: BitMatrix, fh: TextIO) -> None:
     """H rows are checks, columns are bits; alist counts columns first."""
     n, m = H.cols, H.rows
-    cols: list[list[int]] = [[] for _ in range(n)]
-    rows: list[list[int]] = [[] for _ in range(m)]
-    for i in range(m):
-        r = H.row(i)
-        while r:
-            low = r & -r
-            j = low.bit_length() - 1
-            cols[j].append(i + 1)  # 1-based
-            rows[i].append(j + 1)
-            r ^= low
+    cols = [[i + 1 for i in s] for s in H.transpose().supports()]  # 1-based
+    rows = [[j + 1 for j in s] for s in H.supports()]
     max_col = max((len(c) for c in cols), default=0)
     max_row = max((len(r) for r in rows), default=0)
     fh.write(f"{n} {m}\n")

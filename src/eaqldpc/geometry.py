@@ -545,13 +545,11 @@ def _rank3(field: FiniteField, rows) -> int:
 
 def validate_witness(H, w: WitnessCodeword) -> None:
     """Check that the witness is a codeword of the code with parity-check
-    matrix H: distinct columns that sum to zero over GF(2).  It reads H's
-    cached transpose, which ``oriented_pair`` links, so it builds no matrix."""
+    matrix H: distinct columns that sum to zero over GF(2).  It XORs the
+    packed rows of H's cached transpose; an incidence matrix from
+    ``point_by_block`` already holds it, so that case builds no matrix."""
     if len(set(w.block_indices)) != w.weight:
         raise DesignError(f"witness {w.kind} repeats a column")
-    acc = 0
-    cols = H.transpose().row_bits()
-    for j in w.block_indices:
-        acc ^= cols[j]
-    if acc != 0:
+    cols = H.transpose().to_packed()
+    if np.bitwise_xor.reduce(cols[list(w.block_indices)], axis=0).any():
         raise DesignError(f"witness {w.kind} is not a codeword of H")

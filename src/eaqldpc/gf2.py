@@ -1,8 +1,13 @@
 """Dense bit-packed GF(2) matrix algebra.
 
-A ``BitMatrix`` keeps its rows as Python integers (bit j of row i is the
-(i, j) entry); the algebra runs on packed ``uint64`` arrays of shape
-``(rows, ceil(cols/64))``, converted with ``int.to_bytes``/``int.from_bytes``.
+A ``BitMatrix`` stores one layout: a read-only ``(rows, ceil(cols/64))``
+``uint64`` array in which bit j % 64 of word j // 64 of row i is the (i, j)
+entry and bits past ``cols`` are zero.  ``to_packed`` returns that array and
+``from_packed`` takes one; the int-bitmask rows of ``BitMatrix(rows, cols,
+ints)`` and ``row_bits`` are the boundary form for tests and files, converted
+only by ``pack_ints``/``unpack_ints``.  ``transpose`` unpacks and repacks row
+blocks of about ``PRODUCT_CHUNK_WORDS`` bytes, so it never holds a dense
+``rows x cols`` byte array.
 
 Elimination is one M4RI-style kernel (Albrecht, Bard and Hart, ACM TOMS
 2010), ``_echelon``: per 64-column word it finds the pivots on the word's
@@ -12,9 +17,9 @@ Zero rows are dropped as they appear, so low-rank matrices stop early.  The
 fully reduced form is unique for a row space, so pivots and ``rref`` equal
 those of any Gauss-Jordan elimination.
 
-``weight_distribution`` enumerates a span as an inner block of the 2^16
-combinations of the first 16 basis vectors times a Gray walk over the
-combinations of the rest.  The inner block is stored word-major, as a
+``weight_distribution`` enumerates the span of packed rows as an inner block
+of the 2^16 combinations of the first 16 basis vectors times a Gray walk over
+the combinations of the rest.  The inner block is stored word-major, as a
 ``(words, 2^16)`` array with each 64-bit word of all inner vectors
 contiguous, so the weights of one outer step are summed word by word into a
 ``uint8`` (``uint16`` from 256 bits) vector and binned with ``bincount``.
@@ -29,94 +34,123 @@ profile, transpose) is computed lazily and cached.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 WORD_BITS = 64
-PRODUCT_CHUNK_WORDS = 1 << 17  # words of B rows gathered at once by _product
+# words of B rows gathered at once by _product; transpose unpacks about as
+# many bytes per row block
+PRODUCT_CHUNK_WORDS = 1 << 17
 # min_distance enumerates at most 2^26 codewords, or 2^28 dual-code vectors
 CODEWORD_EXPONENT_CAP = 26
 DUAL_EXPONENT_CAP = 28
 
 
-def _mask(cols: int) -> int:
-    return (1 << cols) - 1
+def _word_count(bits: int) -> int:
+    return -(-bits // WORD_BITS)
 
 
 class BitMatrix:
-    """An immutable dense matrix over GF(2)."""
+    """An immutable dense matrix over GF(2), stored as packed uint64 rows."""
 
-    __slots__ = ("rows", "cols", "_bits", "_rank", "_rank_profile", "_transpose")
+    __slots__ = ("rows", "cols", "_words", "_rank", "_rank_profile", "_transpose")
 
     def __init__(self, rows: int, cols: int, bits: Iterable[int]):
-        bits = tuple(int(b) & _mask(cols) for b in bits)
+        """Rows given as int bitmasks (bit j of row i is the (i, j) entry);
+        bits at or past ``cols`` are dropped."""
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
+        bits = [int(b) & ((1 << cols) - 1) for b in bits]
         if len(bits) != rows:
             raise ValueError(f"expected {rows} rows, got {len(bits)}")
-        self.rows = rows
+        self._adopt(pack_ints(bits, cols), cols)
+
+    def _adopt(self, words: np.ndarray, cols: int) -> None:
+        """Take ``words`` as the stored rows: clear its bits past ``cols``
+        and make it read-only, so no cached rank can go stale."""
+        if words.ndim != 2 or cols < 0 or words.shape[1] != _word_count(cols):
+            raise ValueError(f"expected (rows, {_word_count(cols)}) words for {cols} "
+                             f"columns, got shape {words.shape}")
+        if cols % WORD_BITS:
+            words[:, -1] &= np.uint64((1 << cols % WORD_BITS) - 1)
+        words.setflags(write=False)
+        self.rows = words.shape[0]
         self.cols = cols
-        self._bits = bits
+        self._words = words
         self._rank: Optional[int] = None
         self._rank_profile: Optional[RankProfile] = None
         self._transpose: Optional[BitMatrix] = None
 
     # --- constructors -----------------------------------------------------
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> BitMatrix:
-        return cls(rows, cols, [0] * rows)
+    def from_packed(cls, words, cols: int) -> BitMatrix:
+        """A matrix holding a copy of the (rows, ceil(cols/64)) uint64 array
+        ``words``; bits past ``cols`` are cleared."""
+        M = cls.__new__(cls)
+        M._adopt(np.array(words, dtype=np.uint64), cols)
+        return M
 
     @classmethod
-    def from_rows(cls, row_bits: Sequence[int], cols: int) -> BitMatrix:
-        return cls(len(row_bits), cols, row_bits)
+    def from_supports(cls, supports: Sequence[Sequence[int]], cols: int) -> BitMatrix:
+        """The len(supports) x cols matrix whose row i has ones at the column
+        indices ``supports[i]``, scattered byte by byte into the words."""
+        sizes = np.fromiter(map(len, supports), dtype=np.int32, count=len(supports))
+        cols_idx = np.fromiter(itertools.chain.from_iterable(supports), dtype=np.int32,
+                               count=int(sizes.sum()))
+        if len(cols_idx) and not (0 <= cols_idx.min() and cols_idx.max() < cols):
+            raise ValueError(f"column index outside 0..{cols - 1}")
+        words = np.zeros((len(supports), _word_count(cols)), dtype=np.uint64)
+        rows_idx = np.repeat(np.arange(len(supports), dtype=np.int32), sizes)
+        np.bitwise_or.at(words.view(np.uint8), (rows_idx, cols_idx >> 3),
+                         np.uint8(1) << (cols_idx & 7).astype(np.uint8))
+        return cls.from_packed(words, cols)
 
     @classmethod
     def from_dense(cls, array) -> BitMatrix:
         a = np.asarray(array, dtype=np.uint8) % 2
         if a.ndim != 2:
             raise ValueError("expected a 2-D array")
-        return cls(a.shape[0], a.shape[1], unpack_ints(pack_bool_rows(a)))
+        return cls.from_packed(pack_bool_rows(a), a.shape[1])
 
     # --- element access ---------------------------------------------------
-    def row(self, i: int) -> int:
-        return self._bits[i]
-
     def row_bits(self) -> tuple[int, ...]:
-        return self._bits
+        """Rows as int bitmasks."""
+        return tuple(unpack_ints(self._words))
 
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= j < self.cols):
-            raise IndexError("column out of range")
-        return (self._bits[i] >> j) & 1
+    def supports(self) -> tuple[tuple[int, ...], ...]:
+        """Per row, the ascending column indices of its ones."""
+        rows, cols = np.nonzero(self.to_dense())
+        ends = np.cumsum(np.bincount(rows, minlength=self.rows)).tolist()
+        cols = cols.tolist()
+        return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
 
     def to_dense(self) -> np.ndarray:
-        bits = np.unpackbits(self.to_packed().view(np.uint8), axis=1, bitorder="little")
-        return bits[:, : self.cols]
+        return np.unpackbits(self._words.view(np.uint8), axis=1, count=self.cols,
+                             bitorder="little")
 
     def to_packed(self) -> np.ndarray:
-        """Rows as a (rows, ceil(cols/64)) uint64 array."""
-        return pack_ints(self._bits, self.cols)
+        """The stored (rows, ceil(cols/64)) uint64 array, read-only."""
+        return self._words
 
     # --- basic algebra ----------------------------------------------------
     def transpose(self) -> BitMatrix:
+        """Cached.  Unpacks blocks of 64k rows, about ``PRODUCT_CHUNK_WORDS``
+        bytes each, and packs their transposes into 64k-column words."""
         if self._transpose is None:
-            cols_bits = [0] * self.cols
-            for i, r in enumerate(self._bits):
-                bit = 1 << i
-                while r:
-                    low = r & -r
-                    cols_bits[low.bit_length() - 1] |= bit
-                    r ^= low
-            t = BitMatrix(self.cols, self.rows, cols_bits)
+            out = np.zeros((self.cols, _word_count(self.rows)), dtype=np.uint64)
+            step = WORD_BITS * max(1, PRODUCT_CHUNK_WORDS // WORD_BITS // max(1, self.cols))
+            for r0 in range(0, self.rows, step):
+                bits = np.unpackbits(self._words[r0 : r0 + step].view(np.uint8), axis=1,
+                                     count=self.cols, bitorder="little")
+                w0 = r0 // WORD_BITS
+                out[:, w0 : w0 + _word_count(len(bits))] = pack_bool_rows(bits.T)
+            t = BitMatrix.from_packed(out, self.rows)
             t._transpose = self
             self._transpose = t
         return self._transpose
-
-    @property
-    def T(self) -> BitMatrix:
-        return self.transpose()
 
     def __matmul__(self, other: BitMatrix) -> BitMatrix:
         return multiply(self, other)
@@ -126,11 +160,11 @@ class BitMatrix:
             isinstance(other, BitMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._bits == other._bits
+            and np.array_equal(self._words, other._words)
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._bits))
+        return hash((self.rows, self.cols, self._words.tobytes()))
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
@@ -252,7 +286,7 @@ def rank(M: BitMatrix) -> RankProfile:
     echelon form (pivot columns cleared above and below, same row space)."""
     pivots, basis = _echelon(M.to_packed(), reduced=True)
     M._rank = len(pivots)
-    rref = BitMatrix(len(pivots), M.cols, unpack_ints(basis))
+    rref = BitMatrix.from_packed(basis, M.cols)
     return RankProfile(rank=len(pivots), pivot_columns=tuple(pivots), rref=rref)
 
 
@@ -285,7 +319,7 @@ def _product(A: BitMatrix, B: BitMatrix) -> np.ndarray:
 
 def multiply(A: BitMatrix, B: BitMatrix) -> BitMatrix:
     """C = A @ B over GF(2)."""
-    return BitMatrix(A.rows, B.cols, unpack_ints(_product(A, B)))
+    return BitMatrix.from_packed(_product(A, B), B.cols)
 
 
 def gram_rank(M: BitMatrix) -> int:
@@ -306,16 +340,9 @@ def nullspace_basis(M: BitMatrix) -> BitMatrix:
     return BitMatrix.from_dense(basis)
 
 
-def reduce_against(rref_rows: Sequence[int], pivots: Sequence[int], x: int) -> int:
-    """Residue of x after elimination by a reduced row set."""
-    for row, pc in zip(rref_rows, pivots):
-        if (x >> pc) & 1:
-            x ^= row
-    return x
-
-
 def in_row_space(M: BitMatrix, x) -> bool:
-    """True iff x is a GF(2) combination of the rows of M.
+    """True iff x is a GF(2) combination of the rows of M, that is, iff x is
+    orthogonal to every row of ``nullspace_basis(M)``.
 
     ``x`` may be an int bitmask (bit j = coordinate j) or a 0/1 sequence whose
     length must equal ``M.cols``.
@@ -327,15 +354,15 @@ def in_row_space(M: BitMatrix, x) -> bool:
         x = sum(1 << j for j, v in enumerate(seq) if int(v) & 1)
     elif x >> M.cols:
         raise ValueError("vector has bits beyond matrix width")
-    prof = M.rank_profile()
-    return reduce_against(prof.rref.row_bits(), prof.pivot_columns, x) == 0
+    overlap = nullspace_basis(M).to_packed() & pack_ints([x], M.cols)
+    return not (np.bitwise_count(overlap).sum(axis=1) & 1).any()
 
 
 # --- packed-array helpers ---------------------------------------------------
 
 def pack_ints(values: Sequence[int], nbits: int) -> np.ndarray:
-    """Pack int bitmasks into a (len, ceil(nbits/64)) uint64 array."""
-    words = max(1, (nbits + WORD_BITS - 1) // WORD_BITS)
+    """Pack int bitmasks below 2^nbits into a (len, ceil(nbits/64)) uint64 array."""
+    words = _word_count(nbits)
     buf = b"".join(int(v).to_bytes(8 * words, "little") for v in values)
     return np.frombuffer(buf, dtype="<u8").astype(np.uint64).reshape(len(values), words)
 
@@ -344,35 +371,36 @@ def unpack_ints(packed: np.ndarray) -> list[int]:
     """Rows of a packed (rows, words) uint64 array as int bitmasks."""
     size = 8 * packed.shape[1]
     buf = packed.astype("<u8").tobytes()
-    return [int.from_bytes(buf[i : i + size], "little") for i in range(0, len(buf), size)]
+    return [int.from_bytes(buf[i * size : (i + 1) * size], "little") for i in range(len(packed))]
 
 
 def pack_bool_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack a (B, n) boolean array into (B, max(1, ceil(n/64))) uint64 rows."""
+    """Pack a (B, n) boolean array into (B, ceil(n/64)) uint64 rows."""
     B, n = bits.shape
-    words = max(1, (n + WORD_BITS - 1) // WORD_BITS)
+    words = _word_count(n)
     padded = np.zeros((B, words * WORD_BITS), dtype=np.uint8)
     padded[:, :n] = bits
     return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
 
 
-def weight_distribution(basis: Sequence[int], nbits: int) -> list[int]:
+def weight_distribution(basis: np.ndarray, nbits: int) -> list[int]:
     """Weight distribution of the span of ``basis`` (2^k vectors, meet in the middle).
 
-    Returns counts[w] for w = 0..nbits, taken over all 2^k combinations (a
-    dependent basis counts each span vector 2^(k - rank) times).  Cost is
-    O(2^k) vector popcounts, vectorized in blocks of up to 2^16; see the
-    module docstring for the word-major layout.
+    ``basis`` holds k packed rows, a (k, ceil(nbits/64)) uint64 array as
+    ``BitMatrix.to_packed`` returns.  Returns counts[w] for w = 0..nbits,
+    taken over all 2^k combinations (a dependent basis counts each span
+    vector 2^(k - rank) times).  Cost is O(2^k) vector popcounts, vectorized
+    in blocks of up to 2^16; see the module docstring for the word-major
+    layout.
     """
     counts = np.zeros(nbits + 1, dtype=np.int64)
     k2 = min(len(basis), 16)
-    packed = pack_ints(basis, nbits)
-    inner = np.zeros((packed.shape[1], 1 << k2), dtype=np.uint64)
+    inner = np.zeros((basis.shape[1], 1 << k2), dtype=np.uint64)
     for i in range(k2):
-        inner[:, 1 << i : 2 << i] = inner[:, : 1 << i] ^ packed[i][:, None]
+        inner[:, 1 << i : 2 << i] = inner[:, : 1 << i] ^ basis[i][:, None]
     wtype = np.min_scalar_type(nbits)
-    outer = packed[k2:]
-    acc = np.zeros(packed.shape[1], dtype=np.uint64)
+    outer = basis[k2:]
+    acc = np.zeros(basis.shape[1], dtype=np.uint64)
     for t in range(1 << len(outer)):
         if t:  # Gray walk: step t flips outer vector (lowest set bit of t)
             acc ^= outer[(t & -t).bit_length() - 1]
@@ -449,16 +477,16 @@ def min_distance(M: BitMatrix) -> Optional[DistanceResult]:
     code_side_ok = dim <= CODEWORD_EXPONENT_CAP
     dual_side_ok = rk <= DUAL_EXPONENT_CAP
     if code_side_ok and (dim <= rk or not dual_side_ok):
-        basis = nullspace_basis(M).row_bits()
+        null = nullspace_basis(M)
         if dim <= 18:
-            w, v = _min_weight_with_witness(basis, M.cols)
+            w, v = _min_weight_with_witness(null.row_bits(), M.cols)
             wit = tuple(j for j in range(M.cols) if (v >> j) & 1)
             return DistanceResult("exact", w, w, wit)
-        counts = weight_distribution(basis, M.cols)
+        counts = weight_distribution(null.to_packed(), M.cols)
         d = next(w for w in range(1, M.cols + 1) if counts[w] > 0)
         return DistanceResult("exact", d, d, None)
     if dual_side_ok:
-        dual_counts = weight_distribution(M.rank_profile().rref.row_bits(), M.cols)
+        dual_counts = weight_distribution(M.rank_profile().rref.to_packed(), M.cols)
         d = macwilliams_min_distance(dual_counts, M.cols, rk)
         return DistanceResult("exact", d, d, None)
     return None

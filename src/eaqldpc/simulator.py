@@ -214,10 +214,10 @@ def evaluate_batch(
 _WORKER_CODE: Optional[CodeInstance] = None
 
 
-def _worker_init(H_rows, H_cols, name, max_iter):
+def _worker_init(H_words, H_cols, name, max_iter):
     global _WORKER_CODE
     _WORKER_CODE = CodeInstance(
-        BitMatrix.from_rows(H_rows, H_cols), name=name, max_iter=max_iter
+        BitMatrix.from_packed(H_words, H_cols), name=name, max_iter=max_iter
     )
 
 
@@ -248,7 +248,7 @@ def estimate_bler(H: BitMatrix, config: SimConfig, name: str = "") -> list[BlerR
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=config.workers,
                 initializer=_worker_init,
-                initargs=(H.row_bits(), H.cols, name, config.max_iter),
+                initargs=(H.to_packed(), H.cols, name, config.max_iter),
             ))
             chunk = max(config.batch_size, -(-config.trials // config.workers // 4))
             run_all = partial(pool.map, _worker_run)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .designs import SpreadPartition, delete_subdesigns, verify_steiner
+from .designs import DesignError, SpreadPartition, delete_subdesigns, verify_steiner
 from .eaqecc import (
     BLOCK_BY_POINT,
     POINT_BY_BLOCK,
@@ -345,7 +345,7 @@ def _deletion_table(
             c_pred = expected_c(
                 verify_steiner(design.structure, mu), POINT_BY_BLOCK, record
             )
-        except Exception as e:  # mixed parities etc.
+        except DesignError as e:  # mixed parities etc.
             c_pred = f"n/a ({e})"
         computed = {
             "subs": subs, "n": base.n, "rank": base.rank_h, "k": base.k,

@@ -29,7 +29,7 @@ dominates the suite's wall time (tens of minutes on two cores).
 import numpy as np
 import pytest
 
-from eaqldpc.decoder import build_tanner, sp_decode
+from eaqldpc.decoder import build_tanner
 from eaqldpc.designs import build_sts, delete_subdesigns, tanner_girth, verify_steiner
 from eaqldpc.eaqecc import (
     BLOCK_BY_POINT,
@@ -41,7 +41,7 @@ from eaqldpc.gf2 import gram_rank, rank_value
 from eaqldpc.geometry import hamada_phi, rank_formula
 from eaqldpc.simulator import SimConfig, estimate_bler
 from eaqldpc.tables import GOLDEN_III, GOLDEN_IV, GOLDEN_XIII, compute_table, diff_report
-from test_decoder import mul_vector
+from test_decoder import mul_vector, sp_decode
 
 SIM_SEED = 20260808
 ANCHOR_FM = 0.02

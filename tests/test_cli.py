@@ -220,6 +220,16 @@ def test_interrupt_exits_1_with_one_line(capsys, monkeypatch):
     assert err == "interrupted; no result\n"
 
 
+def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_geometry", exhausted)
+    code, out, err = run_cli(capsys, "code", "distance", "--pg", "3", "64", "--type", "I")
+    assert code == 1 and out == ""
+    assert err == "error: out of memory; no result\n"
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "code", "params", "--type", "II")
     assert code == 2
@@ -314,6 +324,16 @@ def test_empty_code_exits_2_with_one_line(tmp_path, capsys):
                              "--fm", "0.05", "--trials", "8")
     assert code == 2 and out == ""
     assert err == "error: zero parity-check matrix\n"
+
+
+def test_rejected_code_exits_2_without_a_degeneracy_warning(tmp_path, capsys):
+    """One block on two points gives c = 0: only the error line is printed,
+    not the k <= 0 warning before it."""
+    path = tmp_path / "pair.design"
+    path.write_text("2 1\n0 1\n")
+    code, out, err = run_cli(capsys, "code", "params", "--design", str(path), "--type", "I")
+    assert code == 2 and out == ""
+    assert err == "error: c out of range [1, rank]\n"
 
 
 def test_develop_blocks_of_one_point_fail_verification(capsys):

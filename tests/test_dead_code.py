@@ -14,7 +14,6 @@ PUBLIC_WITHOUT_CALLER = {
     "compose_gdd_spread",  # GDD filling
     "read_alist",  # alist import
     "count_pasch",  # Pasch counting
-    "sp_decode",  # the scalar sum-product oracle for BatchDecoder
 }
 
 

@@ -1,6 +1,7 @@
 """Incidence structures: admissibility, verification, constructions, spreads,
 girth, Pasch counting, and the integer Gram identity."""
 
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -25,7 +26,7 @@ from eaqldpc.designs import (
     verify_gdd,
     verify_steiner,
 )
-from eaqldpc.gf2 import rank_value
+from eaqldpc.gf2 import BitMatrix, rank_value
 
 
 def test_check_admissible():
@@ -217,6 +218,39 @@ def test_pair_coverage_counts_mixed_block_sizes():
     assert [x.size for x in empty] == [0, 0]
 
 
+def incidence_rows(S: IncidenceStructure) -> tuple[list[int], list[int]]:
+    """(block-by-point, point-by-block) int rows set one incidence at a time
+    (oracle)."""
+    by_block, by_point = [0] * S.b, [0] * S.v
+    for j, blk in enumerate(S.blocks):
+        for p in blk:
+            by_block[j] |= 1 << p
+            by_point[p] |= 1 << j
+    return by_block, by_point
+
+
+def test_incidence_matrices_match_per_incidence_reference(fano, cache):
+    mixed = IncidenceStructure(v=70, blocks=((0,), (0, 1, 63, 64, 69), (2, 65), (68, 69)))
+    empty = IncidenceStructure(v=3, blocks=())
+    for S in (fano.structure, cache.geometry("AG", 2, 8).structure, build_sts(13), mixed, empty):
+        by_block, by_point = incidence_rows(S)
+        assert S.block_by_point() == BitMatrix(S.b, S.v, by_block)
+        assert S.point_by_block() == BitMatrix(S.v, S.b, by_point)
+
+
+def test_point_by_block_builds_no_dense_matrix(cache):
+    """Scatter and blocked transpose stay below one byte per incidence cell."""
+    S = cache.geometry("AG", 2, 32).structure
+    tracemalloc.start()
+    try:
+        H = S.point_by_block()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (H.rows, H.cols) == (S.v, S.b) == (1024, 1056)
+    assert peak < S.b * S.v
+
+
 def count_pasch_bruteforce(S: IncidenceStructure) -> int:
     """Exhaustive 4-subset Pasch count (oracle; tiny instances only)."""
     n = 0
@@ -246,7 +280,7 @@ def test_count_pasch_matches_weight4_codewords():
 
     S = develop_cyclic(13, [(0, 1, 4), (0, 2, 7)])
     H = S.point_by_block()
-    counts = weight_distribution(nullspace_basis(H).row_bits(), H.cols)
+    counts = weight_distribution(nullspace_basis(H).to_packed(), H.cols)
     assert count_pasch(S) == counts[4]
 
 

@@ -53,7 +53,7 @@ def test_css_ag216_type_i(cache):
 
 def test_css_rejects_zero_matrix():
     with pytest.raises(ValueError):
-        css_from_parity_check(BitMatrix.zeros(3, 4), POINT_BY_BLOCK)
+        css_from_parity_check(BitMatrix(3, 4, [0] * 3), POINT_BY_BLOCK)
 
 
 def test_k_identity_and_gram_bound(cache):
@@ -276,7 +276,7 @@ def test_ag_plane_type_i_gram_block_structure(cache):
         for ci, idxs in classes.items():
             for cj, jdxs in classes.items():
                 for i in idxs:
-                    row = G.row(i)
+                    row = G.row_bits()[i]
                     for j in jdxs:
                         bit = (row >> j) & 1
                         assert bit == (0 if ci == cj else 1)

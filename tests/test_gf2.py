@@ -31,6 +31,11 @@ def random_matrix(rng, rows, cols, density=0.5):
     return BitMatrix(rows, cols, bits)
 
 
+def packed(vecs, nbits):
+    """The int bitmasks ``vecs`` as the packed rows ``weight_distribution`` takes."""
+    return BitMatrix(len(vecs), nbits, vecs).to_packed()
+
+
 def identity(n):
     return BitMatrix(n, n, [1 << i for i in range(n)])
 
@@ -74,7 +79,7 @@ def test_rank_profile_invariants():
         assert list(prof.pivot_columns) == sorted(prof.pivot_columns)
         # same row space: every original row reduces to zero against the rref
         for r in m.row_bits():
-            assert gf2.reduce_against(prof.rref.row_bits(), prof.pivot_columns, r) == 0
+            assert in_row_space(prof.rref, r)
 
 
 def test_rank_transpose_invariant_random():
@@ -141,7 +146,8 @@ def test_in_row_space():
     for r in m.row_bits():
         assert in_row_space(m, r)
     # combinations are members; anything outside the space is not
-    comb = m.row(0) ^ m.row(3) ^ m.row(5)
+    rows = m.row_bits()
+    comb = rows[0] ^ rows[3] ^ rows[5]
     assert in_row_space(m, comb)
     outside = 0
     for x in range(1 << 10):
@@ -196,8 +202,9 @@ def test_min_distance_code_side_witness_matches_bruteforce(monkeypatch):
         checked += 1
         assert (res.status, res.lower) == ("exact", brute_min_distance(m))
         acc = 0
+        cols = m.transpose().row_bits()
         for j in res.witness:
-            acc ^= m.transpose().row(j)
+            acc ^= cols[j]
         assert acc == 0 and len(res.witness) == res.upper
     assert checked > 10 and len(walks) == checked and not counts
 
@@ -237,7 +244,7 @@ def test_min_distance_dual_side_matches_bruteforce(monkeypatch):
 def test_min_distance_over_both_caps_is_none_without_reduction(monkeypatch):
     monkeypatch.setattr(gf2, "CODEWORD_EXPONENT_CAP", 1)
     monkeypatch.setattr(gf2, "DUAL_EXPONENT_CAP", 3)
-    m = BitMatrix.from_rows([0b111, 0b1010, 0b11100, 0b110001], 6)
+    m = BitMatrix(4, 6, [0b111, 0b1010, 0b11100, 0b110001])
     assert min_distance(m) is None
     assert m._rank_profile is None  # only rank_value ran
 
@@ -245,7 +252,7 @@ def test_min_distance_over_both_caps_is_none_without_reduction(monkeypatch):
 def test_weight_distribution_vs_bruteforce():
     rng = np.random.default_rng(19)
     vecs = [int(rng.integers(0, 1 << 12)) for _ in range(6)]
-    counts = weight_distribution(vecs, 12)
+    counts = weight_distribution(packed(vecs, 12), 12)
     brute = [0] * 13
     for t in range(1 << 6):
         x = 0
@@ -277,7 +284,7 @@ def test_weight_distribution_vs_int_enumeration(k, nbits):
     brute = [0] * (nbits + 1)
     for x in span:
         brute[x.bit_count()] += 1
-    assert weight_distribution(vecs, nbits) == brute
+    assert weight_distribution(packed(vecs, nbits), nbits) == brute
 
 
 def test_macwilliams_roundtrip():
@@ -287,7 +294,7 @@ def test_macwilliams_roundtrip():
         prof = rank(m)
         if prof.rank == 0 or prof.rank == 12:
             continue
-        dual_counts = weight_distribution(prof.rref.row_bits(), 12)
+        dual_counts = weight_distribution(prof.rref.to_packed(), 12)
         d = macwilliams_min_distance(dual_counts, 12, prof.rank)
         assert d == brute_min_distance(m)
 
@@ -298,8 +305,8 @@ def test_min_distance_trivial_code():
 
 
 def test_empty_matrix_rank():
-    assert rank(BitMatrix.zeros(0, 0)).rank == 0
-    assert rank(BitMatrix.zeros(3, 5)).rank == 0
+    assert rank(BitMatrix(0, 0, [])).rank == 0
+    assert rank(BitMatrix(3, 5, [0] * 3)).rank == 0
 
 
 # --- the Python-int elimination the packed kernel replaced, kept as oracles --
@@ -352,11 +359,12 @@ def nullspace_oracle(M):
 
 def multiply_oracle(A, B):
     out = []
+    b_rows = B.row_bits()
     for r in A.row_bits():
         acc = 0
         for j in range(A.cols):
             if r >> j & 1:
-                acc ^= B.row(j)
+                acc ^= b_rows[j]
         out.append(acc)
     return tuple(out)
 
@@ -372,12 +380,12 @@ def oracle_matrices():
             x |= 1 << int(j)
         return x
 
-    for cols in (0, 1, 63, 64, 65, 127, 128, 4097):
+    for cols in (0, 1, 63, 64, 65, 127, 128, 129, 4097):
         for rows in (0, 1, 7, 70, 130):
             for density in (0.5, 0.03):
                 bits = [rand(cols, density) for _ in range(rows)]
                 yield f"random-{rows}x{cols}-{density}", BitMatrix(rows, cols, bits)
-        yield f"zero-9x{cols}", BitMatrix.zeros(9, cols)
+        yield f"zero-9x{cols}", BitMatrix(9, cols, [0] * 9)
         gens = [rand(cols, 0.5) for _ in range(5)]
         low = [0] * 80
         for i in range(80):
@@ -392,6 +400,10 @@ def oracle_matrices():
 ORACLE_CASES = list(oracle_matrices())
 
 
+def transpose_oracle(M):
+    return tuple(sum((r >> j & 1) << i for i, r in enumerate(M.row_bits())) for j in range(M.cols))
+
+
 @pytest.mark.parametrize("name,M", ORACLE_CASES, ids=[n for n, _ in ORACLE_CASES])
 def test_packed_kernel_matches_int_oracle(name, M):
     rk, pivots, rref = rank_oracle(M)
@@ -403,6 +415,55 @@ def test_packed_kernel_matches_int_oracle(name, M):
     if M.rows <= 70:
         assert gram_rank(M) == rank_only_oracle(multiply_oracle(M, M.transpose()))
     assert gf2.unpack_ints(gf2.pack_ints(M.row_bits(), M.cols)) == list(M.row_bits())
+    # one stored layout: dense bits, packed copies and the transpose agree
+    # with the int rows the matrix was built from
+    rows = M.row_bits()
+    dense = M.to_dense()
+    assert dense.shape == (M.rows, M.cols)
+    assert [sum(int(b) << j for j, b in enumerate(r)) for r in dense] == list(rows)
+    for other in (BitMatrix.from_dense(dense), BitMatrix.from_packed(M.to_packed(), M.cols)):
+        assert other == M and hash(other) == hash(M) and other.row_bits() == rows
+    T = M.transpose()
+    assert (T.rows, T.cols, T.row_bits()) == (M.cols, M.rows, transpose_oracle(M))
+    assert T.transpose() is M
+
+
+def test_transpose_matches_oracle_in_every_block_size(monkeypatch):
+    rng = np.random.default_rng(37)
+    M = random_matrix(rng, 200, 129, density=0.3)
+    expect = transpose_oracle(M)
+    for chunk in (1, 128 * 129, 1 << 20):  # blocks of 64, 128 and 200 rows
+        monkeypatch.setattr(gf2, "PRODUCT_CHUNK_WORDS", chunk)
+        assert BitMatrix(M.rows, M.cols, M.row_bits()).transpose().row_bits() == expect
+
+
+def test_stored_words_are_read_only():
+    """Writing into the stored words fails, so a cached rank cannot go stale."""
+    M = BitMatrix(3, 70, [1, 1 << 69, 5])
+    assert rank_value(M) == 3
+    with pytest.raises(ValueError):
+        M.to_packed()[0, 0] = 0
+    with pytest.raises(ValueError):
+        M.to_packed()[:] ^= M.to_packed()
+    assert M.row_bits() == (1, 1 << 69, 5) and rank_value(M) == 3
+
+
+def test_from_packed_copies_and_clears_the_tail():
+    words = np.array([[0xFFFF_FFFF_FFFF_FFFF, 0xFF]], dtype=np.uint64)
+    M = BitMatrix.from_packed(words, 66)
+    words[0, 0] = 0
+    assert M.row_bits() == ((1 << 66) - 1,)
+    with pytest.raises(ValueError):
+        BitMatrix.from_packed(words, 64)  # two words hold more than 64 columns
+
+
+def test_from_supports_matches_int_rows():
+    supports = [(0, 2), (), (1, 63, 64, 69), (69,)]
+    rows = [sum(1 << j for j in s) for s in supports]
+    assert BitMatrix.from_supports(supports, 70) == BitMatrix(4, 70, rows)
+    for bad in ([(70,)], [(-1,)]):
+        with pytest.raises(ValueError):
+            BitMatrix.from_supports(bad, 70)
 
 
 def test_rank_of_criterion_3_matrices_matches_int_oracle(cache):

@@ -121,7 +121,7 @@ def test_single_qubit_errors_all_recovered(pg32_code):
 def test_row_residual_counts_as_success(pg32_code):
     """truth xor estimate equal to a row of H is stabilizer-equivalent."""
     H = pg32_code.H
-    row = np.array([(H.row(0) >> j) & 1 for j in range(H.cols)], dtype=bool)
+    row = H.to_dense()[0].astype(bool)
     assert bool(pg32_code.residual_in_row_space(row[None, :])[0])
     # and rows are nontrivial residuals
     assert row.any()
@@ -131,12 +131,12 @@ def _in_row_space_by_rank(H: BitMatrix, r: np.ndarray) -> bool:
     """Unfiltered dense reference: r is in the row space iff appending it
     leaves the rank unchanged."""
     bits = sum(1 << int(j) for j in np.nonzero(r)[0])
-    return rank_value(BitMatrix.from_rows([*H.row_bits(), bits], H.cols)) == rank_value(H)
+    return rank_value(BitMatrix(H.rows + 1, H.cols, [*H.row_bits(), bits])) == rank_value(H)
 
 
 def test_residual_in_row_space_mixed_and_zero_batches(pg32_code):
     H, n = pg32_code.H, pg32_code.n
-    rows = np.array([[(H.row(i) >> j) & 1 for j in range(n)] for i in range(H.rows)], bool)
+    rows = H.to_dense().astype(bool)
     weight1 = np.zeros(n, bool)
     weight1[3] = True
     batch = np.array([np.zeros(n, bool), rows[0], rows[1] ^ rows[4], weight1,
@@ -158,7 +158,7 @@ def test_exact_recovery_mode_stricter(pg32_code):
     # decoder returns the zero estimate, residual = row: degenerate success
     # but an exact-recovery failure.
     H = pg32_code.H
-    row = np.array([(H.row(2) >> j) & 1 for j in range(n)], dtype=bool)
+    row = H.to_dense()[2].astype(bool)
     z = np.zeros(n, bool)
     assert _recovered_one(pg32_code, row, z, prior=0.04, exact_recovery=False)
     assert not _recovered_one(pg32_code, row, z, prior=0.04, exact_recovery=True)

@@ -3,6 +3,10 @@
 import hashlib
 from fractions import Fraction
 
+import pytest
+
+from eaqldpc import tables
+from eaqldpc.designs import DesignError
 from eaqldpc.tables import (
     ERRATA,
     TABLE_IDS,
@@ -44,10 +48,26 @@ def test_csv_and_report_shapes(cache):
 
 
 def test_unknown_table_raises(cache):
-    import pytest
-
     with pytest.raises(ValueError):
         compute_table("XL", cache)
+
+
+def test_deletion_table_closed_form_errors(cache, monkeypatch):
+    """Only a DesignError from the closed form becomes an "n/a" cell; any
+    other exception is a bug and propagates."""
+    def broken(*args):
+        raise TypeError("bug in expected_c")
+
+    monkeypatch.setattr(tables, "expected_c", broken)
+    with pytest.raises(TypeError, match="bug in expected_c"):
+        compute_table("XIII", cache)
+
+    def inapplicable(*args):
+        raise DesignError("mixed parities")
+
+    monkeypatch.setattr(tables, "expected_c", inapplicable)
+    rows = compute_table("XIII", cache)
+    assert rows and all(r.computed["c_formula"] == "n/a (mixed parities)" for r in rows)
 
 
 # SHA-256 of rows_to_csv(compute_table(t)) for every table, recorded before
