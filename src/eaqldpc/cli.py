@@ -291,9 +291,12 @@ def cmd_tables(args) -> int:
     cache = ConstructionCache()
     all_ok = True
     outputs = []
+    records = []
     for t in ids:
         t0 = time.time()
         rows = compute_table(t, cache)
+        records += [{"table": r.table, "row": r.label, "distance_sources": list(r.sources),
+                     "seconds": round(r.seconds, 4)} for r in rows]
         csv = rows_to_csv(rows)
         report = diff_report(rows)
         bad = [r for r in rows if r.status == "mismatch"]
@@ -313,7 +316,7 @@ def cmd_tables(args) -> int:
             file=sys.stderr,
         )
     if outputs:
-        write_manifest(outputs, args)
+        write_manifest(outputs, args, {"rows": records})
     return 0 if all_ok else CHECK_FAILED
 
 

@@ -134,31 +134,40 @@ def check_admissible(v: int, mu: int, lam: int = 1) -> bool:
     return lam * (v - 1) % (mu - 1) == 0 and lam * v * (v - 1) % (mu * (mu - 1)) == 0
 
 
-def _pair_coverage_counts(S: IncidenceStructure):
-    """(sorted pair ids a*v + b for a < b, counts) over all in-block point pairs.
+def _pair_coverage(S: IncidenceStructure) -> tuple[np.ndarray, np.ndarray]:
+    """(covered, repeated): the sorted distinct pair ids a*v + b (a < b) of
+    all in-block point pairs, and the sorted ids of those in two or more
+    blocks.
 
-    Blocks are grouped by size, so each group is one ``(blocks, size)`` array
-    and needs one ``triu_indices`` call.
+    Ids are int32 while v^2 fits, else int64.  Blocks are grouped by size,
+    each group an ``(blocks, size)`` array whose pairs are written straight
+    into one id array, one first point at a time, which is sorted in place.
     """
     by_size: dict[int, list[tuple[int, ...]]] = {}
     for blk in S.blocks:
         by_size.setdefault(len(blk), []).append(blk)
-    chunks = []
+    dtype = np.int32 if S.v * S.v < 2**31 else np.int64
+    ids = np.empty(sum(len(b) * (n * (n - 1) // 2) for n, b in by_size.items()), dtype=dtype)
+    pos = 0
     for size, blks in by_size.items():
-        a = np.array(blks, dtype=np.int64)
-        iu, ju = np.triu_indices(size, k=1)
-        chunks.append((a[:, iu] * S.v + a[:, ju]).ravel())
-    if not chunks:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(chunks), return_counts=True)
+        a = np.array(blks, dtype=dtype)
+        for i in range(size - 1):
+            out = ids[pos : pos + len(blks) * (size - 1 - i)].reshape(len(blks), size - 1 - i)
+            np.multiply(a[:, i : i + 1], S.v, out=out)
+            out += a[:, i + 1 :]
+            pos += out.size
+    ids.sort()
+    again = ids[1:] == ids[:-1]
+    if again.any():
+        return np.unique(ids), np.unique(ids[1:][again])
+    return ids, ids[:0]
 
 
-def _check_no_double_cover(S: IncidenceStructure, ids, counts) -> None:
+def _check_no_double_cover(S: IncidenceStructure, repeated: np.ndarray) -> None:
     """Raise DoublyCoveredPairError on the first pair, in id order, that
-    ``_pair_coverage_counts`` found in more than one block."""
-    over = np.flatnonzero(counts > 1)
-    if over.size:
-        pid = int(ids[over[0]])
+    ``_pair_coverage`` found in more than one block."""
+    if repeated.size:
+        pid = int(repeated[0])
         raise DoublyCoveredPairError((pid // S.v, pid % S.v))
 
 
@@ -169,8 +178,8 @@ def verify_steiner(S: IncidenceStructure, mu: int) -> DesignParams:
     for blk in S.blocks:
         if len(blk) != mu:
             raise BlockSizeError(blk, mu)
-    ids, counts = _pair_coverage_counts(S)
-    _check_no_double_cover(S, ids, counts)
+    ids, repeated = _pair_coverage(S)
+    _check_no_double_cover(S, repeated)
     total_pairs = S.v * (S.v - 1) // 2
     if ids.size != total_pairs:
         covered = set(int(x) for x in ids)
@@ -190,8 +199,7 @@ def verify_partial_steiner(S: IncidenceStructure, mu: int) -> None:
     for blk in S.blocks:
         if len(blk) != mu:
             raise BlockSizeError(blk, mu)
-    ids, counts = _pair_coverage_counts(S)
-    _check_no_double_cover(S, ids, counts)
+    _check_no_double_cover(S, _pair_coverage(S)[1])
 
 
 def build_sts(v: int) -> IncidenceStructure:
@@ -280,8 +288,8 @@ def verify_gdd(S: IncidenceStructure, mu: int) -> None:
         if len(set(gs)) != len(gs):
             raise DesignError(f"block {blk} meets a group twice")
     # cross-group pairs exactly once
-    ids, counts = _pair_coverage_counts(S)
-    _check_no_double_cover(S, ids, counts)
+    ids, repeated = _pair_coverage(S)
+    _check_no_double_cover(S, repeated)
     covered = set(int(x) for x in ids)
     for a in range(S.v):
         for b in range(a + 1, S.v):
@@ -399,12 +407,13 @@ def tanner_girth(S: IncidenceStructure, cap: int = 16):
     which ``searchsorted`` answers against the sorted pair ids.  The generic
     capped BFS runs only when neither path settles it.
     """
-    ids, counts = _pair_coverage_counts(S)
-    if np.any(counts > 1):
+    ids, repeated = _pair_coverage(S)
+    if repeated.size:
         return 4
     for p, through in enumerate(S.blocks_through()):
+        # keys in the ids' dtype, so searchsorted converts neither array
         others = [
-            np.array([x for x in S.blocks[j] if x != p], dtype=np.int64) for j in through
+            np.array([x for x in S.blocks[j] if x != p], dtype=ids.dtype) for j in through
         ]
         for a in range(len(others) - 1):
             q = others[a][:, None]

@@ -14,6 +14,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional
 
+import numpy as np
+
 from . import gf2
 from .designs import (
     DesignError,
@@ -34,6 +36,7 @@ from .geometry import (
     hyperbolic_quadric,
     parallel_class_pair,
     design_counts,
+    plane_polarity,
     point_hyperoval,
     rank_formula,
     validate_witness,
@@ -99,6 +102,8 @@ class DistanceVerdict:
     """certified: the exact value is pinned by enumeration or by a
     counting lower bound meeting a validated witness — not by a closed-form
     family value alone."""
+    enumerated: Optional[DistanceResult] = None
+    """The exhaustive result that decided d, in this H's columns, or None."""
 
 
 @dataclass(frozen=True)
@@ -293,10 +298,30 @@ def _structural_lower(design, orientation: str) -> tuple[int, str]:
     return r + 1, "structural:lambda<=1-column-bound (r+1)"
 
 
+def _through_polarity(design, orientation: str, twin: Optional[DistanceVerdict]):
+    """The exhaustive result of ``twin``, the verdict of the other
+    orientation of the same design, moved to this orientation's columns
+    through the checked ``plane_polarity``; None when there is no such result
+    or no polarity.  A failed polarity check raises DesignError."""
+    if twin is None or twin.enumerated is None or not isinstance(design, GeometryDesign):
+        return None
+    sigma = plane_polarity(design)
+    if sigma is None:
+        return None
+    r = twin.enumerated
+    if r.witness is None:
+        return r
+    # Type I column j (a point) is Type II column sigma(j) (its polar line)
+    to_here = np.argsort(sigma) if orientation == BLOCK_BY_POINT else sigma
+    return DistanceResult(r.status, r.lower, r.upper,
+                          tuple(sorted(to_here[list(r.witness)].tolist())))
+
+
 def distance_verdict(
     design,
     orientation: str,
     H: Optional[BitMatrix] = None,
+    twin: Optional[DistanceVerdict] = None,
 ) -> DistanceVerdict:
     """Assemble the minimum distance of the classical ingredient code from
     exhaustive enumeration, closed-form family values, witness codewords and
@@ -305,6 +330,12 @@ def distance_verdict(
     Precedence: enumeration-exact beats formula-exact; all sources must agree
     (a validated witness below a certified lower bound, or a formula value
     contradicting enumeration, raises DesignError).
+
+    ``twin`` is the verdict of the other orientation of the same design.
+    For PG(2, q) and EG(2, q), whose polarity makes the two codes equivalent,
+    its exhaustive result stands in for ``gf2.min_distance(H)``, with any
+    witness mapped through the polarity and validated against H; every
+    other check still runs against H.
     """
     orientation = normalize_orientation(orientation)
     structure = design.structure if isinstance(design, GeometryDesign) else design
@@ -342,21 +373,30 @@ def distance_verdict(
         sources.append(f"witness:{witness.kind} (weight {witness.weight})")
         upper = min(upper, witness.weight)
 
-    enum_result = gf2.min_distance(H)
+    shared = _through_polarity(design, orientation, twin)
+    enum_result = shared if shared is not None else gf2.min_distance(H)
     if enum_result is not None:
         d = enum_result.upper
         if formula_value is not None and formula_value != d:
             raise DesignError(
                 f"formula distance {formula_value} contradicts enumeration {d}"
             )
+        via = ""
+        if shared is not None:
+            if shared.witness:
+                validate_witness(H, WitnessCodeword("polarity_image", shared.witness))
+            other = "I" if orientation == POINT_BY_BLOCK else "II"
+            via = f" (shared from Type {other} through the checked polarity)"
         if d == 0:
             # H has full column rank: no nonzero codeword, and no bound applies
             return DistanceVerdict(
                 result=enum_result,
-                sources=("enumeration:trivial-code (full column rank, no nonzero codeword)",),
+                sources=("enumeration:trivial-code (full column rank, no nonzero codeword)"
+                         + via,),
                 certified=True,
+                enumerated=enum_result,
             )
-        sources.append("enumeration:codewords-exhaustive")
+        sources.append("enumeration:codewords-exhaustive" + via)
         if witness is not None and witness.weight < d:
             raise DesignError("validated witness lighter than enumerated distance")
         if not (lower <= d <= upper):
@@ -366,6 +406,7 @@ def distance_verdict(
             result=DistanceResult("exact", d, d, wit),
             sources=tuple(sources),
             certified=True,
+            enumerated=enum_result,
         )
 
     wit = witness.block_indices if witness else None
@@ -405,13 +446,15 @@ def assemble_params(
     design,
     orientation: str,
     provenance: str = "",
+    twin: Optional[DistanceVerdict] = None,
 ) -> tuple[EaqeccParams, DistanceVerdict]:
-    """Full parameter derivation for a design in one orientation."""
+    """Full parameter derivation for a design in one orientation; ``twin``
+    as for ``distance_verdict``."""
     orientation = normalize_orientation(orientation)
     structure = design.structure if isinstance(design, GeometryDesign) else design
     H = oriented_matrix(structure, orientation)
     base = css_from_parity_check(H, orientation)
-    verdict = distance_verdict(design, orientation, H)
+    verdict = distance_verdict(design, orientation, H, twin)
     params = EaqeccParams(
         n=base.n,
         k=base.k,

@@ -29,6 +29,7 @@ import numpy as np
 
 from .designs import DesignError, IncidenceStructure, SpreadPartition, verify_spread
 from .fields import FiniteField, enumerate_subspace_reps, make_field, field_for_order, subfield_embedding
+from .gf2 import BitMatrix, pack_bool_rows
 
 PG, AG, EG = "PG", "AG", "EG"
 
@@ -341,6 +342,48 @@ def ag_hyperplane_spread(design: GeometryDesign) -> SpreadPartition:
     spread = SpreadPartition(parts=tuple(parts))
     verify_spread(design.structure, spread)
     return spread
+
+
+# --- polarity of the symmetric planes -------------------------------------------
+
+def plane_polarity(design: GeometryDesign) -> Optional[np.ndarray]:
+    """sigma, the block index of each point's polar line, for PG(2, q) and
+    EG(2, q); None for every other design (an AG plane has v != b).
+
+    PG: x -> x^perp = {y : x.y = 0}.  EG: x -> {y : x.y = 1}, one of the lines
+    that miss the origin.  Raises DesignError unless sigma maps the points
+    one-to-one onto the blocks and A[:, sigma] is symmetric, A the
+    point-by-block matrix.  Then the Type I codewords (point sets) are the
+    Type II codewords (block sets) pulled back through sigma: A^T x = 0
+    exactly when A z = 0 for z_sigma(j) = x_j.
+    """
+    if design.m != 2 or design.kind not in (PG, EG):
+        return None
+    S = design.structure
+    blocks = S.block_by_point().to_packed()
+    sigma = _polar_lines(design, blocks)
+    if S.b != S.v or sorted(sigma.tolist()) != list(range(S.b)):
+        raise DesignError(f"{design.kind}(2,{design.q}): the polar lines are not the blocks")
+    # row y of A[:, sigma]^T is the block sigma(y)
+    polar = BitMatrix.from_packed(blocks[sigma], S.v)
+    if polar != polar.transpose():
+        raise DesignError(f"{design.kind}(2,{design.q}): A[:, sigma] is not symmetric")
+    return sigma
+
+
+def _polar_lines(design: GeometryDesign, blocks: np.ndarray) -> np.ndarray:
+    """Per point x, the index of the row of ``blocks`` (the packed
+    block-by-point matrix) that is {y : x.y = c}, c = 0 for PG and 1 for EG,
+    or -1 when no block is that point set.  Holds one v x v array of dot
+    products, so it is meant for planes small enough to enumerate."""
+    add, mul = _field_tables(design.field)
+    pts = np.array(design.point_coords, dtype=np.intp)
+    dots = np.zeros((len(pts), len(pts)), dtype=np.intp)
+    for i in range(pts.shape[1]):
+        dots = add[dots, mul[pts[:, None, i], pts[None, :, i]]]
+    rows = pack_bool_rows(dots == (0 if design.kind == PG else 1))
+    block_of = {r.tobytes(): j for j, r in enumerate(blocks)}
+    return np.array([block_of.get(r.tobytes(), -1) for r in rows], dtype=np.intp)
 
 
 # --- witness codewords (constructed here, validated by distance_verdict) -------

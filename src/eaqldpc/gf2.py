@@ -17,16 +17,26 @@ Zero rows are dropped as they appear, so low-rank matrices stop early.  The
 fully reduced form is unique for a row space, so pivots and ``rref`` equal
 those of any Gauss-Jordan elimination.
 
-``weight_distribution`` enumerates the span of packed rows as an inner block
-of the 2^16 combinations of the first 16 basis vectors times a Gray walk over
-the combinations of the rest.  The inner block is stored word-major, as a
+``weight_distribution`` enumerates the span of a systematic basis: k packed
+rows that are the identity on k given unit columns, as the fully reduced rows
+are on their pivots and the nullspace basis is on the free columns.  A span
+vector then holds its own coefficients on the unit columns, so its weight is
+the popcount of its coefficients plus its weight on the n - k other columns,
+and only those are stored.  The span is an inner block of the 2^16
+combinations of the first 16 basis vectors times a Gray walk over the
+combinations of the rest.  The inner block is stored word-major, as a
 ``(words, 2^16)`` array with each 64-bit word of all inner vectors
-contiguous, so the weights of one outer step are summed word by word into a
-``uint8`` (``uint16`` from 256 bits) vector and binned with ``bincount``.
+contiguous, so the weights of one outer step are summed word by word onto the
+inner coefficients' popcounts in a ``uint8`` (``uint16`` from 256 bits)
+vector, binned with ``bincount`` and shifted by the outer coefficients'
+popcount.
 
 ``min_distance`` is exhaustive only: it enumerates the code (up to 2^26
 codewords) or its dual (up to 2^28 vectors, then an exact MacWilliams
-transform) and returns None when both are larger.
+transform) and returns None when both are larger.  The two codes of a plane
+PG(2, q) or EG(2, q) are equivalent through its polarity, so a table run
+calls it for one of them only (``eaqecc.distance_verdict`` moves the result
+to the other through the checked ``geometry.plane_polarity``).
 
 All matrices are immutable after construction; derived data (rank, rank
 profile, transpose) is computed lazily and cached.
@@ -331,13 +341,19 @@ def nullspace_basis(M: BitMatrix) -> BitMatrix:
     """Rows form a basis of {x : Mx = 0}; row count = cols - rank.  Row i has
     a 1 at the i-th free column f and at each pivot whose rref row holds f."""
     prof = M.rank_profile()
-    free = np.ones(M.cols, dtype=bool)
-    free[list(prof.pivot_columns)] = False
-    free = np.flatnonzero(free)
+    free = free_columns(M)
     basis = np.zeros((len(free), M.cols), dtype=np.uint8)
     basis[np.arange(len(free)), free] = 1
     basis[:, list(prof.pivot_columns)] = prof.rref.to_dense()[:, free].T
     return BitMatrix.from_dense(basis)
+
+
+def free_columns(M: BitMatrix) -> np.ndarray:
+    """The ascending non-pivot columns of M: ``nullspace_basis`` is the
+    identity on them."""
+    free = np.ones(M.cols, dtype=bool)
+    free[list(M.rank_profile().pivot_columns)] = False
+    return np.flatnonzero(free)
 
 
 def in_row_space(M: BitMatrix, x) -> bool:
@@ -383,31 +399,44 @@ def pack_bool_rows(bits: np.ndarray) -> np.ndarray:
     return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
 
 
-def weight_distribution(basis: np.ndarray, nbits: int) -> list[int]:
-    """Weight distribution of the span of ``basis`` (2^k vectors, meet in the middle).
+def weight_distribution(basis: np.ndarray, nbits: int, unit_columns: Sequence[int]) -> list[int]:
+    """Weight distribution of the span of a systematic basis (2^k vectors).
 
     ``basis`` holds k packed rows, a (k, ceil(nbits/64)) uint64 array as
-    ``BitMatrix.to_packed`` returns.  Returns counts[w] for w = 0..nbits,
-    taken over all 2^k combinations (a dependent basis counts each span
-    vector 2^(k - rank) times).  Cost is O(2^k) vector popcounts, vectorized
-    in blocks of up to 2^16; see the module docstring for the word-major
-    layout.
+    ``BitMatrix.to_packed`` returns, and must be the identity on the k
+    columns ``unit_columns``: row i has a 1 at ``unit_columns[i]`` and no
+    other row has one there.  Fully reduced rows with their pivot columns and
+    ``nullspace_basis`` rows with the free columns qualify; any other basis
+    raises ValueError.  Such a basis is independent, so each of the 2^k span
+    vectors is counted once.  Returns counts[w] for w = 0..nbits.  Cost is
+    O(2^k) popcounts of n - k bits, vectorized in blocks of up to 2^16; see
+    the module docstring for the layout.
     """
+    k = len(basis)
+    unit_columns = list(unit_columns)
+    bits = np.unpackbits(basis.view(np.uint8), axis=1, count=nbits, bitorder="little")
+    if not np.array_equal(bits[:, unit_columns], np.eye(k, dtype=np.uint8)):
+        raise ValueError("basis is not the identity on unit_columns")
+    rest = np.ones(nbits, dtype=bool)
+    rest[unit_columns] = False
+    rows = pack_bool_rows(bits[:, rest])
     counts = np.zeros(nbits + 1, dtype=np.int64)
-    k2 = min(len(basis), 16)
-    inner = np.zeros((basis.shape[1], 1 << k2), dtype=np.uint64)
+    k2 = min(k, 16)
+    inner = np.zeros((rows.shape[1], 1 << k2), dtype=np.uint64)
     for i in range(k2):
-        inner[:, 1 << i : 2 << i] = inner[:, : 1 << i] ^ basis[i][:, None]
+        inner[:, 1 << i : 2 << i] = inner[:, : 1 << i] ^ rows[i][:, None]
     wtype = np.min_scalar_type(nbits)
-    outer = basis[k2:]
-    acc = np.zeros(basis.shape[1], dtype=np.uint64)
+    inner_units = np.bitwise_count(np.arange(1 << k2, dtype=np.uint32)).astype(wtype)
+    outer = rows[k2:]
+    acc = np.zeros(rows.shape[1], dtype=np.uint64)
     for t in range(1 << len(outer)):
         if t:  # Gray walk: step t flips outer vector (lowest set bit of t)
             acc ^= outer[(t & -t).bit_length() - 1]
-        w = np.zeros(inner.shape[1], dtype=wtype)
+        w = inner_units.copy()
         for row, x in zip(inner, acc):
             w += np.bitwise_count(row ^ x)
-        counts += np.bincount(w, minlength=nbits + 1)
+        outer_units = (t ^ (t >> 1)).bit_count()
+        counts[outer_units:] += np.bincount(w, minlength=nbits + 1 - outer_units)
     return counts.tolist()
 
 
@@ -482,11 +511,12 @@ def min_distance(M: BitMatrix) -> Optional[DistanceResult]:
             w, v = _min_weight_with_witness(null.row_bits(), M.cols)
             wit = tuple(j for j in range(M.cols) if (v >> j) & 1)
             return DistanceResult("exact", w, w, wit)
-        counts = weight_distribution(null.to_packed(), M.cols)
+        counts = weight_distribution(null.to_packed(), M.cols, free_columns(M))
         d = next(w for w in range(1, M.cols + 1) if counts[w] > 0)
         return DistanceResult("exact", d, d, None)
     if dual_side_ok:
-        dual_counts = weight_distribution(M.rank_profile().rref.to_packed(), M.cols)
+        prof = M.rank_profile()
+        dual_counts = weight_distribution(prof.rref.to_packed(), M.cols, prof.pivot_columns)
         d = macwilliams_min_distance(dual_counts, M.cols, rk)
         return DistanceResult("exact", d, d, None)
     return None

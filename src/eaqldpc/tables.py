@@ -15,9 +15,10 @@ round4((n0 - 2 rk + c)/n) with n0 the pre-deletion length.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .designs import DesignError, SpreadPartition, delete_subdesigns, verify_steiner
 from .eaqecc import (
@@ -217,6 +218,8 @@ class RowResult:
     computed: dict
     status: str  # ok | mismatch | theorem-only
     notes: str = ""
+    sources: tuple[str, ...] = ()  # DistanceVerdict.sources of the row's distance
+    seconds: float = 0.0  # wall time spent producing the row
 
     @property
     def ok(self) -> bool:
@@ -238,10 +241,17 @@ class ConstructionCache:
         return self._geoms[key]
 
     def params(self, kind: str, m: int, q: int, orientation: str):
+        """Parameters and distance verdict of one orientation.  Once the other
+        orientation is cached, its exhaustive distance result is handed on,
+        so a PG(2, q) or EG(2, q) plane is enumerated once (see
+        ``distance_verdict``)."""
         key = (kind, m, q, orientation)
         if key not in self._params:
             design = self.geometry(kind, m, q)
-            self._params[key] = assemble_params(design, orientation)
+            other = BLOCK_BY_POINT if orientation == POINT_BY_BLOCK else POINT_BY_BLOCK
+            twin = self._params.get((kind, m, q, other))
+            self._params[key] = assemble_params(design, orientation,
+                                                twin=twin[1] if twin else None)
         return self._params[key]
 
     def spread(self, kind: str, m: int, q: int, s: Optional[int] = None) -> SpreadPartition:
@@ -266,8 +276,7 @@ def _d_cell(verdict: DistanceVerdict) -> tuple[str, object]:
 
 def _geometry_table(
     table: str, kind: str, orientation: str, golden, cache: ConstructionCache
-) -> list[RowResult]:
-    out = []
+) -> Iterator[RowResult]:
     for (m, q, n_e, k_e, d_e, c_e) in golden:
         params, verdict = cache.params(kind, m, q, orientation)
         d_status, d_val = _d_cell(verdict)
@@ -297,14 +306,12 @@ def _geometry_table(
         erratum = ERRATA.get((table, m, q))
         if erratum:
             notes.append(f"erratum in the printed source table: {erratum}")
-        out.append(RowResult(table, f"{kind}({m},{q})/{type_label(orientation)}",
-                             expected, computed, status, "; ".join(notes)))
-    return out
+        yield RowResult(table, f"{kind}({m},{q})/{type_label(orientation)}",
+                        expected, computed, status, "; ".join(notes), verdict.sources)
 
 
-def _table_X(cache: ConstructionCache) -> list[RowResult]:
-    out = _geometry_table("X", EG, POINT_BY_BLOCK, GOLDEN_X, cache)
-    for row in out:
+def _table_X(cache: ConstructionCache) -> Iterator[RowResult]:
+    for row in _geometry_table("X", EG, POINT_BY_BLOCK, GOLDEN_X, cache):
         m, q = row.computed["m"], row.computed["q"]
         v = design_counts(EG, m, q)[0]
         full = row.computed["rank"] == v
@@ -312,7 +319,7 @@ def _table_X(cache: ConstructionCache) -> list[RowResult]:
         if not full:
             row.status = "mismatch"
             row.notes += f"; rank {row.computed['rank']} < v={v}: conjectured full rank fails"
-    return out
+        yield row
 
 
 def _deletion_table(
@@ -324,12 +331,11 @@ def _deletion_table(
     golden,
     cache: ConstructionCache,
     rate_mode: str,
-) -> list[RowResult]:
+) -> Iterator[RowResult]:
     design = cache.geometry(kind, m, q)
     spread = cache.spread(kind, m, q, s)
     n0 = design.structure.b
     mu = design.mu
-    out = []
     for (subs, n_e, rk_e, k_e, d_e, c_e, rate_e) in golden:
         folded = delete_subdesigns(design.structure, spread, subs)
         H = oriented_matrix(folded, POINT_BY_BLOCK)
@@ -363,31 +369,27 @@ def _deletion_table(
         if isinstance(c_pred, int) and c_pred != base.c:
             hard_ok = False
             notes.append(f"closed-form c={c_pred} disagrees with rank-computed {base.c}")
-        out.append(RowResult(
+        yield RowResult(
             table, f"{kind}({m},{q}) minus {subs} part(s)", expected, computed,
             "ok" if hard_ok else "mismatch", "; ".join(notes),
-        ))
-    return out
+        )
 
 
-def _table_XI(cache: ConstructionCache) -> list[RowResult]:
-    out = []
+def _table_XI(cache: ConstructionCache) -> Iterator[RowResult]:
     for (typ, kind, m, q, rate_e) in GOLDEN_XI:
         orientation = POINT_BY_BLOCK if typ == "II" else BLOCK_BY_POINT
-        params, _ = cache.params(kind, m, q, orientation)
+        params, verdict = cache.params(kind, m, q, orientation)
         rate = trunc4(params.rate)
         computed = {"type": typ, "geom": kind, "m": m, "q": q,
                     "k": params.k, "n": params.n, "rate": rate}
         expected = {"type": typ, "geom": kind, "m": m, "q": q, "rate": rate_e}
-        out.append(RowResult(
+        yield RowResult(
             "XI", f"{typ} {kind}({m},{q})", expected, computed,
-            "ok" if rate == rate_e else "mismatch",
-        ))
-    return out
+            "ok" if rate == rate_e else "mismatch", sources=verdict.sources,
+        )
 
 
-def _table_XII(cache: ConstructionCache) -> list[RowResult]:
-    out = []
+def _table_XII(cache: ConstructionCache) -> Iterator[RowResult]:
     for (label, kind, orientation, samples) in GOLDEN_XII:
         for (m, q) in samples:
             fam = family_params(kind, orientation, m, q)
@@ -410,17 +412,27 @@ def _table_XII(cache: ConstructionCache) -> list[RowResult]:
                 if fam.d.upper != d_val:
                     ok = False
                     notes.append(f"family d={fam.d.upper} vs constructed {d_val}")
-            out.append(RowResult(
+            yield RowResult(
                 "XII", f"{label} ({m},{q})", expected, computed,
-                "ok" if ok else "mismatch", "; ".join(notes),
-            ))
-    return out
+                "ok" if ok else "mismatch", "; ".join(notes), verdict.sources,
+            )
 
 
 def compute_table(table: str, cache: Optional[ConstructionCache] = None) -> list[RowResult]:
+    """Rebuild every row of one table.  A row's ``seconds`` is the wall time
+    from the previous row (or the start) until it was produced."""
     if cache is None:
         cache = ConstructionCache()
-    table = table.upper()
+    rows = []
+    start = time.perf_counter()
+    for row in _table_rows(table.upper(), cache):
+        row.seconds = time.perf_counter() - start
+        rows.append(row)
+        start = time.perf_counter()
+    return rows
+
+
+def _table_rows(table: str, cache: ConstructionCache) -> Iterator[RowResult]:
     if table == "I":
         return _geometry_table("I", PG, POINT_BY_BLOCK, GOLDEN_I, cache)
     if table == "II":

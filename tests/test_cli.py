@@ -118,6 +118,28 @@ def test_tables_xiii(capsys):
     assert "table,row" in out
 
 
+def test_tables_manifest_records_rows(tmp_path, capsys):
+    """``tables --out`` writes one manifest record per row: its label, the
+    sources of its distance verdict and its seconds.  EG(2,8) is enumerated
+    once, as Type I in table VIII, and Type II in table IX names the shared
+    enumeration.  The CSVs equal the ones printed to stdout."""
+    code, _, err = run_cli(capsys, "--out", str(tmp_path), "tables", "VIII", "IX")
+    assert code == 0 and "0 mismatches" in err
+    manifest = json.loads((tmp_path / "table_VIII.csv.manifest.json").read_text())
+    assert sorted(Path(p).name for p in manifest["outputs"]) == ["table_IX.csv", "table_VIII.csv"]
+    rows = manifest["rows"]
+    assert [r["table"] for r in rows] == ["VIII"] * 3 + ["IX"] * 8
+    assert all(set(r) == {"table", "row", "distance_sources", "seconds"} for r in rows)
+    assert all(r["seconds"] >= 0 for r in rows)
+    by_row = {(r["table"], r["row"]): r["distance_sources"] for r in rows}
+    assert by_row[("VIII", "EG(2,8)/I")][-1] == "enumeration:codewords-exhaustive"
+    assert by_row[("IX", "EG(2,8)/II")][-1] == (
+        "enumeration:codewords-exhaustive (shared from Type I through the checked polarity)")
+    assert not any("enumeration" in s for s in by_row[("VIII", "EG(2,32)/I")])
+    _, out, _ = run_cli(capsys, "tables", "VIII", "IX")
+    assert out == (tmp_path / "table_VIII.csv").read_text() + (tmp_path / "table_IX.csv").read_text()
+
+
 def test_tables_unknown(capsys):
     code, _, err = run_cli(capsys, "tables", "XIV")
     assert code == 2

@@ -10,7 +10,7 @@ import pytest
 
 from eaqldpc.designs import (
     _bfs_girth,
-    _pair_coverage_counts,
+    _pair_coverage,
     DesignError,
     DoublyCoveredPairError,
     IncidenceStructure,
@@ -193,7 +193,7 @@ def gq22():
 def test_girth_generalized_quadrangle_needs_bfs():
     S = gq22()
     assert S.b == 15 and S.replication_counts() == [3] * 15
-    assert _pair_coverage_counts(S)[1].max() == 1  # lambda <= 1: past the 4-cycle test
+    assert _pair_coverage(S)[1].size == 0  # lambda <= 1: past the 4-cycle test
     assert tanner_girth(S) == 8
     assert _bfs_girth(S, 16) == 8
     assert tanner_girth(S, cap=8) == ">=8"
@@ -210,12 +210,43 @@ def test_pair_coverage_counts_mixed_block_sizes():
         blocks=((0,), (0, 1), (0, 1, 2), (0, 3, 5, 8), (1, 2), (2, 4, 6), (3, 5), (4, 7, 8)),
     )
     ref = Counter(a * S.v + b for blk in S.blocks for a, b in combinations(blk, 2))
-    ids, counts = _pair_coverage_counts(S)
+    ids, repeated = _pair_coverage(S)
     assert ids.tolist() == sorted(ref)
-    assert counts.tolist() == [ref[i] for i in sorted(ref)]
+    assert repeated.tolist() == sorted(i for i in ref if ref[i] > 1)
     assert tanner_girth(S) == 4
-    empty = _pair_coverage_counts(IncidenceStructure(v=3, blocks=()))
+    empty = _pair_coverage(IncidenceStructure(v=3, blocks=()))
     assert [x.size for x in empty] == [0, 0]
+
+
+def test_pair_coverage_memory_bound(cache):
+    """AG(2,32) has 1056 lines of 32 points, 523776 in-block pairs.  The
+    girth and Steiner checks peak below 12 bytes per pair: the int32 ids
+    sorted in place, their repeat mask and the search keys, with no int64
+    copy of every pair and no sorted copy of it."""
+    S = cache.geometry("AG", 2, 32).structure
+    pairs = S.b * 32 * 31 // 2
+    for check in (tanner_girth, lambda S: verify_steiner(S, 32)):
+        tracemalloc.start()
+        try:
+            check(S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * pairs
+
+
+def test_pair_coverage_int64_ids_past_int32():
+    """v^2 >= 2^31 switches the ids to int64, where the largest pair id no
+    longer fits int32; the first doubly covered pair in id order is reported."""
+    v = 46342
+    blocks = ((0, 1, v - 1), (0, 4, v - 1), (2, v - 2, v - 1), (3, v - 2, v - 1))
+    S = IncidenceStructure(v=v, blocks=blocks)
+    ids, repeated = _pair_coverage(S)
+    assert ids.dtype == np.int64 and ids[-1] == (v - 2) * v + v - 1 >= 2**31
+    assert repeated.tolist() == [v - 1, (v - 2) * v + v - 1]
+    with pytest.raises(DoublyCoveredPairError) as err:
+        verify_steiner(S, 3)
+    assert err.value.pair == (0, v - 1)
 
 
 def incidence_rows(S: IncidenceStructure) -> tuple[list[int], list[int]]:
@@ -276,11 +307,11 @@ def test_count_pasch_matches_bruteforce(v):
 
 
 def test_count_pasch_matches_weight4_codewords():
-    from eaqldpc.gf2 import weight_distribution, nullspace_basis
+    from eaqldpc.gf2 import free_columns, nullspace_basis, weight_distribution
 
     S = develop_cyclic(13, [(0, 1, 4), (0, 2, 7)])
     H = S.point_by_block()
-    counts = weight_distribution(nullspace_basis(H).to_packed(), H.cols)
+    counts = weight_distribution(nullspace_basis(H).to_packed(), H.cols, free_columns(H))
     assert count_pasch(S) == counts[4]
 
 

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from eaqldpc import geometry, gf2
 from eaqldpc.designs import DesignError, build_sts, verify_steiner
 from eaqldpc.eaqecc import (
     BLOCK_BY_POINT,
@@ -21,7 +22,9 @@ from eaqldpc.eaqecc import (
     normalize_orientation,
     oriented_matrix,
 )
+from eaqldpc.geometry import WitnessCodeword, plane_polarity, validate_witness
 from eaqldpc.gf2 import BitMatrix, rank_value
+from eaqldpc.tables import ConstructionCache
 
 
 def test_orientation_aliases():
@@ -285,3 +288,86 @@ def test_ag_plane_type_i_gram_block_structure(cache):
 def test_assemble_params_girth(cache):
     params, _ = cache.params("PG", 3, 2, POINT_BY_BLOCK)
     assert params.girth == 6
+
+
+# --- one enumeration per self-dual plane, through the checked polarity ---------
+
+@pytest.mark.parametrize("kind,q", [("PG", 2), ("PG", 4), ("PG", 8), ("EG", 4), ("EG", 8)])
+def test_plane_polarity_makes_the_incidence_matrix_symmetric(cache, kind, q):
+    design = cache.geometry(kind, 2, q)
+    sigma = plane_polarity(design)
+    A = design.structure.point_by_block().to_dense()
+    assert sorted(sigma.tolist()) == list(range(design.structure.b))
+    assert (A[:, sigma] == A[:, sigma].T).all()
+
+
+def test_plane_polarity_is_none_off_the_symmetric_planes(cache):
+    for kind, m, q in (("AG", 2, 4), ("AG", 2, 8), ("PG", 3, 2), ("EG", 3, 2)):
+        assert plane_polarity(cache.geometry(kind, m, q)) is None
+
+
+@pytest.mark.parametrize("kind", ["PG", "EG"])
+def test_plane_polarity_rejects_relabelled_points(cache, kind):
+    """Points renumbered in the blocks but not in the coordinates: the polar
+    lines are no longer the blocks."""
+    design = cache.geometry(kind, 2, 4)
+    S = design.structure
+    perm = list(range(1, S.v)) + [0]
+    moved = S.with_blocks([tuple(sorted(perm[p] for p in blk)) for blk in S.blocks], "relabelled")
+    with pytest.raises(DesignError):
+        plane_polarity(dataclasses.replace(design, structure=moved))
+
+
+@pytest.mark.parametrize("kind", ["PG", "EG"])
+def test_broken_polarity_never_shares_a_distance(monkeypatch, kind):
+    """A sigma that is a bijection onto the blocks but leaves A[:, sigma]
+    unsymmetric fails the check: the second orientation raises instead of
+    taking the first one's d."""
+    real = geometry._polar_lines
+
+    def swapped(design, blocks):
+        sigma = real(design, blocks).copy()
+        sigma[[0, 1]] = sigma[[1, 0]]
+        return sigma
+
+    monkeypatch.setattr(geometry, "_polar_lines", swapped)
+    cache = ConstructionCache()
+    cache.params(kind, 2, 4, BLOCK_BY_POINT)
+    with pytest.raises(DesignError, match="not symmetric"):
+        cache.params(kind, 2, 4, POINT_BY_BLOCK)
+
+
+@pytest.mark.parametrize("first,second", [(BLOCK_BY_POINT, POINT_BY_BLOCK),
+                                          (POINT_BY_BLOCK, BLOCK_BY_POINT)])
+@pytest.mark.parametrize("kind,q", [("PG", 4), ("EG", 4), ("EG", 8)])
+def test_second_orientation_reuses_the_enumeration(monkeypatch, kind, q, first, second):
+    """The second orientation of a symmetric plane runs no enumeration; its d
+    equals a fresh ``min_distance`` on its own H, its source still starts
+    with "enumeration", and a shared witness is a codeword of its own H."""
+    runs = []
+    real = gf2.min_distance
+    monkeypatch.setattr(gf2, "min_distance", lambda H: runs.append(H) or real(H))
+    cache = ConstructionCache()
+    cache.params(kind, 2, q, first)
+    _, verdict = cache.params(kind, 2, q, second)
+    assert len(runs) == 1
+    H = oriented_matrix(cache.geometry(kind, 2, q).structure, second)
+    fresh = real(H)
+    assert verdict.result.upper == verdict.enumerated.upper == fresh.upper
+    assert verdict.certified
+    shared = [s for s in verdict.sources if "through the checked polarity" in s]
+    assert len(shared) == 1 and shared[0].startswith("enumeration")
+    if verdict.enumerated.witness is not None:
+        assert len(verdict.enumerated.witness) == fresh.upper
+        validate_witness(H, WitnessCodeword("polarity_image", verdict.enumerated.witness))
+
+
+def test_affine_planes_enumerate_both_orientations(monkeypatch):
+    runs = []
+    real = gf2.min_distance
+    monkeypatch.setattr(gf2, "min_distance", lambda H: runs.append(H) or real(H))
+    cache = ConstructionCache()
+    for orientation in (BLOCK_BY_POINT, POINT_BY_BLOCK):
+        _, verdict = cache.params("AG", 2, 4, orientation)
+        assert not any("polarity" in s for s in verdict.sources)
+    assert len(runs) == 2

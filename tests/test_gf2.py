@@ -6,6 +6,7 @@ import pytest
 from eaqldpc import gf2
 from eaqldpc.gf2 import (
     BitMatrix,
+    free_columns,
     gram_rank,
     in_row_space,
     macwilliams_min_distance,
@@ -32,8 +33,33 @@ def random_matrix(rng, rows, cols, density=0.5):
 
 
 def packed(vecs, nbits):
-    """The int bitmasks ``vecs`` as the packed rows ``weight_distribution`` takes."""
+    """The int bitmasks ``vecs`` as packed rows, as ``weight_distribution_oracle`` takes them."""
     return BitMatrix(len(vecs), nbits, vecs).to_packed()
+
+
+def weight_distribution_oracle(basis: np.ndarray, nbits: int) -> list[int]:
+    """Weight distribution over all 2^k combinations of the packed rows
+    ``basis``, dependent or not (a dependent basis counts each span vector
+    2^(k - rank) times).  The enumeration ``weight_distribution`` replaced,
+    kept as its oracle: an inner block of the 2^16 combinations of the first
+    16 rows, stored word-major, times a Gray walk over the rest, with every
+    column of every vector popcounted."""
+    counts = np.zeros(nbits + 1, dtype=np.int64)
+    k2 = min(len(basis), 16)
+    inner = np.zeros((basis.shape[1], 1 << k2), dtype=np.uint64)
+    for i in range(k2):
+        inner[:, 1 << i : 2 << i] = inner[:, : 1 << i] ^ basis[i][:, None]
+    wtype = np.min_scalar_type(nbits)
+    outer = basis[k2:]
+    acc = np.zeros(basis.shape[1], dtype=np.uint64)
+    for t in range(1 << len(outer)):
+        if t:  # Gray walk: step t flips outer vector (lowest set bit of t)
+            acc ^= outer[(t & -t).bit_length() - 1]
+        w = np.zeros(inner.shape[1], dtype=wtype)
+        for row, x in zip(inner, acc):
+            w += np.bitwise_count(row ^ x)
+        counts += np.bincount(w, minlength=nbits + 1)
+    return counts.tolist()
 
 
 def identity(n):
@@ -250,9 +276,10 @@ def test_min_distance_over_both_caps_is_none_without_reduction(monkeypatch):
 
 
 def test_weight_distribution_vs_bruteforce():
+    """The oracle against a plain loop over all 2^6 combinations."""
     rng = np.random.default_rng(19)
     vecs = [int(rng.integers(0, 1 << 12)) for _ in range(6)]
-    counts = weight_distribution(packed(vecs, 12), 12)
+    counts = weight_distribution_oracle(packed(vecs, 12), 12)
     brute = [0] * 13
     for t in range(1 << 6):
         x = 0
@@ -267,8 +294,10 @@ def test_weight_distribution_vs_bruteforce():
 @pytest.mark.parametrize("nbits", [1, 63, 64, 65, 255, 256, 300])
 def test_weight_distribution_vs_int_enumeration(k, nbits):
     """Past the inner block (k > 16), across word boundaries and from 256 bits,
-    with a dependent last vector, so every combination counts, repeats included.
-    The all-ones first vector and sparse odd vectors reach weights near nbits."""
+    with a dependent last vector.  The oracle counts every combination,
+    repeats included; ``weight_distribution`` takes the reduced rows of the
+    same span, counts each vector once, and so 2^(k - rank) times less.  The
+    all-ones first vector and sparse odd vectors reach weights near nbits."""
     rng = np.random.default_rng(1000 * k + nbits)
 
     def rand():
@@ -284,7 +313,52 @@ def test_weight_distribution_vs_int_enumeration(k, nbits):
     brute = [0] * (nbits + 1)
     for x in span:
         brute[x.bit_count()] += 1
-    assert weight_distribution(packed(vecs, nbits), nbits) == brute
+    assert weight_distribution_oracle(packed(vecs, nbits), nbits) == brute
+    prof = rank(BitMatrix(k, nbits, vecs))
+    once = weight_distribution(prof.rref.to_packed(), nbits, prof.pivot_columns)
+    assert [c << (k - prof.rank) for c in once] == brute
+
+
+def reduced_bases():
+    """(form, k, width, matrix, unit columns): random fully reduced rows with
+    their pivots, and nullspace bases with their free columns, for k up to
+    16 and past it, across word boundaries."""
+    rng = np.random.default_rng(2026)
+
+    def rand(rows, width, density):
+        return BitMatrix.from_dense(rng.random((rows, width)) < density)
+
+    for width in (1, 63, 64, 65, 127, 128, 129):
+        for k in sorted({min(width, 9), min(width, 16), min(width, 18)}):
+            for density in (0.5, 0.1):
+                prof = rand(k, width, density).rank_profile()
+                yield "rref", prof.rank, width, prof.rref, prof.pivot_columns
+                # full-rank checks leave a k-dimensional nullspace
+                C = rand(width - k, width, density)
+                while rank_value(C) < width - k:
+                    C = rand(width - k, width, density)
+                yield "nullspace", k, width, nullspace_basis(C), free_columns(C)
+
+
+REDUCED_BASES = list(reduced_bases())
+
+
+@pytest.mark.parametrize(
+    "form,k,width,B,units", REDUCED_BASES,
+    ids=[f"{f}-k{k}-n{n}-{i}" for i, (f, k, n, _, _) in enumerate(REDUCED_BASES)])
+def test_weight_distribution_matches_oracle_on_reduced_bases(form, k, width, B, units):
+    assert B.rows == len(units) == k
+    assert weight_distribution(B.to_packed(), width, units) == \
+        weight_distribution_oracle(B.to_packed(), width)
+
+
+def test_weight_distribution_rejects_a_non_systematic_basis():
+    B = BitMatrix(2, 5, [0b00011, 0b00110])  # column 1 is shared
+    with pytest.raises(ValueError, match="identity"):
+        weight_distribution(B.to_packed(), 5, (0, 1))
+    with pytest.raises(ValueError, match="identity"):
+        weight_distribution(B.to_packed(), 5, (0,))
+    assert weight_distribution(B.to_packed(), 5, (0, 2)) == [1, 0, 3, 0, 0, 0]
 
 
 def test_macwilliams_roundtrip():
@@ -294,7 +368,7 @@ def test_macwilliams_roundtrip():
         prof = rank(m)
         if prof.rank == 0 or prof.rank == 12:
             continue
-        dual_counts = weight_distribution(prof.rref.to_packed(), 12)
+        dual_counts = weight_distribution(prof.rref.to_packed(), 12, prof.pivot_columns)
         d = macwilliams_min_distance(dual_counts, 12, prof.rank)
         assert d == brute_min_distance(m)
 
