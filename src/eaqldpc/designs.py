@@ -8,6 +8,7 @@ bit-for-bit across runs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -62,17 +63,31 @@ class IncidenceStructure:
     groups: Optional[tuple[tuple[int, ...], ...]] = None  # for GDDs
 
     def __post_init__(self):
+        """Every block strictly increasing within 0..v-1, and no block twice.
+        The points of all blocks are checked as one array; the error names
+        the first offending block, with the checks in that order within it."""
         if self.v < 0:
             raise DesignError(f"negative point count v={self.v}")
-        seen = set()
-        for b in self.blocks:
-            if list(b) != sorted(set(b)):
-                raise DesignError(f"block {b} not sorted/distinct")
-            if b and (b[0] < 0 or b[-1] >= self.v):
-                raise DesignError(f"block {b} out of range for v={self.v}")
-            if b in seen:
-                raise DesignError(f"duplicate block {b}")
-            seen.add(b)
+        blocks = self.blocks
+        sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+        try:
+            flat = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.int64)
+        except OverflowError:  # a point past 64 bits: compare as Python ints
+            flat = np.fromiter(itertools.chain.from_iterable(blocks), dtype=object)
+        block_of = np.repeat(np.arange(len(blocks)), sizes)
+        same_block = block_of[1:] == block_of[:-1]
+        unsorted = block_of[1:][same_block & (flat[1:] <= flat[:-1])]
+        outside = block_of[(flat < 0) | (flat >= self.v)]
+        firsts = [int(js[0]) if len(js) else len(blocks) for js in (unsorted, outside)]
+        repeat = len(blocks)
+        if len(set(blocks)) < len(blocks):
+            index: dict = {}
+            repeat = next(j for j, b in enumerate(blocks) if index.setdefault(b, j) != j)
+        j, check = min((j, i) for i, j in enumerate(firsts + [repeat]))
+        if j < len(blocks):
+            message = ("block {b} not sorted/distinct", "block {b} out of range for v={v}",
+                       "duplicate block {b}")[check]
+            raise DesignError(message.format(b=blocks[j], v=self.v))
 
     @property
     def b(self) -> int:

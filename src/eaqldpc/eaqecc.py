@@ -9,7 +9,7 @@ both ranks over GF(2).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
 from typing import Optional
@@ -313,8 +313,7 @@ def _through_polarity(design, orientation: str, twin: Optional[DistanceVerdict])
         return r
     # Type I column j (a point) is Type II column sigma(j) (its polar line)
     to_here = np.argsort(sigma) if orientation == BLOCK_BY_POINT else sigma
-    return DistanceResult(r.status, r.lower, r.upper,
-                          tuple(sorted(to_here[list(r.witness)].tolist())))
+    return replace(r, witness=tuple(sorted(to_here[list(r.witness)].tolist())))
 
 
 def distance_verdict(
@@ -396,7 +395,8 @@ def distance_verdict(
                 certified=True,
                 enumerated=enum_result,
             )
-        sources.append("enumeration:codewords-exhaustive" + via)
+        method = "dual-macwilliams" if enum_result.side == "dual" else "codewords-exhaustive"
+        sources.append(f"enumeration:{method}{via}")
         if witness is not None and witness.weight < d:
             raise DesignError("validated witness lighter than enumerated distance")
         if not (lower <= d <= upper):

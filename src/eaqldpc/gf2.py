@@ -22,14 +22,20 @@ rows that are the identity on k given unit columns, as the fully reduced rows
 are on their pivots and the nullspace basis is on the free columns.  A span
 vector then holds its own coefficients on the unit columns, so its weight is
 the popcount of its coefficients plus its weight on the n - k other columns,
-and only those are stored.  The span is an inner block of the 2^16
-combinations of the first 16 basis vectors times a Gray walk over the
-combinations of the rest.  The inner block is stored word-major, as a
-``(words, 2^16)`` array with each 64-bit word of all inner vectors
-contiguous, so the weights of one outer step are summed word by word onto the
-inner coefficients' popcounts in a ``uint8`` (``uint16`` from 256 bits)
-vector, binned with ``bincount`` and shifted by the outer coefficients'
-popcount.
+and only those are stored.  The XOR of all k rows is their sum, so the
+all-ones word is in the span iff every column holds an odd number of ones;
+such a span is S' and its complement S' + 1 with S' the span of the first
+k - 1 rows, so only S' is walked and A_w = A'_w + A'_{n-w} (MacWilliams and
+Sloane, ch. 1).  The walk is an inner block of the 2^16 combinations of the
+first 16 basis vectors times a Gray walk over the combinations of the rest.
+The inner block is stored word-major, as a ``(words, 2^16)`` array with each
+64-bit word of all inner vectors contiguous, so the weights of one outer step
+are summed word by word onto the inner and outer coefficients' popcounts in a
+``uint8`` (``uint16`` from 256 bits, ``uint32`` from 2^16) vector.  That
+vector is binned through a ``uint16`` view: a key is a pair of ``uint8``
+weights (low + 256 * high, whose two marginals give the counts) or one
+``uint16`` weight, so ``bincount`` casts half as many keys to ``intp``;
+``uint32`` weights are binned as they are.
 
 ``min_distance`` is exhaustive only: it enumerates the code (up to 2^26
 codewords) or its dual (up to 2^28 vectors, then an exact MacWilliams
@@ -45,7 +51,7 @@ profile, transpose) is computed lazily and cached.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -216,6 +222,15 @@ class DistanceResult:
             raise ValueError("lower > upper")
         if self.status == "exact" and self.lower != self.upper:
             raise ValueError("exact result must have lower == upper")
+
+
+@dataclass(frozen=True)
+class EnumeratedDistance(DistanceResult):
+    """An exhaustive ``min_distance`` result and the side that decided it:
+    "code" (the codewords) or "dual" (the dual code, then the MacWilliams
+    transform).  The side is provenance and takes no part in equality."""
+
+    side: str = field(default="code", compare=False)
 
 
 def _combine(rows: np.ndarray, coeff: np.ndarray) -> np.ndarray:
@@ -409,34 +424,53 @@ def weight_distribution(basis: np.ndarray, nbits: int, unit_columns: Sequence[in
     ``nullspace_basis`` rows with the free columns qualify; any other basis
     raises ValueError.  Such a basis is independent, so each of the 2^k span
     vectors is counted once.  Returns counts[w] for w = 0..nbits.  Cost is
-    O(2^k) popcounts of n - k bits, vectorized in blocks of up to 2^16; see
-    the module docstring for the layout.
+    2^k popcounts of n - k bits, or 2^(k-1) when the span holds the all-ones
+    word, vectorized in blocks of up to 2^16 and binned through ``uint16``
+    keys; see the module docstring for the layout and the halving.
     """
     k = len(basis)
     unit_columns = list(unit_columns)
     bits = np.unpackbits(basis.view(np.uint8), axis=1, count=nbits, bitorder="little")
     if not np.array_equal(bits[:, unit_columns], np.eye(k, dtype=np.uint8)):
         raise ValueError("basis is not the identity on unit_columns")
+    if k == 0:
+        return [1] + [0] * nbits
+    # the all-ones word, the XOR of all k rows, is in the span iff every column
+    # has an odd number of ones; the span is then S' and S' + 1 with S' the
+    # span of the first k - 1 rows, whose last unit column is always zero
+    complemented = k > 1 and bool(np.all(bits.sum(axis=0, dtype=np.int64) & 1))
+    if complemented:
+        k -= 1
     rest = np.ones(nbits, dtype=bool)
     rest[unit_columns] = False
-    rows = pack_bool_rows(bits[:, rest])
-    counts = np.zeros(nbits + 1, dtype=np.int64)
+    rows = pack_bool_rows(bits[:k, rest])
     k2 = min(k, 16)
     inner = np.zeros((rows.shape[1], 1 << k2), dtype=np.uint64)
     for i in range(k2):
         inner[:, 1 << i : 2 << i] = inner[:, : 1 << i] ^ rows[i][:, None]
     wtype = np.min_scalar_type(nbits)
     inner_units = np.bitwise_count(np.arange(1 << k2, dtype=np.uint32)).astype(wtype)
+    # one uint16 key per uint8 weight pair (k2 >= 1, so the block has even
+    # length) or per uint16 weight; uint32 weights are binned as they are
+    keys = np.uint16 if wtype.itemsize <= 2 else wtype
+    hist = np.zeros(max(1 << 16, nbits + 1), dtype=np.int64)
     outer = rows[k2:]
     acc = np.zeros(rows.shape[1], dtype=np.uint64)
+    w = np.empty_like(inner_units)
     for t in range(1 << len(outer)):
         if t:  # Gray walk: step t flips outer vector (lowest set bit of t)
             acc ^= outer[(t & -t).bit_length() - 1]
-        w = inner_units.copy()
+        np.add(inner_units, (t ^ (t >> 1)).bit_count(), out=w)
         for row, x in zip(inner, acc):
             w += np.bitwise_count(row ^ x)
-        outer_units = (t ^ (t >> 1)).bit_count()
-        counts[outer_units:] += np.bincount(w, minlength=nbits + 1 - outer_units)
+        binned = np.bincount(w.view(keys))
+        hist[: len(binned)] += binned
+    if wtype == np.uint8:  # key = low weight + 256 * high weight: add both marginals
+        joint = hist.reshape(256, 256)
+        hist = joint.sum(axis=0) + joint.sum(axis=1)
+    counts = hist[: nbits + 1]
+    if complemented:  # |v + 1| = nbits - |v|
+        counts = counts + counts[::-1]
     return counts.tolist()
 
 
@@ -510,13 +544,13 @@ def min_distance(M: BitMatrix) -> Optional[DistanceResult]:
         if dim <= 18:
             w, v = _min_weight_with_witness(null.row_bits(), M.cols)
             wit = tuple(j for j in range(M.cols) if (v >> j) & 1)
-            return DistanceResult("exact", w, w, wit)
+            return EnumeratedDistance("exact", w, w, wit, side="code")
         counts = weight_distribution(null.to_packed(), M.cols, free_columns(M))
         d = next(w for w in range(1, M.cols + 1) if counts[w] > 0)
-        return DistanceResult("exact", d, d, None)
+        return EnumeratedDistance("exact", d, d, None, side="code")
     if dual_side_ok:
         prof = M.rank_profile()
         dual_counts = weight_distribution(prof.rref.to_packed(), M.cols, prof.pivot_columns)
         d = macwilliams_min_distance(dual_counts, M.cols, rk)
-        return DistanceResult("exact", d, d, None)
+        return EnumeratedDistance("exact", d, d, None, side="dual")
     return None

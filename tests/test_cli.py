@@ -132,9 +132,9 @@ def test_tables_manifest_records_rows(tmp_path, capsys):
     assert all(set(r) == {"table", "row", "distance_sources", "seconds"} for r in rows)
     assert all(r["seconds"] >= 0 for r in rows)
     by_row = {(r["table"], r["row"]): r["distance_sources"] for r in rows}
-    assert by_row[("VIII", "EG(2,8)/I")][-1] == "enumeration:codewords-exhaustive"
+    assert by_row[("VIII", "EG(2,8)/I")][-1] == "enumeration:dual-macwilliams"
     assert by_row[("IX", "EG(2,8)/II")][-1] == (
-        "enumeration:codewords-exhaustive (shared from Type I through the checked polarity)")
+        "enumeration:dual-macwilliams (shared from Type I through the checked polarity)")
     assert not any("enumeration" in s for s in by_row[("VIII", "EG(2,32)/I")])
     _, out, _ = run_cli(capsys, "tables", "VIII", "IX")
     assert out == (tmp_path / "table_VIII.csv").read_text() + (tmp_path / "table_IX.csv").read_text()

@@ -359,3 +359,35 @@ def test_blocks_sorted_and_unique():
         IncidenceStructure(v=5, blocks=((0, 1, 2), (0, 1, 2)))
     with pytest.raises(DesignError):
         IncidenceStructure(v=3, blocks=((0, 1, 5),))
+
+
+@pytest.mark.parametrize("v,blocks,message", [
+    (5, ((0, 1), (2, 1, 0)), "block (2, 1, 0) not sorted/distinct"),
+    (5, ((0, 1), (1, 1, 2)), "block (1, 1, 2) not sorted/distinct"),
+    (5, ((0, 1), (-1, 2)), "block (-1, 2) out of range for v=5"),
+    (5, ((0, 1), (3, 5)), "block (3, 5) out of range for v=5"),
+    (5, ((0, 1), (1, 2), (0, 1)), "duplicate block (0, 1)"),
+    (5, ((0, 1, 2), (3,), (4, 1)), "block (4, 1) not sorted/distinct"),
+    (5, ((), (0, 1), ()), "duplicate block ()"),
+    # the first offending block decides, and within a block sorting is checked first
+    (5, ((0, 1), (0, 1), (3, 2)), "duplicate block (0, 1)"),
+    (5, ((0, 1), (7, 1), (0, 1)), "block (7, 1) not sorted/distinct"),
+    (5, ((0, 9), (1, 0)), "block (0, 9) out of range for v=5"),
+    (5, ((3,), (4,), (3,), (0, 0)), "duplicate block (3,)"),
+    # points past 64 bits
+    (5, ((0, 1), (0, 2**70)), f"block (0, {2**70}) out of range for v=5"),
+    (5, ((1, 0), (0, 2**70)), "block (1, 0) not sorted/distinct"),
+    (5, ((0, 1), (0, 1), (-(2**70),)), "duplicate block (0, 1)"),
+    (5, ((2**70, 0),), f"block ({2**70}, 0) not sorted/distinct"),
+])
+def test_block_errors_name_the_first_offending_block(v, blocks, message):
+    with pytest.raises(DesignError) as err:
+        IncidenceStructure(v=v, blocks=blocks)
+    assert str(err.value) == message
+
+
+def test_mixed_sizes_and_an_empty_block_are_accepted():
+    blocks = ((), (0,), (0, 1), (1, 2, 3), (0, 2, 3, 4), (4,))
+    assert IncidenceStructure(v=5, blocks=blocks).blocks == blocks
+    assert IncidenceStructure(v=0, blocks=((),)).b == 1
+    assert IncidenceStructure(v=3, blocks=()).b == 0

@@ -135,6 +135,21 @@ def test_distance_verdict_pg32_enumeration(cache):
     assert any("dual_hyperoval" in s for s in verdict.sources)
 
 
+def test_enumeration_source_names_the_side(cache):
+    """A code-side result reads codewords-exhaustive and a dual-side one
+    dual-macwilliams, also when shared through the polarity."""
+    fano = cache.geometry("PG", 2, 2)
+    code_side = distance_verdict(fano, BLOCK_BY_POINT)  # dim 3 <= rank 4
+    shared = distance_verdict(fano, POINT_BY_BLOCK, twin=code_side)
+    dual_side = distance_verdict(cache.geometry("PG", 3, 2), POINT_BY_BLOCK)  # dim 24 > rank 11
+    assert code_side.enumerated.side == shared.enumerated.side == "code"
+    assert code_side.sources[-1] == "enumeration:codewords-exhaustive"
+    assert shared.sources[-1] == (
+        "enumeration:codewords-exhaustive (shared from Type I through the checked polarity)")
+    assert dual_side.enumerated.side == "dual"
+    assert dual_side.sources[-1] == "enumeration:dual-macwilliams"
+
+
 def test_distance_verdict_ag33(cache):
     params, verdict = cache.params("AG", 3, 3, POINT_BY_BLOCK)
     assert verdict.result.upper == 6 and verdict.result.status == "exact"
@@ -357,6 +372,8 @@ def test_second_orientation_reuses_the_enumeration(monkeypatch, kind, q, first, 
     assert verdict.certified
     shared = [s for s in verdict.sources if "through the checked polarity" in s]
     assert len(shared) == 1 and shared[0].startswith("enumeration")
+    method = {"code": "codewords-exhaustive", "dual": "dual-macwilliams"}[fresh.side]
+    assert shared[0].startswith(f"enumeration:{method} ")
     if verdict.enumerated.witness is not None:
         assert len(verdict.enumerated.witness) == fresh.upper
         validate_witness(H, WitnessCodeword("polarity_image", verdict.enumerated.witness))

@@ -233,6 +233,7 @@ def test_min_distance_code_side_witness_matches_bruteforce(monkeypatch):
             acc ^= cols[j]
         assert acc == 0 and len(res.witness) == res.upper
     assert checked > 10 and len(walks) == checked and not counts
+    assert res.side == "code"
 
 
 def test_min_distance_code_side_counting_matches_dual_side(monkeypatch):
@@ -252,6 +253,7 @@ def test_min_distance_code_side_counting_matches_dual_side(monkeypatch):
     dual_side = min_distance(m)
     assert (len(walks), len(counts), len(transforms)) == (0, 2, 1)
     assert dual_side == code_side
+    assert (code_side.side, dual_side.side) == ("code", "dual")
     assert code_side.lower == brute_min_distance(m)
 
 
@@ -263,7 +265,7 @@ def test_min_distance_dual_side_matches_bruteforce(monkeypatch):
     for _ in range(10):
         m = random_matrix(rng, 6, 14, density=0.35)
         res = min_distance(m)
-        assert (res.status, res.lower) == ("exact", brute_min_distance(m))
+        assert (res.status, res.lower, res.side) == ("exact", brute_min_distance(m), "dual")
     assert len(transforms) == 10 and not walks
 
 
@@ -359,6 +361,59 @@ def test_weight_distribution_rejects_a_non_systematic_basis():
     with pytest.raises(ValueError, match="identity"):
         weight_distribution(B.to_packed(), 5, (0,))
     assert weight_distribution(B.to_packed(), 5, (0, 2)) == [1, 0, 3, 0, 0, 0]
+
+
+def systematic_basis(rng, k, nbits, holds_ones):
+    """(packed rows, pivot columns) of a random k-dimensional span of
+    nbits-bit vectors, fully reduced, which holds the all-ones word or not."""
+    ones = (1 << nbits) - 1
+    while True:
+        vecs = [int.from_bytes(rng.bytes(nbits // 8 + 1), "little") & ones for _ in range(k)]
+        if holds_ones:
+            vecs[0] = ones
+        prof = rank(BitMatrix(k, nbits, vecs))
+        with_ones = rank_value(BitMatrix(k + 1, nbits, vecs + [ones]))
+        if prof.rank == k and holds_ones == (with_ones == k):
+            return prof.rref.to_packed(), prof.pivot_columns
+
+
+@pytest.mark.parametrize("holds_ones", [True, False], ids=["ones", "no-ones"])
+@pytest.mark.parametrize("k,nbits", [
+    *[(k, n) for k in (1, 2, 16, 17, 18) for n in (k + 63, k + 64, k + 65)],
+    *[(k, n) for k in (1, 2, 17) for n in (255, 256, 300)],
+    *[(k, n) for k in (1, 3) for n in (65_535, 65_537)],
+])
+def test_weight_distribution_with_and_without_the_all_ones_word(k, nbits, holds_ones):
+    """A span that holds the all-ones word is enumerated as half the span and
+    its complement (from k = 2; at k = 1 both vectors are walked).  The
+    n - k stored columns (the half's dropped unit column is always zero and
+    is not stored) lie around a word boundary at n = k + 63..65;
+    n = 255/256/300 switch the weights from uint8 pairs to uint16 keys, and
+    n = 65 537 to uint32 weights binned as is."""
+    rng = np.random.default_rng(7 * k + nbits + holds_ones)
+    basis, units = systematic_basis(rng, k, nbits, holds_ones)
+    assert weight_distribution(basis, nbits, units) == weight_distribution_oracle(basis, nbits)
+
+
+def test_weight_distribution_of_the_zero_span():
+    for nbits in (0, 1, 64, 300):
+        empty = np.zeros((0, -(-nbits // 64)), dtype=np.uint64)
+        assert weight_distribution(empty, nbits, ()) == [1] + [0] * nbits
+
+
+@pytest.mark.parametrize("holds_ones,steps", [(True, 2), (False, 4)])
+def test_weight_distribution_enumerates_half_a_span_holding_the_all_ones_word(
+        monkeypatch, holds_ones, steps):
+    """k = 18: the full span is 4 outer steps of the 2^16 inner block, one
+    ``bincount`` each; with the all-ones word in it only half is walked."""
+    calls = []
+    real = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    basis, units = systematic_basis(np.random.default_rng(3), 18, 40, holds_ones)
+    counts = weight_distribution(basis, 40, units)
+    assert len(calls) == steps
+    assert sum(counts) == 1 << 18
+    assert (counts == counts[::-1]) == holds_ones
 
 
 def test_macwilliams_roundtrip():
