@@ -19,6 +19,7 @@ import platform
 import sys
 import time
 import warnings
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -37,7 +38,6 @@ from .designs import (
     verify_steiner,
 )
 from .eaqecc import (
-    DistanceVerdict,
     assemble_params,
     family_params,
     normalize_orientation,
@@ -51,7 +51,7 @@ from .simulator import (
     SimConfig,
     estimate_bler,
 )
-from .tables import TABLE_IDS, ConstructionCache, _d_cell, compute_table, diff_report, rows_to_csv
+from .tables import TABLE_IDS, ConstructionCache, compute_table, diff_report, rows_to_csv
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -237,11 +237,9 @@ def cmd_code_params(args) -> int:
     if args.family:
         kind_s, m_v, q_v = _pick_geometry(args)
         params = family_params(kind_s, orientation, m_v, q_v)
-        # closed-form values carry no enumeration certificate
-        verdict = DistanceVerdict(params.d, sources=())
     else:
         design, label = _load_structure(args)
-        params, verdict = assemble_params(design, orientation)
+        params = assemble_params(design, orientation)
         if args.design:
             kind_s, m_v, q_v = label, "", ""
         else:
@@ -249,7 +247,7 @@ def cmd_code_params(args) -> int:
     header = "kind,orientation,m,q,n,k,d_status,d_lower,d_upper,c,rank_h,girth,rate,net_rate\n"
     row = (
         f"{kind_s},{type_label(orientation)},{m_v},{q_v},{params.n},{params.k},"
-        f"{_d_cell(verdict)[0]},{params.d.lower},{params.d.upper},{params.c},{params.rank_h},"
+        f"{params.d.status},{params.d.lower},{params.d.upper},{params.c},{params.rank_h},"
         f"{params.girth},{float(params.rate):.4f},{float(params.net_rate):.4f}\n"
     )
     _emit(header + row, args.out, args)
@@ -259,14 +257,13 @@ def cmd_code_params(args) -> int:
 def cmd_code_distance(args) -> int:
     orientation = normalize_orientation(args.type)
     design, label = _load_structure(args)
-    params, verdict = assemble_params(design, orientation)
-    r = verdict.result
-    print(f"{label} type {type_label(orientation)}: d status={r.status} "
-          f"lower={r.lower} upper={r.upper} certified={verdict.certified}")
-    for s in verdict.sources:
+    d = assemble_params(design, orientation).d
+    print(f"{label} type {type_label(orientation)}: d status={d.status} "
+          f"lower={d.lower} upper={d.upper} certified={d.certified}")
+    for s in d.sources:
         print(f"  source: {s}")
-    if r.witness:
-        print(f"  witness support: {list(r.witness)}")
+    if d.witness:
+        print(f"  witness support: {list(d.witness)}")
     return 0
 
 
@@ -300,6 +297,10 @@ def cmd_tables(args) -> int:
         csv = rows_to_csv(rows)
         report = diff_report(rows)
         bad = [r for r in rows if r.status == "mismatch"]
+        # rows per distance status, for the tables that have a d column
+        d_counts = sorted(Counter(r.computed["d_status"] for r in rows
+                                  if "d_status" in r.computed).items())
+        d_note = ", d: " + ", ".join(f"{n} {s}" for s, n in d_counts) if d_counts else ""
         all_ok &= not bad
         if args.out:
             path = Path(args.out) / f"table_{t}.csv"
@@ -311,8 +312,8 @@ def cmd_tables(args) -> int:
         if report:
             print(report, file=sys.stderr)
         print(
-            f"table {t}: {len(rows)} rows, {len(bad)} mismatches "
-            f"({time.time() - t0:.1f}s)",
+            f"table {t}: {len(rows)} rows, {len(bad)} mismatches"
+            f"{d_note} ({time.time() - t0:.1f}s)",
             file=sys.stderr,
         )
     if outputs:

@@ -58,7 +58,6 @@ class IncidenceStructure:
 
     v: int
     blocks: tuple[tuple[int, ...], ...]
-    labels: Optional[tuple] = None
     provenance: str = ""
     groups: Optional[tuple[tuple[int, ...], ...]] = None  # for GDDs
 
@@ -120,7 +119,6 @@ class IncidenceStructure:
         return IncidenceStructure(
             v=self.v,
             blocks=tuple(sorted(tuple(b) for b in blocks)),
-            labels=self.labels,
             provenance=provenance,
         )
 
@@ -374,14 +372,15 @@ def compose_gdd_spread(
     return S, spread
 
 
-def verify_spread(S: IncidenceStructure, spread: SpreadPartition, mu: Optional[int] = None) -> None:
-    """Each part's blocks lie inside its point set and form a Steiner subdesign."""
+def verify_spread(S: IncidenceStructure, spread: SpreadPartition) -> None:
+    """Each part's blocks lie inside its point set and form a Steiner
+    subdesign whose mu is the part's block size."""
     for pts, bidx in spread.parts:
         sub_blocks = [S.blocks[i] for i in bidx]
         for blk in sub_blocks:
             if not set(blk) <= pts:
                 raise DesignError(f"block {blk} leaves its part")
-        sub_mu = mu if mu is not None else (len(sub_blocks[0]) if sub_blocks else 0)
+        sub_mu = len(sub_blocks[0]) if sub_blocks else 0
         spts = sorted(pts)
         remap = {p: i for i, p in enumerate(spts)}
         sub = IncidenceStructure(

@@ -42,7 +42,7 @@ from .geometry import (
     validate_witness,
     _two_adic,
 )
-from .gf2 import BitMatrix, DistanceResult
+from .gf2 import BitMatrix, EnumeratedDistance
 
 POINT_BY_BLOCK = "point_by_block"  # Type II
 BLOCK_BY_POINT = "block_by_point"  # Type I
@@ -69,11 +69,54 @@ def type_label(orientation: str) -> str:
 
 
 @dataclass(frozen=True)
+class DistanceVerdict:
+    """The minimum distance of a code and what it rests on.
+
+    ``status`` is "exact" when enumeration, or a counting lower bound that
+    meets a validated witness, certifies lower = upper = d; "theorem-only"
+    when d = lower = upper is a closed-form family value that nothing at
+    desk scale certified; "bounded" when only lower <= d <= upper is known.
+    For the trivial code (no nonzero codeword) d = 0.  ``witness`` is a
+    column support of a codeword of weight ``upper``, or None; ``sources``
+    name the evidence; ``enumerated`` is the exhaustive result that decided
+    d, in this H's columns, or None.
+    """
+
+    status: str
+    lower: int
+    upper: int
+    witness: Optional[tuple[int, ...]] = None
+    sources: tuple[str, ...] = ()
+    enumerated: Optional[EnumeratedDistance] = None
+
+    def __post_init__(self):
+        if self.status not in ("exact", "theorem-only", "bounded"):
+            raise ValueError(f"bad distance status {self.status!r}")
+        if self.lower > self.upper:
+            raise ValueError("lower > upper")
+        if self.status != "bounded" and self.lower != self.upper:
+            raise ValueError(f"{self.status} distance must have lower == upper")
+
+    @property
+    def certified(self) -> bool:
+        return self.status == "exact"
+
+    @property
+    def theorem_only(self) -> bool:
+        return self.status == "theorem-only"
+
+    @property
+    def value(self):
+        """d, or (lower, upper) when bounded: a table's d cell."""
+        return (self.lower, self.upper) if self.status == "bounded" else self.upper
+
+
+@dataclass(frozen=True)
 class EaqeccParams:
     n: int
     k: int
     c: int
-    d: DistanceResult
+    d: DistanceVerdict
     rank_h: int
     orientation: str
     girth: object  # int or ">=cap"
@@ -92,18 +135,6 @@ class EaqeccParams:
     @property
     def net_rate(self) -> Fraction:
         return Fraction(self.k - self.c, self.n)
-
-
-@dataclass(frozen=True)
-class DistanceVerdict:
-    result: DistanceResult
-    sources: tuple[str, ...]
-    certified: bool = False
-    """certified: the exact value is pinned by enumeration or by a
-    counting lower bound meeting a validated witness — not by a closed-form
-    family value alone."""
-    enumerated: Optional[DistanceResult] = None
-    """The exhaustive result that decided d, in this H's columns, or None."""
 
 
 @dataclass(frozen=True)
@@ -146,7 +177,7 @@ def css_from_parity_check(H: BitMatrix, orientation: str) -> EaqeccParams:
         n=n,
         k=k,
         c=c,
-        d=DistanceResult("bounded", 1, n),
+        d=DistanceVerdict("bounded", 1, n),
         rank_h=rk,
         orientation=orientation,
         girth=None,
@@ -328,7 +359,10 @@ def distance_verdict(
 
     Precedence: enumeration-exact beats formula-exact; all sources must agree
     (a validated witness below a certified lower bound, or a formula value
-    contradicting enumeration, raises DesignError).
+    contradicting enumeration, raises DesignError).  The evidence is
+    collected first and the verdict built once: "exact" from enumeration or
+    from a counting bound that meets a validated witness, "theorem-only"
+    from a closed-form family value alone, else "bounded".
 
     ``twin`` is the verdict of the other orientation of the same design.
     For PG(2, q) and EG(2, q), whose polarity makes the two codes equivalent,
@@ -372,10 +406,11 @@ def distance_verdict(
         sources.append(f"witness:{witness.kind} (weight {witness.weight})")
         upper = min(upper, witness.weight)
 
+    wit = witness.block_indices if witness else None
     shared = _through_polarity(design, orientation, twin)
-    enum_result = shared if shared is not None else gf2.min_distance(H)
-    if enum_result is not None:
-        d = enum_result.upper
+    enumerated = shared if shared is not None else gf2.min_distance(H)
+    if enumerated is not None:
+        d = enumerated.d
         if formula_value is not None and formula_value != d:
             raise DesignError(
                 f"formula distance {formula_value} contradicts enumeration {d}"
@@ -389,83 +424,55 @@ def distance_verdict(
         if d == 0:
             # H has full column rank: no nonzero codeword, and no bound applies
             return DistanceVerdict(
-                result=enum_result,
+                "exact", 0, 0,
                 sources=("enumeration:trivial-code (full column rank, no nonzero codeword)"
                          + via,),
-                certified=True,
-                enumerated=enum_result,
+                enumerated=enumerated,
             )
-        method = "dual-macwilliams" if enum_result.side == "dual" else "codewords-exhaustive"
+        method = "dual-macwilliams" if enumerated.side == "dual" else "codewords-exhaustive"
         sources.append(f"enumeration:{method}{via}")
         if witness is not None and witness.weight < d:
             raise DesignError("validated witness lighter than enumerated distance")
         if not (lower <= d <= upper):
             raise DesignError("enumerated distance outside certified bounds")
-        wit = enum_result.witness or (witness.block_indices if witness else None)
-        return DistanceVerdict(
-            result=DistanceResult("exact", d, d, wit),
-            sources=tuple(sources),
-            certified=True,
-            enumerated=enum_result,
-        )
-
-    wit = witness.block_indices if witness else None
-    if lower == upper:
+        status, lower, upper = "exact", d, d
+        wit = enumerated.witness or wit
+    elif lower == upper:
         # counting bound meets the validated witness: certified without
         # enumeration; a disagreeing formula would be a construction bug
         if formula_value is not None and formula_value != lower:
             raise DesignError(
                 f"formula distance {formula_value} conflicts with certified {lower}"
             )
-        return DistanceVerdict(
-            result=DistanceResult("exact", lower, upper, wit),
-            sources=tuple(sources),
-            certified=True,
-        )
-
-    if formula_value is not None:
+        status = "exact"
+    elif formula_value is not None:
         if formula_value < lower or formula_value > upper:
             raise DesignError(
                 f"formula distance {formula_value} conflicts with bounds "
                 f"[{lower}, {upper}]"
             )
-        return DistanceVerdict(
-            result=DistanceResult("exact", formula_value, formula_value, wit),
-            sources=tuple(sources),
-            certified=False,
-        )
-
-    return DistanceVerdict(
-        result=DistanceResult("bounded", lower, upper, wit),
-        sources=tuple(sources),
-        certified=False,
-    )
+        status, lower, upper = "theorem-only", formula_value, formula_value
+    else:
+        status = "bounded"
+    return DistanceVerdict(status, lower, upper, wit, tuple(sources), enumerated)
 
 
 def assemble_params(
     design,
     orientation: str,
-    provenance: str = "",
     twin: Optional[DistanceVerdict] = None,
-) -> tuple[EaqeccParams, DistanceVerdict]:
+) -> EaqeccParams:
     """Full parameter derivation for a design in one orientation; ``twin``
     as for ``distance_verdict``."""
     orientation = normalize_orientation(orientation)
     structure = design.structure if isinstance(design, GeometryDesign) else design
     H = oriented_matrix(structure, orientation)
-    base = css_from_parity_check(H, orientation)
-    verdict = distance_verdict(design, orientation, H, twin)
-    params = EaqeccParams(
-        n=base.n,
-        k=base.k,
-        c=base.c,
-        d=verdict.result,
-        rank_h=base.rank_h,
-        orientation=orientation,
+    return replace(
+        css_from_parity_check(H, orientation),
+        d=distance_verdict(design, orientation, H, twin),
         girth=tanner_girth(structure),
-        provenance=provenance or getattr(structure, "provenance", ""),
+        provenance=structure.provenance,
     )
-    return params, verdict
 
 
 # --- closed-form families ----------------------------------------------------
@@ -479,7 +486,10 @@ _FAMILY_HELP = (
 def family_params(kind: str, orientation: str, m: int, q: int) -> EaqeccParams:
     """Fully closed-form [[n, k, d; c]] for the supported geometry families,
     computed without building a matrix.  Type II PG/AG take c from
-    ``expected_c``; EG Type II and the Type I planes have their own c."""
+    ``expected_c``; EG Type II and the Type I planes have their own c.  d is
+    "theorem-only" where the family has a closed-form distance and "bounded"
+    where it has only a lower bound or none, with the formula in its
+    sources."""
     orientation = normalize_orientation(orientation)
     even = _two_adic(q) is not None
     if orientation == POINT_BY_BLOCK and kind == EG and not even:
@@ -497,13 +507,12 @@ def family_params(kind: str, orientation: str, m: int, q: int) -> EaqeccParams:
         n, c = b, expected_c(DesignParams(v=v, mu=mu, lam=1, b=b, r=r), orientation)
     rk = rank_formula(kind, m, q)
     k = n - 2 * rk + c
-    d_val, _, lower_only, _ = _formula_distance(kind, m, q, orientation)
-    if d_val is None:
-        d = DistanceResult("bounded", 1, n)
-    elif lower_only:
-        d = DistanceResult("bounded", d_val, n)
+    d_val, source, lower_only, _ = _formula_distance(kind, m, q, orientation)
+    sources = (source,) if source else ()
+    if d_val is None or lower_only:
+        d = DistanceVerdict("bounded", d_val or 1, n, sources=sources)
     else:
-        d = DistanceResult("exact", d_val, d_val)
+        d = DistanceVerdict("theorem-only", d_val, d_val, sources=sources)
     return EaqeccParams(
         n=n,
         k=k,

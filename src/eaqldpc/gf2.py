@@ -39,9 +39,12 @@ weights (low + 256 * high, whose two marginals give the counts) or one
 
 ``min_distance`` is exhaustive only: it enumerates the code (up to 2^26
 codewords) or its dual (up to 2^28 vectors, then an exact MacWilliams
-transform) and returns None when both are larger.  The two codes of a plane
-PG(2, q) or EG(2, q) are equivalent through its polarity, so a table run
-calls it for one of them only (``eaqecc.distance_verdict`` moves the result
+transform) and returns what enumeration knows, an ``EnumeratedDistance``
+(d, a witness support where the code side found one, and the side), or
+None when both sides are larger.  Whether a d is exact, theorem-only or
+bounded is decided in ``eaqecc.distance_verdict``, not here.  The two
+codes of a plane PG(2, q) or EG(2, q) are equivalent through its polarity,
+so a table run calls it for one of them only (``eaqecc.distance_verdict`` moves the result
 to the other through the checked ``geometry.plane_polarity``).
 
 All matrices are immutable after construction; derived data (rank, rank
@@ -201,35 +204,16 @@ class RankProfile:
 
 
 @dataclass(frozen=True)
-class DistanceResult:
-    """Minimum-distance verdict for the code {x : Mx = 0}.
+class EnumeratedDistance:
+    """An exhaustive ``min_distance`` result: the minimum nonzero weight ``d``
+    of the code {x : Mx = 0} (0 for the trivial code), a ``witness`` column
+    support of weight d whose GF(2) sum is zero or None where enumeration
+    only counted weights, and the side that decided d: "code" (the
+    codewords) or "dual" (the dual code, then the MacWilliams transform).
+    The side is provenance and takes no part in equality."""
 
-    ``status`` is "exact" only when an exhaustive method certified the value.
-    A ``witness`` is a column support whose GF(2) sum is zero (weight =
-    ``upper``); enumeration paths that only count weights leave it None.
-    For the trivial code (no nonzero codeword) lower = upper = 0.
-    """
-
-    status: str  # "exact" | "bounded"
-    lower: int
-    upper: int
+    d: int
     witness: Optional[tuple[int, ...]] = None
-
-    def __post_init__(self):
-        if self.status not in ("exact", "bounded"):
-            raise ValueError(f"bad status {self.status!r}")
-        if self.lower > self.upper:
-            raise ValueError("lower > upper")
-        if self.status == "exact" and self.lower != self.upper:
-            raise ValueError("exact result must have lower == upper")
-
-
-@dataclass(frozen=True)
-class EnumeratedDistance(DistanceResult):
-    """An exhaustive ``min_distance`` result and the side that decided it:
-    "code" (the codewords) or "dual" (the dual code, then the MacWilliams
-    transform).  The side is provenance and takes no part in equality."""
-
     side: str = field(default="code", compare=False)
 
 
@@ -372,8 +356,10 @@ def free_columns(M: BitMatrix) -> np.ndarray:
 
 
 def in_row_space(M: BitMatrix, x) -> bool:
-    """True iff x is a GF(2) combination of the rows of M, that is, iff x is
-    orthogonal to every row of ``nullspace_basis(M)``.
+    """True iff x is a GF(2) combination of the rows of M.  The fully reduced
+    rows are the identity on the pivot columns, so the only combination that
+    can equal x is the XOR of the rows picked by x's bits there; x is in the
+    row space iff that XOR equals x.  Memory is that of the cached RREF.
 
     ``x`` may be an int bitmask (bit j = coordinate j) or a 0/1 sequence whose
     length must equal ``M.cols``.
@@ -385,8 +371,10 @@ def in_row_space(M: BitMatrix, x) -> bool:
         x = sum(1 << j for j, v in enumerate(seq) if int(v) & 1)
     elif x >> M.cols:
         raise ValueError("vector has bits beyond matrix width")
-    overlap = nullspace_basis(M).to_packed() & pack_ints([x], M.cols)
-    return not (np.bitwise_count(overlap).sum(axis=1) & 1).any()
+    prof = M.rank_profile()
+    picked = [i for i, p in enumerate(prof.pivot_columns) if x >> p & 1]
+    combination = np.bitwise_xor.reduce(prof.rref.to_packed()[picked], axis=0)
+    return np.array_equal(combination, pack_ints([x], M.cols)[0])
 
 
 # --- packed-array helpers ---------------------------------------------------
@@ -520,7 +508,7 @@ def macwilliams_min_distance(dual_counts: Sequence[int], nbits: int, dual_dim: i
     return 0  # trivial code
 
 
-def min_distance(M: BitMatrix) -> Optional[DistanceResult]:
+def min_distance(M: BitMatrix) -> Optional[EnumeratedDistance]:
     """Exact minimum distance of the binary code with parity-check matrix M,
     by exhaustive enumeration, or None when no side is within its cap.
 
@@ -536,7 +524,7 @@ def min_distance(M: BitMatrix) -> Optional[DistanceResult]:
     rk = rank_value(M)
     dim = M.cols - rk
     if dim == 0:
-        return DistanceResult("exact", 0, 0, None)
+        return EnumeratedDistance(0)
     code_side_ok = dim <= CODEWORD_EXPONENT_CAP
     dual_side_ok = rk <= DUAL_EXPONENT_CAP
     if code_side_ok and (dim <= rk or not dual_side_ok):
@@ -544,13 +532,13 @@ def min_distance(M: BitMatrix) -> Optional[DistanceResult]:
         if dim <= 18:
             w, v = _min_weight_with_witness(null.row_bits(), M.cols)
             wit = tuple(j for j in range(M.cols) if (v >> j) & 1)
-            return EnumeratedDistance("exact", w, w, wit, side="code")
+            return EnumeratedDistance(w, wit, side="code")
         counts = weight_distribution(null.to_packed(), M.cols, free_columns(M))
         d = next(w for w in range(1, M.cols + 1) if counts[w] > 0)
-        return EnumeratedDistance("exact", d, d, None, side="code")
+        return EnumeratedDistance(d, side="code")
     if dual_side_ok:
         prof = M.rank_profile()
         dual_counts = weight_distribution(prof.rref.to_packed(), M.cols, prof.pivot_columns)
         d = macwilliams_min_distance(dual_counts, M.cols, rk)
-        return EnumeratedDistance("exact", d, d, None, side="dual")
+        return EnumeratedDistance(d, side="dual")
     return None

@@ -25,7 +25,6 @@ from .eaqecc import (
     BLOCK_BY_POINT,
     POINT_BY_BLOCK,
     DeletionRecord,
-    DistanceVerdict,
     EaqeccParams,
     assemble_params,
     css_from_parity_check,
@@ -231,7 +230,7 @@ class ConstructionCache:
 
     def __init__(self):
         self._geoms: dict[tuple, GeometryDesign] = {}
-        self._params: dict[tuple, tuple[EaqeccParams, DistanceVerdict]] = {}
+        self._params: dict[tuple, EaqeccParams] = {}
         self._spreads: dict[tuple, SpreadPartition] = {}
 
     def geometry(self, kind: str, m: int, q: int) -> GeometryDesign:
@@ -240,10 +239,10 @@ class ConstructionCache:
             self._geoms[key] = build_geometry(kind, m, q)
         return self._geoms[key]
 
-    def params(self, kind: str, m: int, q: int, orientation: str):
-        """Parameters and distance verdict of one orientation.  Once the other
-        orientation is cached, its exhaustive distance result is handed on,
-        so a PG(2, q) or EG(2, q) plane is enumerated once (see
+    def params(self, kind: str, m: int, q: int, orientation: str) -> EaqeccParams:
+        """Parameters of one orientation, distance verdict included.  Once the
+        other orientation is cached, its verdict is handed on as ``twin``, so
+        a PG(2, q) or EG(2, q) plane is enumerated once (see
         ``distance_verdict``)."""
         key = (kind, m, q, orientation)
         if key not in self._params:
@@ -251,7 +250,7 @@ class ConstructionCache:
             other = BLOCK_BY_POINT if orientation == POINT_BY_BLOCK else POINT_BY_BLOCK
             twin = self._params.get((kind, m, q, other))
             self._params[key] = assemble_params(design, orientation,
-                                                twin=twin[1] if twin else None)
+                                                twin=twin.d if twin else None)
         return self._params[key]
 
     def spread(self, kind: str, m: int, q: int, s: Optional[int] = None) -> SpreadPartition:
@@ -265,49 +264,36 @@ class ConstructionCache:
         return self._spreads[key]
 
 
-def _d_cell(verdict: DistanceVerdict) -> tuple[str, object]:
-    """(d status, d or (lower, upper)): "exact" when certified, "theorem-only"
-    for an exact value that rests on a closed form alone, else "bounded"."""
-    r = verdict.result
-    if r.status == "exact":
-        return ("exact" if verdict.certified else "theorem-only"), r.upper
-    return "bounded", (r.lower, r.upper)
-
-
 def _geometry_table(
     table: str, kind: str, orientation: str, golden, cache: ConstructionCache
 ) -> Iterator[RowResult]:
     for (m, q, n_e, k_e, d_e, c_e) in golden:
-        params, verdict = cache.params(kind, m, q, orientation)
-        d_status, d_val = _d_cell(verdict)
+        params = cache.params(kind, m, q, orientation)
+        d = params.d
         computed = {
             "m": m, "q": q, "n": params.n, "k": params.k, "c": params.c,
             "rank": params.rank_h, "girth": params.girth,
-            "d_status": d_status, "d": d_val,
+            "d_status": d.status, "d": d.value,
         }
         expected = {"m": m, "q": q, "n": n_e, "k": k_e, "d": d_e, "c": c_e}
         hard_ok = params.n == n_e and params.k == k_e and params.c == c_e
         notes = []
-        if d_status == "exact":
-            d_ok = d_val == d_e
-            if not d_ok:
-                notes.append(f"certified d={d_val} != expected {d_e}")
-        elif d_status == "theorem-only":
-            d_ok = d_val == d_e
-            if not d_ok:
-                notes.append(f"formula d={d_val} != expected {d_e}")
+        if d.status == "bounded":
+            d_ok = d.lower <= d_e <= d.upper
+            notes.append(f"d not certified; bounds [{d.lower},{d.upper}]")
         else:
-            lo, hi = d_val
-            d_ok = lo <= d_e <= hi
-            notes.append(f"d not certified; bounds [{lo},{hi}]")
+            d_ok = d.upper == d_e
+            if not d_ok:
+                kind_of_d = "certified" if d.certified else "formula"
+                notes.append(f"{kind_of_d} d={d.upper} != expected {d_e}")
         status = "ok" if (hard_ok and d_ok) else "mismatch"
-        if status == "ok" and d_status == "theorem-only":
-            status = "theorem-only"
+        if status == "ok" and d.theorem_only:
+            status = d.status
         erratum = ERRATA.get((table, m, q))
         if erratum:
             notes.append(f"erratum in the printed source table: {erratum}")
         yield RowResult(table, f"{kind}({m},{q})/{type_label(orientation)}",
-                        expected, computed, status, "; ".join(notes), verdict.sources)
+                        expected, computed, status, "; ".join(notes), d.sources)
 
 
 def _table_X(cache: ConstructionCache) -> Iterator[RowResult]:
@@ -378,14 +364,14 @@ def _deletion_table(
 def _table_XI(cache: ConstructionCache) -> Iterator[RowResult]:
     for (typ, kind, m, q, rate_e) in GOLDEN_XI:
         orientation = POINT_BY_BLOCK if typ == "II" else BLOCK_BY_POINT
-        params, verdict = cache.params(kind, m, q, orientation)
+        params = cache.params(kind, m, q, orientation)
         rate = trunc4(params.rate)
         computed = {"type": typ, "geom": kind, "m": m, "q": q,
                     "k": params.k, "n": params.n, "rate": rate}
         expected = {"type": typ, "geom": kind, "m": m, "q": q, "rate": rate_e}
         yield RowResult(
             "XI", f"{typ} {kind}({m},{q})", expected, computed,
-            "ok" if rate == rate_e else "mismatch", sources=verdict.sources,
+            "ok" if rate == rate_e else "mismatch", sources=params.d.sources,
         )
 
 
@@ -393,28 +379,26 @@ def _table_XII(cache: ConstructionCache) -> Iterator[RowResult]:
     for (label, kind, orientation, samples) in GOLDEN_XII:
         for (m, q) in samples:
             fam = family_params(kind, orientation, m, q)
-            params, verdict = cache.params(kind, m, q, orientation)
-            d_status, d_val = _d_cell(verdict)
+            params = cache.params(kind, m, q, orientation)
+            d = params.d
             computed = {
                 "n": params.n, "k": params.k, "c": params.c, "rank": params.rank_h,
-                "d_status": d_status, "d": d_val,
+                "d_status": d.status, "d": d.value,
             }
             expected = {
-                "n": fam.n, "k": fam.k, "c": fam.c, "rank": fam.rank_h,
-                "d": fam.d.upper if fam.d.status == "exact" else (fam.d.lower, fam.d.upper),
+                "n": fam.n, "k": fam.k, "c": fam.c, "rank": fam.rank_h, "d": fam.d.value,
             }
             ok = (
                 fam.n == params.n and fam.k == params.k and fam.c == params.c
                 and fam.rank_h == params.rank_h
             )
             notes = []
-            if fam.d.status == "exact" and d_status in ("exact", "theorem-only"):
-                if fam.d.upper != d_val:
-                    ok = False
-                    notes.append(f"family d={fam.d.upper} vs constructed {d_val}")
+            if fam.d.status != "bounded" and d.status != "bounded" and fam.d.upper != d.upper:
+                ok = False
+                notes.append(f"family d={fam.d.upper} vs constructed {d.upper}")
             yield RowResult(
                 "XII", f"{label} ({m},{q})", expected, computed,
-                "ok" if ok else "mismatch", "; ".join(notes), verdict.sources,
+                "ok" if ok else "mismatch", "; ".join(notes), d.sources,
             )
 
 
@@ -488,6 +472,6 @@ def diff_report(rows: list[RowResult]) -> str:
                     diffs.append(f"{k}: expected {ev}, computed {cv}")
             detail = "; ".join(diffs) if diffs else r.notes
             lines.append(f"MISMATCH table {r.table} [{r.label}]: {detail or r.notes}")
-        elif r.status == "theorem-only":
-            lines.append(f"theorem-only table {r.table} [{r.label}]: {r.notes or 'd from formula'}")
+        elif r.status != "ok":
+            lines.append(f"{r.status} table {r.table} [{r.label}]: {r.notes or 'd from formula'}")
     return "\n".join(lines)

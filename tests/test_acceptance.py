@@ -88,7 +88,7 @@ def test_criterion_2_deletion_tables(cache):
         for subs, *_, d, _c, _rate in golden:
             folded = delete_subdesigns(design.structure, spread, subs)
             verdict = distance_verdict(folded, POINT_BY_BLOCK)
-            r = verdict.result
+            r = verdict
             if not r.lower <= d <= r.upper or verdict.certified != certified:
                 bad.append(f"table {t} minus {subs}: printed d={d}, verdict "
                            f"[{r.lower},{r.upper}] certified={verdict.certified}")
@@ -172,15 +172,15 @@ def test_criterion_4_distance_certification(cache):
     classified = {"enumeration": 0, "witness-certified": 0, "theorem-only": 0}
     # (a) enumeration-certified rows
     for table, kind, orient, m, q in ENUMERATION_CERTIFIED:
-        params, verdict = cache.params(kind, m, q, orient)
+        verdict = cache.params(kind, m, q, orient).d
         d_expected = _golden_d(table, m, q)
         if not verdict.certified or not any(
             s.startswith("enumeration") for s in verdict.sources
         ):
             failures.append(f"{kind}({m},{q}) {orient}: expected enumeration certification")
-        elif verdict.result.upper != d_expected:
+        elif verdict.upper != d_expected:
             failures.append(
-                f"{kind}({m},{q}) {orient}: enumerated d={verdict.result.upper} != {d_expected}"
+                f"{kind}({m},{q}) {orient}: enumerated d={verdict.upper} != {d_expected}"
             )
         else:
             classified["enumeration"] += 1
@@ -204,9 +204,9 @@ def test_criterion_4_distance_certification(cache):
             m, q, d_expected = row[0], row[1], row[4]
             if (table, m, q) in enum_keys:
                 continue
-            params, verdict = cache.params(kind, m, q, orient)
-            r = verdict.result
-            if r.status != "exact" or r.upper != d_expected:
+            verdict = cache.params(kind, m, q, orient).d
+            r = verdict
+            if r.status == "bounded" or r.upper != d_expected:
                 failures.append(
                     f"{kind}({m},{q}) {orient}: d verdict {r.status} {r.upper} != {d_expected}"
                 )
@@ -361,8 +361,8 @@ def test_criterion_7_property_suite(cache):
         ("AG", 2, 8, BLOCK_BY_POINT),
     ):
         design = cache.geometry(kind, m, q)
-        params, verdict = cache.params(kind, m, q, orient)
-        assert verdict.result.lower >= 3
+        verdict = cache.params(kind, m, q, orient).d
+        assert verdict.lower >= 3
         H = oriented_matrix(design.structure, orient)
         g = build_tanner(H)
         for j in range(H.cols):

@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eaqldpc
@@ -138,6 +138,16 @@ def test_tables_manifest_records_rows(tmp_path, capsys):
     assert not any("enumeration" in s for s in by_row[("VIII", "EG(2,32)/I")])
     _, out, _ = run_cli(capsys, "tables", "VIII", "IX")
     assert out == (tmp_path / "table_VIII.csv").read_text() + (tmp_path / "table_IX.csv").read_text()
+
+
+def test_tables_report_rows_by_distance_status(capsys):
+    """Each table's stderr line counts its rows by d status; a table without
+    a d column reads as before."""
+    code, _, err = run_cli(capsys, "tables", "X", "III")
+    assert code == 0
+    summaries = [line for line in err.splitlines() if line.startswith("table ")]
+    assert summaries[0].startswith("table X: 5 rows, 0 mismatches, d: 1 exact, 4 theorem-only (")
+    assert summaries[1].startswith("table III: 10 rows, 0 mismatches (")
 
 
 def test_tables_unknown(capsys):
@@ -310,6 +320,11 @@ def _assert_clean_exit(argv):
 @FUZZ
 @given(_malformed_files(), st.sampled_from(["verify", "params", "distance", "export-alist",
                                              "sim", "develop"]), st.sampled_from(["I", "II"]))
+@example("3 1\n0 1\n", "params", "II")
+@example("3 1\n0 1\n", "distance", "II")
+@example("2 1\n0 1\n", "params", "II")
+@example("2 1\n0 1\n", "distance", "II")
+@example("2 1\n0 1\n", "sim", "I")
 def test_fuzz_malformed_input_files(tmp_path_factory, text, command, code_type):
     path = tmp_path_factory.getbasetemp() / "fuzz-input.txt"
     path.write_text(text)

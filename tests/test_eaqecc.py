@@ -13,6 +13,7 @@ from eaqldpc.eaqecc import (
     BLOCK_BY_POINT,
     POINT_BY_BLOCK,
     DeletionRecord,
+    DistanceVerdict,
     assemble_params,
     css_from_parity_check,
     distance_verdict,
@@ -128,8 +129,8 @@ def test_rank_within_hillebrandt():
 
 def test_distance_verdict_pg32_enumeration(cache):
     design = cache.geometry("PG", 3, 2)
-    _, verdict = cache.params("PG", 3, 2, POINT_BY_BLOCK)
-    assert verdict.result.status == "exact" and verdict.result.upper == 4
+    verdict = cache.params("PG", 3, 2, POINT_BY_BLOCK).d
+    assert verdict.status == "exact" and verdict.upper == 4
     assert verdict.certified
     assert any(s.startswith("enumeration") for s in verdict.sources)
     assert any("dual_hyperoval" in s for s in verdict.sources)
@@ -151,15 +152,15 @@ def test_enumeration_source_names_the_side(cache):
 
 
 def test_distance_verdict_ag33(cache):
-    params, verdict = cache.params("AG", 3, 3, POINT_BY_BLOCK)
-    assert verdict.result.upper == 6 and verdict.result.status == "exact"
+    params = cache.params("AG", 3, 3, POINT_BY_BLOCK)
+    assert params.d.upper == 6 and params.d.status == "exact"
     assert (params.n, params.k, params.c) == (117, 64, 1)
 
 
 def test_distance_verdict_eg216_type_i(cache):
-    params, verdict = cache.params("EG", 2, 16, BLOCK_BY_POINT)
-    assert verdict.result.status == "exact" and verdict.result.upper == 17
-    assert verdict.certified  # structural r+1 bound meets the hyperoval witness
+    params = cache.params("EG", 2, 16, BLOCK_BY_POINT)
+    assert params.d.status == "exact" and params.d.upper == 17
+    assert params.d.certified  # structural r+1 bound meets the hyperoval witness
     assert (params.n, params.k, params.c) == (255, 111, 16)
 
 
@@ -182,8 +183,8 @@ def test_distance_verdict_rejects_a_witness_outside_the_code(fano, monkeypatch):
 def test_distance_verdict_sts_window():
     S = build_sts(9)
     verdict = distance_verdict(S, POINT_BY_BLOCK)
-    assert verdict.result.status == "exact"
-    assert 4 <= verdict.result.upper <= 8
+    assert verdict.status == "exact"
+    assert 4 <= verdict.upper <= 8
 
 
 def test_family_params_examples():
@@ -214,6 +215,15 @@ WITNESS_BUILDERS = ("dual_hyperoval", "hyperbolic_quadric", "parallel_class_pair
 FAMILY_GRID_SHA256 = "62782ad5734caf2dca6489ae2479dfb4527970ded1a3f4cf4ba398ccb3fcef42"
 
 
+def recorded_tuple(params):
+    """``dataclasses.astuple(params)`` in the form the grid hash was recorded
+    in: d as (status, lower, upper, witness), a closed-form d reading "exact"."""
+    d = params.d
+    old_d = ("bounded" if d.status == "bounded" else "exact", d.lower, d.upper, d.witness)
+    return tuple(old_d if f.name == "d" else getattr(params, f.name)
+                 for f in dataclasses.fields(params))
+
+
 def test_family_closed_form_grid_frozen(monkeypatch):
     """Frozen closed forms on PG/AG/EG x I/II x m 2..6 x GRID_Q: every
     family_params field (or its ValueError text), the distance case
@@ -231,7 +241,7 @@ def test_family_closed_form_grid_frozen(monkeypatch):
             for m in range(2, 7):
                 for q in GRID_Q:
                     try:
-                        fam = repr(dataclasses.astuple(family_params(kind, orientation, m, q)))
+                        fam = repr(recorded_tuple(family_params(kind, orientation, m, q)))
                         covered += 1
                     except ValueError as e:
                         fam = f"ValueError: {e}"
@@ -242,21 +252,53 @@ def test_family_closed_form_grid_frozen(monkeypatch):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == FAMILY_GRID_SHA256
 
 
+def test_family_verdict_status_and_source_follow_the_case():
+    """On the frozen grid, a closed-form d is "theorem-only", a lower bound
+    or no formula is "bounded", and the formula is the verdict's one source."""
+    from eaqldpc import eaqecc
+
+    for kind in ("PG", "AG", "EG"):
+        for orientation in (POINT_BY_BLOCK, BLOCK_BY_POINT):
+            for m in range(2, 7):
+                for q in GRID_Q:
+                    try:
+                        d = family_params(kind, orientation, m, q).d
+                    except ValueError:
+                        continue
+                    value, source, lower_only = eaqecc._formula_distance(kind, m, q, orientation)[:3]
+                    closed = value is not None and not lower_only
+                    assert d.status == ("theorem-only" if closed else "bounded")
+                    assert d.sources == ((source,) if source else ())
+                    assert d.witness is None and d.enumerated is None
+
+
+def test_distance_verdict_rejects_invalid_records():
+    for status, lower, upper in (("certain", 3, 3), ("bounded", 5, 4), ("exact", 3, 4),
+                                 ("theorem-only", 3, 4)):
+        with pytest.raises(ValueError):
+            DistanceVerdict(status, lower, upper)
+    for status in ("exact", "theorem-only"):
+        assert DistanceVerdict(status, 4, 4).value == 4
+    bounded = DistanceVerdict("bounded", 3, 8)
+    assert bounded.value == (3, 8) and not bounded.certified and not bounded.theorem_only
+    assert DistanceVerdict("exact", 4, 4).certified
+    assert DistanceVerdict("theorem-only", 4, 4).theorem_only
+
+
 def test_net_rate_report(cache):
-    params, _ = cache.params("AG", 2, 16, BLOCK_BY_POINT)
+    params = cache.params("AG", 2, 16, BLOCK_BY_POINT)
     assert params.net_rate == Fraction(110 - 16, 256)
     assert f"{float(params.net_rate):.4f}" == "0.3672"
-    params2, _ = cache.params("PG", 4, 3, POINT_BY_BLOCK)
+    params2 = cache.params("PG", 4, 3, POINT_BY_BLOCK)
     assert f"{float(params2.rate):.4f}" == "0.9008"
 
 
 def test_net_rate_zero_when_k_equals_c(fano):
     # scale-free sanity: k = c gives net rate 0
     from eaqldpc.eaqecc import EaqeccParams
-    from eaqldpc.gf2 import DistanceResult
 
     p = EaqeccParams(
-        n=10, k=2, c=2, d=DistanceResult("bounded", 1, 10), rank_h=5,
+        n=10, k=2, c=2, d=DistanceVerdict("bounded", 1, 10), rank_h=5,
         orientation=POINT_BY_BLOCK, girth=6,
     )
     assert p.net_rate == 0
@@ -301,7 +343,7 @@ def test_ag_plane_type_i_gram_block_structure(cache):
 
 
 def test_assemble_params_girth(cache):
-    params, _ = cache.params("PG", 3, 2, POINT_BY_BLOCK)
+    params = cache.params("PG", 3, 2, POINT_BY_BLOCK)
     assert params.girth == 6
 
 
@@ -364,18 +406,18 @@ def test_second_orientation_reuses_the_enumeration(monkeypatch, kind, q, first, 
     monkeypatch.setattr(gf2, "min_distance", lambda H: runs.append(H) or real(H))
     cache = ConstructionCache()
     cache.params(kind, 2, q, first)
-    _, verdict = cache.params(kind, 2, q, second)
+    verdict = cache.params(kind, 2, q, second).d
     assert len(runs) == 1
     H = oriented_matrix(cache.geometry(kind, 2, q).structure, second)
     fresh = real(H)
-    assert verdict.result.upper == verdict.enumerated.upper == fresh.upper
+    assert verdict.upper == verdict.enumerated.d == fresh.d
     assert verdict.certified
     shared = [s for s in verdict.sources if "through the checked polarity" in s]
     assert len(shared) == 1 and shared[0].startswith("enumeration")
     method = {"code": "codewords-exhaustive", "dual": "dual-macwilliams"}[fresh.side]
     assert shared[0].startswith(f"enumeration:{method} ")
     if verdict.enumerated.witness is not None:
-        assert len(verdict.enumerated.witness) == fresh.upper
+        assert len(verdict.enumerated.witness) == fresh.d
         validate_witness(H, WitnessCodeword("polarity_image", verdict.enumerated.witness))
 
 
@@ -385,6 +427,6 @@ def test_affine_planes_enumerate_both_orientations(monkeypatch):
     monkeypatch.setattr(gf2, "min_distance", lambda H: runs.append(H) or real(H))
     cache = ConstructionCache()
     for orientation in (BLOCK_BY_POINT, POINT_BY_BLOCK):
-        _, verdict = cache.params("AG", 2, 4, orientation)
+        verdict = cache.params("AG", 2, 4, orientation).d
         assert not any("polarity" in s for s in verdict.sources)
     assert len(runs) == 2

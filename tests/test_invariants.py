@@ -56,7 +56,7 @@ def test_in_row_space_matches_rank_append(cache):
 def test_ag24_min_distance_exact_5(cache):
     H = oriented_matrix(cache.geometry("AG", 2, 4).structure, POINT_BY_BLOCK)
     res = min_distance(H)
-    assert (res.status, res.upper) == ("exact", 5)
+    assert res.d == 5
 
 
 def test_sts_distance_window_enumerated():
@@ -64,7 +64,7 @@ def test_sts_distance_window_enumerated():
     for v in (7, 9, 13):
         S = build_sts(v)
         res = min_distance(S.point_by_block())
-        assert res.status == "exact" and 4 <= res.upper <= 8
+        assert 4 <= res.d <= 8
 
 
 def test_deletion_monotonicity(cache):
@@ -75,11 +75,11 @@ def test_deletion_monotonicity(cache):
     design = cache.geometry("PG", 3, 2)
     spread = pg_spread(design, 1)
     base = design.structure
-    d0 = min_distance(base.point_by_block()).upper
+    d0 = min_distance(base.point_by_block()).d
     g0 = tanner_girth(base)
     for count in (1, 2):
         folded = delete_subdesigns(base, spread, count)
-        d1 = min_distance(folded.point_by_block()).upper
+        d1 = min_distance(folded.point_by_block()).d
         g1 = tanner_girth(folded)
         assert d1 >= d0
         assert (g1 == ">=16") or (g0 == 6 and g1 >= 6)
