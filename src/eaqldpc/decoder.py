@@ -14,10 +14,9 @@ only on its slot and its check's syndrome bit; the tables are the general
 check-node update run once on syndrome bit 0 and once on 1, hence exact.
 The loop starts from these messages, so every iteration runs one body: the
 bit update, then the check update for the next iteration.  The bit update
-runs in row blocks of about ``ITER1_BLOCK_BYTES``, so that its gathered
-(rows, n_bits, bit degree) float64 messages stay in cache instead of being
-allocated and page-faulted at full batch size (70 MB for 2000 trials of
-AG(2,16)); each trial's arithmetic is unchanged.
+adds each bit's incoming messages slot by slot over the whole batch,
+``L0 + ((s0 + s1) + ...)``, so every trial's sum takes the same order
+whatever the batch holds.
 
 Most trials never reach those float messages.  A bit of degree d whose
 checks hold k set syndrome bits gets k slots from the syndrome-1 table and
@@ -43,7 +42,6 @@ from .gf2 import BitMatrix
 
 LLR_CLAMP = 30.0
 DEFAULT_MAX_ITER = 100
-ITER1_BLOCK_BYTES = 4 << 20  # bit-update and count-test block: a few MiB, cache-resident
 UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -91,7 +89,9 @@ class BatchDecoder:
 
     Edge layout is check-major with per-check slot padding to the maximum
     check degree; bit-side gathers use flat edge indices.  All operations are
-    elementwise per trial, so results are independent of batch composition.
+    elementwise per trial, and each bit's sum adds its slots in slot order
+    for the whole batch at once, so results are independent of batch
+    composition.
     Padded check slots enter the tanh product as 1 and padded bit slots add
     0 to the bit sums; these are the only message mask writes, made only
     when the graph has padded slots (``self.padded``), as are the zeroed
@@ -130,9 +130,6 @@ class BatchDecoder:
         self.bit_deg = self.bit_mask.sum(axis=1)
         self.padded = not (self.check_mask.all() and self.bit_mask.all())
         self.m, self.n, self.dc, self.dv = m, n, dc, dv
-        self.block_rows = max(1, ITER1_BLOCK_BYTES // (n * dv * 8))
-        # the count pass unpacks (n, dv, rows) uint8 syndrome bits per block
-        self.count_rows = max(8, ITER1_BLOCK_BYTES // (n * dv) // 8 * 8)
         self.count_dtype = np.min_scalar_type(dv + 1)
 
     def parity(self, bits: np.ndarray) -> np.ndarray:
@@ -200,30 +197,24 @@ class BatchDecoder:
                 one_from[:, None].astype(self.count_dtype))
 
     def _retire_by_counts(self, syn: np.ndarray, L0: float, t0: np.ndarray, t1: np.ndarray):
-        """Iteration 1 decided from integer counts, in blocks of
-        ``count_rows`` trials: the (B,) mask of trials whose every bit has a
-        certified count and whose hard decision meets the syndrome, and the
-        hard decisions of those trials, (retired, n_bits) bool."""
+        """Iteration 1 decided from integer counts: the (B,) mask of trials
+        whose every bit has a certified count and whose hard decision meets
+        the syndrome, and the hard decisions of those trials, (retired,
+        n_bits) bool."""
         zero_below, one_from = self._certified_counts(L0, t0, t1)
         B = syn.shape[0]
         packed = _pack_trials(syn)
-        step = self.count_rows // 8
-        retired = np.zeros(B, dtype=bool)
-        hards = [np.zeros((0, self.n), dtype=bool)]
-        for w in range(0, packed.shape[1], step):
-            lo, rows = 8 * w, min(B - 8 * w, 8 * step)
-            block = packed[:, w:w + step]
-            gathered = block[self.bit_check]  # (n, dv, bytes)
+        k = np.zeros((self.n, B), dtype=self.count_dtype)
+        for s in range(self.dv):
+            gathered = packed[self.bit_check[:, s]]  # (n, bytes)
             if self.padded:
-                gathered[~self.bit_mask] = 0
-            k = np.unpackbits(gathered, axis=2, count=rows).sum(axis=1, dtype=self.count_dtype)
-            hard = k >= one_from  # (n, rows)
-            miss = self._packed_parity(np.packbits(hard, axis=1)) ^ block
-            ok = ~np.unpackbits(np.bitwise_or.reduce(miss, axis=0), count=rows).astype(bool)
-            ok &= ~((k >= zero_below) & ~hard).any(axis=0)
-            retired[lo:lo + rows] = ok
-            hards.append(hard[:, ok].T)
-        return retired, np.concatenate(hards)
+                gathered[~self.bit_mask[:, s]] = 0
+            k += np.unpackbits(gathered, axis=1, count=B)
+        hard = k >= one_from  # (n, B)
+        miss = self._packed_parity(np.packbits(hard, axis=1)) ^ packed
+        retired = ~np.unpackbits(np.bitwise_or.reduce(miss, axis=0), count=B).astype(bool)
+        retired &= ~((k >= zero_below) & ~hard).any(axis=0)
+        return retired, hard[:, retired].T
 
     def decode(self, syndromes: np.ndarray, prior: float):
         """Decode a (B, n_checks) uint8 syndrome batch.
@@ -259,16 +250,16 @@ class BatchDecoder:
 
         m_cb = np.where(syn[:, :, None], table[1], table[0])  # iteration 1's messages
         for it in range(1, self.max_iter + 1):
-            totals = np.empty((syn.shape[0], self.n))
-            for lo in range(0, syn.shape[0], self.block_rows):
-                # the gathered block is laid out trial-fastest, so the sum
-                # adds each bit's slots in slot order; a contiguous slot
-                # axis would sum pairwise and change the last bits
-                block = m_cb[lo:lo + self.block_rows].reshape(-1, self.m * self.dc)
-                incoming = block[:, self.bit_edge]
+            flat = m_cb.reshape(-1, self.m * self.dc)
+            for s in range(self.dv):
+                incoming = flat[:, self.bit_edge[:, s]]  # (B, n)
                 if self.padded:
-                    incoming[:, ~self.bit_mask] = 0.0
-                totals[lo:lo + self.block_rows] = L0 + incoming.sum(axis=2)
+                    incoming[:, ~self.bit_mask[:, s]] = 0.0
+                if s == 0:
+                    acc = incoming
+                else:
+                    acc += incoming
+            totals = L0 + acc
             hard = totals < 0.0
 
             ok = (self.parity(hard) == syn).all(axis=1)

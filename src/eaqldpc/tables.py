@@ -16,6 +16,7 @@ round4((n0 - 2 rk + c)/n) with n0 the pre-deletion length.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -404,16 +405,22 @@ def _table_XII(cache: ConstructionCache) -> Iterator[RowResult]:
 
 def compute_table(table: str, cache: Optional[ConstructionCache] = None) -> list[RowResult]:
     """Rebuild every row of one table.  A row's ``seconds`` is the wall time
-    from the previous row (or the start) until it was produced."""
+    from the previous row (or the start) until it was produced.  A warning
+    raised while a row is built is re-issued naming its table and row."""
     if cache is None:
         cache = ConstructionCache()
     rows = []
-    start = time.perf_counter()
-    for row in _table_rows(table.upper(), cache):
-        row.seconds = time.perf_counter() - start
-        rows.append(row)
+    produced = _table_rows(table.upper(), cache)
+    while True:
         start = time.perf_counter()
-    return rows
+        with warnings.catch_warnings(record=True) as caught:
+            row = next(produced, None)
+        if row is None:
+            return rows
+        row.seconds = time.perf_counter() - start
+        for w in caught:
+            warnings.warn(f"table {row.table} [{row.label}]: {w.message}", w.category, stacklevel=2)
+        rows.append(row)
 
 
 def _table_rows(table: str, cache: ConstructionCache) -> Iterator[RowResult]:

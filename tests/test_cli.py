@@ -395,6 +395,19 @@ def test_trivial_code_distance_is_exact_zero(tmp_path, capsys):
     assert "source: enumeration:trivial-code" in out
 
 
+def test_tables_warning_names_its_table_and_row():
+    """The k <= 0 warning raised while table XII builds its PG(2,2) Type II
+    row is printed once, naming that table and row."""
+    src = str(Path(eaqldpc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "eaqldpc.cli", "tables", "XII"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0
+    warned = [line for line in run.stderr.splitlines() if line.startswith("warning:")]
+    assert warned == ["warning: table XII [pg-typeII-even-q (2,2)]: "
+                      "degenerate code: k = 0 <= 0 (n=7, rank=4, c=1)"]
+
+
 def test_library_warning_is_one_stderr_line(tmp_path):
     """Run as a separate process: pytest would capture the warning in-process."""
     src = str(Path(eaqldpc.__file__).resolve().parents[1])

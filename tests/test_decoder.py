@@ -18,6 +18,7 @@ from eaqldpc.decoder import (
 )
 from eaqldpc.eaqecc import BLOCK_BY_POINT, POINT_BY_BLOCK, oriented_matrix
 from eaqldpc.gf2 import BitMatrix
+from eaqldpc.simulator import sample_error, trial_uniforms
 
 
 def mul_vector(H: BitMatrix, x: int) -> int:
@@ -354,33 +355,65 @@ def test_golden_decode_hash_irregular():
         assert _decode_digest(dec, syn, prior) == GOLDEN_DECODES[key]
 
 
-def test_blocked_bit_update_across_block_boundaries(cache):
-    """A batch whose float loop spans three bit-update blocks plus a
-    remainder, at iteration 1 and after, decodes exactly as its block-sized
-    slices do, and as the scalar reference."""
-    H = oriented_matrix(cache.geometry("AG", 2, 16).structure, BLOCK_BY_POINT)
+def _sweep_z_syndromes(H: BitMatrix, lo: int, hi: int):
+    """Z components of trials [lo, hi) of criterion 6's first sweep point
+    (seed 20260809, point 0, f_m = 0.02), with dense syndromes and the
+    prior.  On PG(2,16)/I trial 16136's Z decode converges at iteration 67
+    only when each bit adds its 17 slots in slot order."""
+    p = 0.02 / 3.0
+    _, z = sample_error(trial_uniforms(20260809, 0, lo, hi, H.cols), p)
+    syn = (z.astype(np.int64) @ H.to_dense().T.astype(np.int64)) & 1
+    return z, syn.astype(np.uint8), 2.0 * p
+
+
+def test_one_trial_decodes_alike_in_any_batch(cache):
+    """Trial 16136 decodes the same alone, as 2, 3 and 8 copies of itself,
+    and inside two 2048-trial windows (a 1-worker and a 2-worker batch of
+    its sweep point)."""
+    H = oriented_matrix(cache.geometry("PG", 2, 16).structure, BLOCK_BY_POINT)
+    dec = BatchDecoder(build_tanner(H))
+    assert dec.dv == 17
+    z, one, prior = _sweep_z_syndromes(H, 16136, 16137)
+    batches = [(np.repeat(one, copies, axis=0), list(range(copies))) for copies in (1, 2, 3, 8)]
+    for lo, hi in ((14336, 16384), (15000, 17048)):
+        batches.append((_sweep_z_syndromes(H, lo, hi)[1], [16136 - lo]))
+    for syn, rows in batches:
+        est, conv, iters = dec.decode(syn, prior)
+        for t in rows:
+            assert (bool(conv[t]), int(iters[t])) == (True, 67)
+            assert np.array_equal(est[t], z[0])
+
+
+def test_batch_decodes_as_its_slices(cache):
+    """A batch decodes exactly as its slices of 1, 2, 7 and the remaining
+    trials do, and as the scalar reference on a sample.  The first trial is
+    trial 16136 of ``_sweep_z_syndromes``, so the one-trial slice is one
+    whose outcome turns on the order of its bit sums; the rest are trials
+    the count test does not retire, so every trial runs the float loop."""
+    H = oriented_matrix(cache.geometry("PG", 2, 16).structure, BLOCK_BY_POINT)
     g = build_tanner(H)
     dec = BatchDecoder(g)
-    rows = dec.block_rows
-    assert 1 < rows < 1024
-    _, pool, prior = _syndrome_batch(H, 0.06, 6 * rows, seed=8)
+    _, first, prior = _sweep_z_syndromes(H, 16136, 16137)
+    _, pool, _ = _syndrome_batch(H, 0.045, 1024, seed=8)  # decoded at trial 16136's prior
     pool = pool[pool.any(axis=1)]
     L0 = math.log((1.0 - prior) / prior)
     _, t0, t1 = dec._iter1_tables(L0)
     retired, _ = dec._retire_by_counts(pool.astype(bool), L0, t0, t1)
-    syn = pool[~retired][:3 * rows + rows // 3]  # no trial leaves before the float loop
-    assert len(syn) == 3 * rows + rows // 3
+    syn = np.concatenate([first, pool[~retired][:63]])
+    assert len(syn) == 64
     est, conv, iters = dec.decode(syn, prior)
-    assert (iters >= 2).sum() > 3 * rows  # iteration 2 crosses the boundaries too
-    slices = [dec.decode(syn[lo:lo + rows], prior) for lo in range(0, len(syn), rows)]
-    assert len(slices) == 4
+    assert (iters >= 2).sum() > 32
+    bounds = [0, 1, 3, 10, len(syn)]
+    slices = [dec.decode(syn[lo:hi], prior) for lo, hi in zip(bounds, bounds[1:])]
     for got, parts in zip((est, conv, iters), zip(*slices)):
         assert np.array_equal(got, np.concatenate(parts))
+    # sp_decode adds L0 first, so trial 16136 is left out of the sample
     sample = []
-    for lo in range(0, len(syn), rows):
-        block = np.arange(lo, min(lo + rows, len(syn)))
+    for lo, hi in zip(bounds[1:], bounds[2:]):
+        block = np.arange(lo, hi)
         done = block[conv[block]]
-        sample += [done[0], done[np.argmax(iters[done])]]
+        sample += [done[0], done[np.argmax(iters[done])]] if done.size else []
+    assert len(sample) >= 4
     for t in sample:
         out = sp_decode(g, [int(v) for v in syn[t]], prior=prior)
         assert (bool(conv[t]), int(iters[t])) == (out.converged, out.iterations_used)

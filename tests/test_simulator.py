@@ -242,6 +242,20 @@ def test_estimate_bler_reproducible_across_batch_and_workers(cache, monkeypatch)
                               trial_uniforms(100, 0, 0, 600, n))
 
 
+def test_estimate_bler_reproducible_on_a_degree_17_code(cache):
+    """Criterion 6's first PG sweep point: PG(2,16)/I has 17 slots per bit,
+    past the 8 from which numpy sums a contiguous axis pairwise, so a trial
+    decoded alone must still add its slots in slot order."""
+    H = oriented_matrix(cache.geometry("PG", 2, 16).structure, BLOCK_BY_POINT)
+    counts = {
+        (batch, workers): estimate_bler(H, SimConfig(
+            f_m_values=(0.02,), trials=20_000, seed=20260809, batch_size=batch, workers=workers
+        ))[0].block_errors
+        for batch in (2048, 600) for workers in (1, 2)
+    }
+    assert len(set(counts.values())) == 1, counts
+
+
 def test_wilson_interval_contains_pointestimate():
     for errors, trials in ((0, 100), (3, 1000), (50, 300)):
         lo, hi = wilson_interval(errors, trials)
