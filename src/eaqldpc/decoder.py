@@ -8,15 +8,27 @@ Messages are per-trial independent, so retiring rows cannot change any
 trial's arithmetic.  The tests keep a scalar one-syndrome-at-a-time
 reference, ``sp_decode``, as its oracle.
 
+Messages are slot-major, (B, dc, m): slab s holds every check's s-th
+check-to-bit message, so edge s*m + i is slot s of check i.  The check
+update is the forward-backward product form (Hu, Eleftheriou, Arnold and
+Dholakia, GLOBECOM 2001): the left and right products of a check's other
+slots are built slab by slab, in the order ``cumprod`` would multiply them.
+The float loop runs in place on buffers allocated once per ``decode`` call
+and reused every iteration; retired trials are compacted out of the leading
+rows.  Trials enter the loop in blocks of at most ``FLOAT_BLOCK_BYTES`` of
+buffers, each block iterating to completion, so memory stays bounded on
+large graphs (PG(2,64)) while the (2,16) codes' batches stay one block.
+
 ``BatchDecoder`` reads iteration 1 from two message tables.  There every
 bit-to-check message is the prior LLR, so a check-to-bit message depends
 only on its slot and its check's syndrome bit; the tables are the general
 check-node update run once on syndrome bit 0 and once on 1, hence exact.
-The loop starts from these messages, so every iteration runs one body: the
-bit update, then the check update for the next iteration.  The bit update
-adds each bit's incoming messages slot by slot over the whole batch,
-``L0 + ((s0 + s1) + ...)``, so every trial's sum takes the same order
-whatever the batch holds.
+They, and the count thresholds below, depend on the prior alone, and the
+decoder keeps those of the last prior it saw.  The loop starts from these
+messages, so every iteration runs one body: the bit update, then the check
+update for the next iteration.  The bit update adds each bit's incoming
+messages slot by slot over the whole batch, ``L0 + ((s0 + s1) + ...)``, so
+every trial's sum takes the same order whatever the batch or block holds.
 
 Most trials never reach those float messages.  A bit of degree d whose
 checks hold k set syndrome bits gets k slots from the syndrome-1 table and
@@ -34,6 +46,7 @@ result is the float path's.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -43,6 +56,11 @@ from .gf2 import BitMatrix
 LLR_CLAMP = 30.0
 DEFAULT_MAX_ITER = 100
 UNIT_ROUNDOFF = 2.0**-53
+TANH_LIMIT = 0.999999999999  # tanh products are clipped to +/- this
+# Byte budget of one float-loop block: its message, scratch and compaction
+# buffers.  256 MiB holds a 2048-trial PG(2,16) batch (about 118 KB a trial)
+# in one block and cuts PG(2,64) (about 6.6 MB a trial) into blocks of 40.
+FLOAT_BLOCK_BYTES = 256 * 2**20
 
 
 def _gamma(j):
@@ -84,14 +102,28 @@ def _pack_trials(bits: np.ndarray) -> np.ndarray:
     return np.packbits(np.ascontiguousarray(bits.T), axis=1)
 
 
+def _by_slot(keys: np.ndarray, size: int):
+    """Each entry's slot among the entries of the same key, counted in index
+    order, and the most entries of one key: keys (E,) ints in [0, size)."""
+    order = np.argsort(keys, kind="stable")
+    deg = np.bincount(keys, minlength=size)
+    slot = np.empty_like(keys)
+    slot[order] = np.arange(keys.size) - np.repeat(np.cumsum(deg) - deg, deg)
+    return slot, int(deg.max())
+
+
 class BatchDecoder:
     """Vectorized flooding sum-product over a fixed graph (float64 messages).
 
-    Edge layout is check-major with per-check slot padding to the maximum
-    check degree; bit-side gathers use flat edge indices.  All operations are
-    elementwise per trial, and each bit's sum adds its slots in slot order
-    for the whole batch at once, so results are independent of batch
-    composition.
+    Slots are padded to the maximum check degree dc and bit degree dv.
+    Messages and the check-side arrays are slot-major: ``check_nbr`` (dc,
+    m) is the bit in slot s of check i and ``check_mask`` marks the real
+    slots, and messages are (B, dc, m).  ``bit_edge`` (n, dv) holds each
+    bit's edges s*m + i in check order, ``bit_check`` their checks and
+    ``bit_mask`` its real slots.  All operations are elementwise per trial,
+    and each bit's sum adds its slots in slot order for the whole batch at
+    once, so results are independent of batch composition and of the
+    ``FLOAT_BLOCK_BYTES`` blocks.
     Padded check slots enter the tanh product as 1 and padded bit slots add
     0 to the bit sums; these are the only message mask writes, made only
     when the graph has padded slots (``self.padded``), as are the zeroed
@@ -110,27 +142,34 @@ class BatchDecoder:
         self.clamp = float(clamp)
         m = graph.n_checks
         n = graph.n_bits
-        dc = max((len(cb) for cb in graph.check_bits), default=1)
-        self.check_nbr = np.zeros((m, dc), dtype=np.int64)
-        self.check_mask = np.zeros((m, dc), dtype=bool)
-        for i, cb in enumerate(graph.check_bits):
-            self.check_nbr[i, : len(cb)] = cb
-            self.check_mask[i, : len(cb)] = True
-        edge_lists: list[list[int]] = [[] for _ in range(n)]
-        for i, cb in enumerate(graph.check_bits):
-            for s, j in enumerate(cb):
-                edge_lists[j].append(i * dc + s)
-        dv = max((len(e) for e in edge_lists), default=1)
+        # edges in check-major order: the bit, check and slot of each
+        bits = np.fromiter(itertools.chain.from_iterable(graph.check_bits), dtype=np.int64)
+        checks = np.repeat(np.arange(m), [len(cb) for cb in graph.check_bits])
+        slots, dc = _by_slot(checks, m)
+        self.check_nbr = np.zeros((dc, m), dtype=np.int64)
+        self.check_mask = np.zeros((dc, m), dtype=bool)
+        self.check_nbr[slots, checks] = bits
+        self.check_mask[slots, checks] = True
+        bit_slots, dv = _by_slot(bits, n)
         self.bit_edge = np.zeros((n, dv), dtype=np.int64)
         self.bit_mask = np.zeros((n, dv), dtype=bool)
-        for j, es in enumerate(edge_lists):
-            self.bit_edge[j, : len(es)] = es
-            self.bit_mask[j, : len(es)] = True
-        self.bit_check = self.bit_edge // dc
+        self.bit_edge[bits, bit_slots] = slots * m + checks
+        self.bit_mask[bits, bit_slots] = True
+        self.bit_check = self.bit_edge % m
         self.bit_deg = self.bit_mask.sum(axis=1)
+        self.slot_edges = np.ascontiguousarray(self.bit_edge.T)  # (dv, n)
+        self.slot_unused = [np.flatnonzero(~real) for real in self.bit_mask.T]
         self.padded = not (self.check_mask.all() and self.bit_mask.all())
         self.m, self.n, self.dc, self.dv = m, n, dc, dv
         self.count_dtype = np.min_scalar_type(dv + 1)
+        # no message exceeds 2 atanh(TANH_LIMIT) ~ 28.3, so a wider clamp
+        # never binds and its clip is skipped
+        self._clamps = self.clamp < 2.0 * math.atanh(TANH_LIMIT) + 1e-9
+        # float-loop bytes per trial: messages, check scratch and the
+        # compaction copy (3 dc m), the totals and a gather (2 n), the hard
+        # decisions, the syndrome sign and a product run (2 m)
+        self.block_rows = max(1, FLOAT_BLOCK_BYTES // (24 * dc * m + 17 * n + 16 * m))
+        self._iter1 = (None, None)  # (L0, iteration-1 state) of the last prior
 
     def parity(self, bits: np.ndarray) -> np.ndarray:
         """(B, n_bits) boolean batch -> (B, n_checks) uint8 check parities,
@@ -140,34 +179,58 @@ class BatchDecoder:
 
     def _packed_parity(self, packed: np.ndarray) -> np.ndarray:
         """(n_bits, W) bit rows, trials packed 8 per byte -> (n_checks, W)."""
-        gathered = packed[self.check_nbr]
+        gathered = packed[self.check_nbr]  # (dc, m, W)
         if self.padded:
             gathered[~self.check_mask] = 0
-        return np.bitwise_xor.reduce(gathered, axis=1)
+        return np.bitwise_xor.reduce(gathered, axis=0)
 
-    def _check_update(self, m_bc: np.ndarray, syn: np.ndarray) -> np.ndarray:
-        """Check-to-bit messages (B, m, dc): the tanh product over a check's
-        other slots, negated where its syndrome bit is set, then clamped."""
-        t = np.tanh(0.5 * m_bc)
+    def _misses(self, packed_hard: np.ndarray, packed_syn: np.ndarray, B: int):
+        """(B,) True where the hard decisions (n, W) fail to meet the
+        syndromes (m, W), both with B trials packed 8 per byte."""
+        miss = self._packed_parity(packed_hard) ^ packed_syn
+        return np.unpackbits(np.bitwise_or.reduce(miss, axis=0), count=B).astype(bool)
+
+    def _check_update(self, totals, msg, work, run, sign):
+        """Check-to-bit messages, in place: ``msg`` (B, dc, m) goes from the
+        previous check-to-bit messages to the next, given the bit totals
+        (B, n).  Each is the tanh product over its check's other slots,
+        negated where ``sign`` (B, m) is -1, then clamped.  ``work`` (B, dc,
+        m) and ``run`` (B, m) are scratch."""
+        totals.take(self.check_nbr, axis=1, out=work, mode="clip")
+        np.subtract(work, msg, out=work)  # bit-to-check messages
+        np.multiply(work, 0.5, out=work)
+        np.tanh(work, out=work)
         if self.padded:
-            t[:, ~self.check_mask] = 1.0
-        left = np.ones_like(t)
-        np.cumprod(t[:, :, :-1], axis=2, out=left[:, :, 1:])
-        right = np.ones_like(t)
-        right[:, :, :-1] = np.cumprod(t[:, :, :0:-1], axis=2)[:, :, ::-1]
-        prod = left * right
-        prod *= np.where(syn, -1.0, 1.0)[:, :, None]
-        np.clip(prod, -0.999999999999, 0.999999999999, out=prod)
-        m_cb = 2.0 * np.arctanh(prod)
-        np.clip(m_cb, -self.clamp, self.clamp, out=m_cb)
-        return m_cb
+            np.copyto(work, 1.0, where=~self.check_mask)
+        # Slab s gets sign * t0 ... t(s-1), then times t(dc-1) ... t(s+1),
+        # each product in cumprod's order.  Negation is exact, so folding
+        # the sign into the first factor gives the bits of (left * right) *
+        # sign, signed zeros included.
+        last = self.dc - 1
+        if last:
+            np.multiply(work[:, 0], sign, out=msg[:, 1])
+            for s in range(2, last + 1):
+                np.multiply(msg[:, s - 1], work[:, s - 1], out=msg[:, s])
+            np.copyto(run, work[:, last])
+            for s in range(last - 1, 0, -1):
+                np.multiply(msg[:, s], run, out=msg[:, s])
+                np.multiply(run, work[:, s], out=run)
+            np.multiply(run, sign, out=msg[:, 0])
+        else:
+            np.copyto(msg[:, 0], sign)
+        np.clip(msg, -TANH_LIMIT, TANH_LIMIT, out=msg)
+        np.arctanh(msg, out=msg)
+        np.multiply(msg, 2.0, out=msg)
+        if self._clamps:
+            np.clip(msg, -self.clamp, self.clamp, out=msg)
 
     def _iter1_tables(self, L0: float):
         """Iteration-1 check-to-bit messages for syndrome bit 0 and 1: the
-        (2, m, dc) tables, and the same laid out bit-major as (n, dv) arrays
+        (2, dc, m) tables, and the same laid out bit-major as (n, dv) arrays
         t0 and t1 with padded bit slots zeroed."""
-        table = self._check_update(np.full((2, self.m, self.dc), L0),
-                                   np.array([[False], [True]]))
+        table = np.zeros((2, self.dc, self.m))  # bit-to-check = L0 - 0
+        self._check_update(np.full((2, self.n), L0), table, np.empty_like(table),
+                           np.empty((2, self.m)), np.array([[1.0], [-1.0]]))
         t0, t1 = (np.where(self.bit_mask, tab.ravel()[self.bit_edge], 0.0) for tab in table)
         return table, t0, t1
 
@@ -196,12 +259,25 @@ class BatchDecoder:
         return (zero_below[:, None].astype(self.count_dtype),
                 one_from[:, None].astype(self.count_dtype))
 
-    def _retire_by_counts(self, syn: np.ndarray, L0: float, t0: np.ndarray, t1: np.ndarray):
-        """Iteration 1 decided from integer counts: the (B,) mask of trials
-        whose every bit has a certified count and whose hard decision meets
-        the syndrome, and the hard decisions of those trials, (retired,
-        n_bits) bool."""
-        zero_below, one_from = self._certified_counts(L0, t0, t1)
+    def _iter1_state(self, L0: float):
+        """(iteration-1 tables (2, dc, m), zero_below, one_from) at prior LLR
+        L0, kept for the last L0 asked: they depend on nothing else, and the
+        X and Z decodes and successive batches of a point share one prior."""
+        last, state = self._iter1
+        if last != L0:
+            table, t0, t1 = self._iter1_tables(L0)
+            state = (table, *self._certified_counts(L0, t0, t1))
+            for a in state:
+                a.setflags(write=False)
+            self._iter1 = (L0, state)
+        return state
+
+    def _retire_by_counts(self, syn: np.ndarray, zero_below: np.ndarray,
+                          one_from: np.ndarray):
+        """Iteration 1 decided from integer counts and the thresholds of
+        ``_certified_counts``: the (B,) mask of trials whose every bit has a
+        certified count and whose hard decision meets the syndrome, and the
+        hard decisions of those trials, (retired, n_bits) bool."""
         B = syn.shape[0]
         packed = _pack_trials(syn)
         k = np.zeros((self.n, B), dtype=self.count_dtype)
@@ -211,8 +287,7 @@ class BatchDecoder:
                 gathered[~self.bit_mask[:, s]] = 0
             k += np.unpackbits(gathered, axis=1, count=B)
         hard = k >= one_from  # (n, B)
-        miss = self._packed_parity(np.packbits(hard, axis=1)) ^ packed
-        retired = ~np.unpackbits(np.bitwise_or.reduce(miss, axis=0), count=B).astype(bool)
+        retired = ~self._misses(np.packbits(hard, axis=1), packed, B)
         retired &= ~((k >= zero_below) & ~hard).any(axis=0)
         return retired, hard[:, retired].T
 
@@ -224,20 +299,20 @@ class BatchDecoder:
         """
         L0 = _prior_llr(prior)
         B = syndromes.shape[0]
-        est = np.zeros((B, self.n), dtype=bool)
-        conv = np.zeros(B, dtype=bool)
-        iters = np.full(B, self.max_iter, dtype=np.int32)
+        out = (np.zeros((B, self.n), dtype=bool), np.zeros(B, dtype=bool),
+               np.full(B, self.max_iter, dtype=np.int32))
+        est, conv, iters = out
 
         zero_rows = ~syndromes.any(axis=1)
         conv[zero_rows] = True
         iters[zero_rows] = 0
         active = np.nonzero(~zero_rows)[0]
         if active.size == 0:
-            return est, conv, iters
+            return out
 
         syn = syndromes[active].astype(bool)
-        table, t0, t1 = self._iter1_tables(L0)
-        retired, hard = self._retire_by_counts(syn, L0, t0, t1)
+        table, zero_below, one_from = self._iter1_state(L0)
+        retired, hard = self._retire_by_counts(syn, zero_below, one_from)
         if retired.any():
             rows = active[retired]
             est[rows] = hard
@@ -245,37 +320,60 @@ class BatchDecoder:
             iters[rows] = 1
             active = active[~retired]
             if active.size == 0:
-                return est, conv, iters
+                return out
             syn = syn[~retired]
 
-        m_cb = np.where(syn[:, :, None], table[1], table[0])  # iteration 1's messages
-        for it in range(1, self.max_iter + 1):
-            flat = m_cb.reshape(-1, self.m * self.dc)
-            for s in range(self.dv):
-                incoming = flat[:, self.bit_edge[:, s]]  # (B, n)
-                if self.padded:
-                    incoming[:, ~self.bit_mask[:, s]] = 0.0
-                if s == 0:
-                    acc = incoming
-                else:
-                    acc += incoming
-            totals = L0 + acc
-            hard = totals < 0.0
+        rows = min(active.size, self.block_rows)
+        buffers = (np.empty((rows, self.dc, self.m)), np.empty((rows, self.dc, self.m)),
+                   np.empty((rows, self.n)), np.empty((rows, self.n)),
+                   np.empty((rows, self.m)), np.empty((rows, self.m)),
+                   np.empty((rows, self.n), dtype=bool))
+        for lo in range(0, active.size, rows):
+            self._float_loop(syn[lo:lo + rows], active[lo:lo + rows], L0, table,
+                             buffers, out)
+        return out
 
-            ok = (self.parity(hard) == syn).all(axis=1)
-            done = np.nonzero(ok)[0]
-            if done.size:
-                rows = active[done]
-                est[rows] = hard[done]
-                conv[rows] = True
-                iters[rows] = it
-                keep = np.nonzero(~ok)[0]
-                active = active[keep]
-                if active.size == 0:
-                    break
-                syn, totals, hard, m_cb = syn[keep], totals[keep], hard[keep], m_cb[keep]
+    def _float_loop(self, syn, active, L0, table, buffers, out):
+        """Iterate one block of trials (syndromes ``syn``, rows ``active`` of
+        the batch) from iteration 1's messages to completion, writing their
+        results into ``out``.  Converged trials are compacted out, and the
+        loop continues on the leading rows of ``buffers``."""
+        est, conv, iters = out
+        k = active.size
+        msg, work, acc, inc, run, sign, hard = (b[:k] for b in buffers)
+        np.copyto(sign, 1.0)
+        np.copyto(sign, -1.0, where=syn)
+        np.copyto(msg, table[0])
+        np.copyto(msg, table[1], where=syn[:, None, :])  # iteration 1's messages
+        packed_syn = _pack_trials(syn)
+        for it in range(1, self.max_iter + 1):
+            flat = msg.reshape(k, -1)
+            for s, unused in enumerate(self.slot_unused):
+                slab = acc if s == 0 else inc
+                flat.take(self.slot_edges[s], axis=1, out=slab, mode="clip")
+                if unused.size:
+                    slab[:, unused] = 0.0
+                if s:
+                    acc += inc
+            np.add(acc, L0, out=acc)  # the totals
+            np.less(acc, 0.0, out=hard)
+
+            ok = ~self._misses(_pack_trials(hard), packed_syn, k)
+            rows = active[ok]
+            est[rows] = hard[ok]
+            conv[rows] = True
+            iters[rows] = it
             if it == self.max_iter:
                 est[active] = hard
-                break
-            m_cb = self._check_update(totals[:, self.check_nbr] - m_cb, syn)
-        return est, conv, iters
+                return
+            if rows.size:
+                keep = np.flatnonzero(~ok)
+                k = keep.size
+                if k == 0:
+                    return
+                active, syn = active[keep], syn[keep]
+                packed_syn = _pack_trials(syn)
+                for view in (msg, acc, sign):  # carried to the next iteration
+                    view[:k] = view[keep]
+                msg, work, acc, inc, run, sign, hard = (b[:k] for b in buffers)
+            self._check_update(acc, msg, work, run, sign)

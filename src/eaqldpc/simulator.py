@@ -16,10 +16,9 @@ reading is the one that reproduces the published block error rates.
 Reproducibility: trial t of sweep point i draws its n uniforms from the
 Philox4x64 stream keyed by ``seed`` at counter (0, t, i, 0), so results are
 bit-identical for a fixed seed regardless of batch size or worker count.
-Philox is counter-based, so a batch opens one generator at its first trial
-and, after each trial's n draws (ceil(n/4) counter steps), jumps the counter
-on to the next trial's start; the streams equal those of a fresh generator
-per trial.
+Philox is counter-based, so a batch opens one generator and, before each
+trial's n draws, sets its counter to that trial's start with an empty output
+buffer; the streams equal those of a fresh generator per trial.
 """
 
 from __future__ import annotations
@@ -164,12 +163,14 @@ def trial_uniforms(seed: int, point_index: int, trial_lo: int, trial_hi: int,
     u = np.empty((trial_hi - trial_lo, n))
     bg = np.random.Philox(key=seed, counter=[0, trial_lo, point_index, 0])
     gen = np.random.Generator(bg)
-    # n draws take ceil(n/4) counter steps; the jump carries into the trial
-    # word, landing on the next trial's counter with an empty output buffer
-    jump = 2**64 - -(-n // 4)
-    for row in u:
+    # each trial restarts the generator at its own counter with an empty
+    # output buffer, through the public state setter
+    state = bg.state
+    counter = state["state"]["counter"]
+    for t, row in enumerate(u, start=trial_lo):
+        counter[1] = t
+        bg.state = state
         gen.random(n, out=row)
-        bg.advance(jump)
     return u
 
 

@@ -3,11 +3,18 @@ with exhaustive maximum-likelihood syndrome decoding, batch/scalar parity."""
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eaqldpc
+from eaqldpc import decoder
 from eaqldpc.decoder import (
     DEFAULT_MAX_ITER,
     LLR_CLAMP,
@@ -396,9 +403,8 @@ def test_batch_decodes_as_its_slices(cache):
     _, first, prior = _sweep_z_syndromes(H, 16136, 16137)
     _, pool, _ = _syndrome_batch(H, 0.045, 1024, seed=8)  # decoded at trial 16136's prior
     pool = pool[pool.any(axis=1)]
-    L0 = math.log((1.0 - prior) / prior)
-    _, t0, t1 = dec._iter1_tables(L0)
-    retired, _ = dec._retire_by_counts(pool.astype(bool), L0, t0, t1)
+    _, *thresholds = dec._iter1_state(math.log((1.0 - prior) / prior))
+    retired, _ = dec._retire_by_counts(pool.astype(bool), *thresholds)
     syn = np.concatenate([first, pool[~retired][:63]])
     assert len(syn) == 64
     est, conv, iters = dec.decode(syn, prior)
@@ -482,7 +488,7 @@ def _count_test(dec: BatchDecoder, syn: np.ndarray, prior: float):
     L0 = math.log((1.0 - prior) / prior)
     _, t0, t1 = dec._iter1_tables(L0)
     thresholds = dec._certified_counts(L0, t0, t1)
-    return thresholds, dec._retire_by_counts(syn[syn.any(axis=1)].astype(bool), L0, t0, t1)
+    return thresholds, dec._retire_by_counts(syn[syn.any(axis=1)].astype(bool), *thresholds)
 
 
 def _assert_count_test_is_float_first_iteration(dec, syn, prior, all_certified):
@@ -587,3 +593,157 @@ def test_count_test_retires_most_of_the_anchor(cache):
     _, syn, prior = _syndrome_batch(H, 0.02, 1024, seed=12)
     _, (retired, _) = _count_test(dec, syn, prior)
     assert retired.size > 900 and retired.mean() >= 0.9
+
+
+# --- the slot-major float loop against what it replaced ----------------------
+
+def _loop_built_layout(graph: TannerGraph):
+    """check_nbr, check_mask (dc, m), bit_edge, bit_mask and bit_check (n,
+    dv) built edge by edge in Python: the reference for the numpy build."""
+    m, n = graph.n_checks, graph.n_bits
+    dc = max(len(cb) for cb in graph.check_bits)
+    check_nbr = np.zeros((dc, m), dtype=np.int64)
+    check_mask = np.zeros((dc, m), dtype=bool)
+    edges: list[list[int]] = [[] for _ in range(n)]
+    for i, cb in enumerate(graph.check_bits):
+        for s, j in enumerate(cb):
+            check_nbr[s, i] = j
+            check_mask[s, i] = True
+            edges[j].append(s * m + i)
+    dv = max(len(es) for es in edges)
+    bit_edge = np.zeros((n, dv), dtype=np.int64)
+    bit_mask = np.zeros((n, dv), dtype=bool)
+    bit_check = np.zeros((n, dv), dtype=np.int64)
+    for j, es in enumerate(edges):
+        bit_edge[j, : len(es)] = es
+        bit_mask[j, : len(es)] = True
+        bit_check[j, : len(es)] = graph.bit_checks[j]
+    return check_nbr, check_mask, bit_edge, bit_mask, bit_check
+
+
+def test_vectorised_layout_matches_loop_built(cache):
+    for H in (_irregular_H(),
+              oriented_matrix(cache.geometry("AG", 2, 16).structure, BLOCK_BY_POINT)):
+        dec = BatchDecoder(build_tanner(H))
+        got = (dec.check_nbr, dec.check_mask, dec.bit_edge, dec.bit_mask, dec.bit_check)
+        for a, b in zip(got, _loop_built_layout(dec.graph)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _check_update_cumprod(dec: BatchDecoder, totals, msg, syn):
+    """The check update in the check-major (B, m, dc) cumprod form that the
+    slab products replaced (oracle); takes and returns slot-major messages."""
+    m_bc = totals[:, dec.check_nbr.T] - msg.transpose(0, 2, 1)
+    t = np.tanh(0.5 * m_bc)
+    if dec.padded:
+        t[:, ~dec.check_mask.T] = 1.0
+    left = np.ones_like(t)
+    np.cumprod(t[:, :, :-1], axis=2, out=left[:, :, 1:])
+    right = np.ones_like(t)
+    right[:, :, :-1] = np.cumprod(t[:, :, :0:-1], axis=2)[:, :, ::-1]
+    prod = left * right
+    prod *= np.where(syn, -1.0, 1.0)[:, :, None]
+    np.clip(prod, -0.999999999999, 0.999999999999, out=prod)
+    m_cb = 2.0 * np.arctanh(prod)
+    np.clip(m_cb, -dec.clamp, dec.clamp, out=m_cb)
+    return m_cb.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("clamp", [LLR_CLAMP, 5.0])
+def test_slab_products_equal_cumprod_form(cache, clamp):
+    """On random messages, with zeros of both signs and values large enough
+    to saturate tanh, the in-place slab products give the bits of the
+    cumprod form, on a regular and on a padded graph."""
+    graphs = (oriented_matrix(cache.geometry("PG", 2, 16).structure, BLOCK_BY_POINT),
+              _irregular_H())
+    rng = np.random.default_rng(99)
+    for H in graphs:
+        dec = BatchDecoder(build_tanner(H), clamp=clamp)
+        B = 9
+        totals = rng.normal(0.0, 8.0, (B, dec.n)) * (rng.random((B, dec.n)) < 0.9)
+        totals[rng.random((B, dec.n)) < 0.05] = -0.0
+        totals[rng.random((B, dec.n)) < 0.05] = 80.0
+        msg = rng.normal(0.0, 4.0, (B, dec.dc, dec.m))
+        msg[rng.random(msg.shape) < 0.05] = 0.0
+        syn = rng.random((B, dec.m)) < 0.5
+        expected = _check_update_cumprod(dec, totals, msg, syn)
+        sign = np.where(syn, -1.0, 1.0)
+        dec._check_update(totals, msg, np.empty_like(msg), np.empty((B, dec.m)), sign)
+        assert msg.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_decoder_with_a_binding_clamp_agrees_with_scalar(cache):
+    """Below 2 atanh(TANH_LIMIT) ~ 28.3 the clamp binds and is applied."""
+    H = oriented_matrix(cache.geometry("AG", 2, 4).structure, BLOCK_BY_POINT)
+    g = build_tanner(H)
+    dec = BatchDecoder(g, max_iter=30, clamp=2.5)
+    _, syn, prior = _syndrome_batch(H, 0.15, 40, seed=4)
+    est, conv, iters = dec.decode(syn, prior)
+    assert (iters >= 2).sum() >= 5
+    for t in range(syn.shape[0]):
+        out = sp_decode(g, [int(v) for v in syn[t]], prior=prior, max_iter=30, clamp=2.5)
+        assert (bool(conv[t]), int(iters[t])) == (out.converged, out.iterations_used)
+        assert est[t].tolist() == [bool(out.error_estimate >> j & 1) for j in range(H.cols)]
+
+
+def test_iteration_one_state_follows_the_prior(cache):
+    """One decoder decoding at priors p1, p2, p1 gives what fresh decoders
+    give, and keeps only the last prior's iteration-1 state."""
+    H = oriented_matrix(cache.geometry("PG", 2, 16).structure, BLOCK_BY_POINT)
+    g = build_tanner(H)
+    shared = BatchDecoder(g)
+    for f_m in (0.03, 0.045, 0.03):
+        _, syn, prior = _syndrome_batch(H, f_m, 128, seed=21)
+        got = shared.decode(syn, prior)
+        for a, b in zip(got, BatchDecoder(g).decode(syn, prior)):
+            assert np.array_equal(a, b)
+        assert shared._iter1[0] == _prior_llr(prior)
+
+
+def test_float_loop_blocks_give_identical_results(cache, monkeypatch):
+    """With the block budget cut to a few trials, a 64-trial float loop runs
+    in at least 3 blocks and every trial decodes as in one block."""
+    H = oriented_matrix(cache.geometry("PG", 2, 16).structure, BLOCK_BY_POINT)
+    g = build_tanner(H)
+    _, syn, prior = _syndrome_batch(H, 0.045, 512, seed=8)
+    whole = BatchDecoder(g)
+    syn = syn[whole.decode(syn, prior)[2] >= 2][:64]
+    assert len(syn) == 64
+    expected = whole.decode(syn, prior)
+    monkeypatch.setattr(decoder, "FLOAT_BLOCK_BYTES", 2_000_000)
+    blocked = BatchDecoder(g)
+    assert whole.block_rows >= 64 and blocked.block_rows <= 64 // 3
+    blocks = []
+    loop = blocked._float_loop
+    monkeypatch.setattr(blocked, "_float_loop",
+                        lambda syn, *a: blocks.append(len(syn)) or loop(syn, *a))
+    got = blocked.decode(syn, prior)
+    assert len(blocks) >= 3 and sum(blocks) == 64
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+
+
+def test_pg64_batch_decodes_under_3_gb():
+    """A PG(2,64) Type I batch whose 256 trials all enter the float loop
+    (one message array alone is 554 MB) decodes under a 3 GB address-space
+    limit: the loop runs in bounded blocks."""
+    src = str(Path(eaqldpc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (3_000_000_000, 3_000_000_000))
+        import numpy as np
+        from eaqldpc.decoder import BatchDecoder, build_tanner
+        from eaqldpc.eaqecc import BLOCK_BY_POINT, oriented_matrix
+        from eaqldpc.geometry import build_geometry
+        H = oriented_matrix(build_geometry("PG", 2, 64).structure, BLOCK_BY_POINT)
+        dec = BatchDecoder(build_tanner(H), max_iter=2)
+        errors = np.random.default_rng(1).random((256, H.cols)) < 0.05
+        est, conv, iters = dec.decode(dec.parity(errors), 0.05)
+        assert est.shape == errors.shape and (iters >= 1).all()
+        print("decoded", int(conv.sum()))
+    """)
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=600)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.startswith("decoded")
