@@ -124,11 +124,12 @@ class BatchDecoder:
     and each bit's sum adds its slots in slot order for the whole batch at
     once, so results are independent of batch composition and of the
     ``FLOAT_BLOCK_BYTES`` blocks.
-    Padded check slots enter the tanh product as 1 and padded bit slots add
-    0 to the bit sums; these are the only message mask writes, made only
-    when the graph has padded slots (``self.padded``), as are the zeroed
-    padded slots of the packed gathers in ``parity`` and the count test.
-    Padded message slots hold finite values that nothing else reads.
+    Padded check slots enter the tanh product as 1, written only when the
+    graph has padded slots (``self.padded``), as are the zeroed padded
+    slots of the packed gathers in ``parity``.  Padded bit slots add 0 to
+    the bit sums and to the count test's counts: ``slot_unused[s]`` lists
+    the bits without a slot s, and only those are zeroed.  Padded message
+    slots hold finite values that nothing else reads.
     """
 
     def __init__(self, graph: TannerGraph, max_iter: int = DEFAULT_MAX_ITER,
@@ -162,9 +163,6 @@ class BatchDecoder:
         self.padded = not (self.check_mask.all() and self.bit_mask.all())
         self.m, self.n, self.dc, self.dv = m, n, dc, dv
         self.count_dtype = np.min_scalar_type(dv + 1)
-        # no message exceeds 2 atanh(TANH_LIMIT) ~ 28.3, so a wider clamp
-        # never binds and its clip is skipped
-        self._clamps = self.clamp < 2.0 * math.atanh(TANH_LIMIT) + 1e-9
         # float-loop bytes per trial: messages, check scratch and the
         # compaction copy (3 dc m), the totals and a gather (2 n), the hard
         # decisions, the syndrome sign and a product run (2 m)
@@ -221,8 +219,7 @@ class BatchDecoder:
         np.clip(msg, -TANH_LIMIT, TANH_LIMIT, out=msg)
         np.arctanh(msg, out=msg)
         np.multiply(msg, 2.0, out=msg)
-        if self._clamps:
-            np.clip(msg, -self.clamp, self.clamp, out=msg)
+        np.clip(msg, -self.clamp, self.clamp, out=msg)
 
     def _iter1_tables(self, L0: float):
         """Iteration-1 check-to-bit messages for syndrome bit 0 and 1: the
@@ -281,10 +278,10 @@ class BatchDecoder:
         B = syn.shape[0]
         packed = _pack_trials(syn)
         k = np.zeros((self.n, B), dtype=self.count_dtype)
-        for s in range(self.dv):
+        for s, unused in enumerate(self.slot_unused):
             gathered = packed[self.bit_check[:, s]]  # (n, bytes)
-            if self.padded:
-                gathered[~self.bit_mask[:, s]] = 0
+            if unused.size:
+                gathered[unused] = 0
             k += np.unpackbits(gathered, axis=1, count=B)
         hard = k >= one_from  # (n, B)
         retired = ~self._misses(np.packbits(hard, axis=1), packed, B)
