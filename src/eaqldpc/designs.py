@@ -176,30 +176,36 @@ def _pair_coverage(S: IncidenceStructure) -> tuple[np.ndarray, np.ndarray]:
     return ids, ids[:0]
 
 
-def _check_no_double_cover(S: IncidenceStructure, repeated: np.ndarray) -> None:
-    """Raise DoublyCoveredPairError on the first pair, in id order, that
-    ``_pair_coverage`` found in more than one block."""
+def _check_pairs(S: IncidenceStructure, mu: int, group_of: Optional[np.ndarray]) -> None:
+    """Raise on the first block whose size is not mu, then on the first pair
+    (a, b), in lexicographic order, that lies in two blocks.  Given each
+    point's group, ``group_of[p]``, raise then on the first pair in different
+    groups that lies in no block.  Blocks must meet no group twice: the
+    covered pairs are counted against the cross-group pairs, and the search
+    runs only when they fall short."""
+    for blk in S.blocks:
+        if len(blk) != mu:
+            raise BlockSizeError(blk, mu)
+    ids, repeated = _pair_coverage(S)
     if repeated.size:
         pid = int(repeated[0])
         raise DoublyCoveredPairError((pid // S.v, pid % S.v))
+    if group_of is None:
+        return
+    sizes = np.bincount(group_of)
+    if ids.size < (S.v * (S.v - 1) - int(sizes @ (sizes - 1))) // 2:
+        covered, g = set(ids.tolist()), group_of.tolist()
+        raise UncoveredPairError(next(
+            (a, b) for a in range(S.v) for b in range(a + 1, S.v)
+            if g[a] != g[b] and a * S.v + b not in covered
+        ))
 
 
 def verify_steiner(S: IncidenceStructure, mu: int) -> DesignParams:
     """Verify S is an S(2, mu, v): uniform block size, every pair exactly once."""
     if mu < 2:
         raise DesignError(f"a Steiner system S(2, mu, v) needs mu >= 2, got {mu}")
-    for blk in S.blocks:
-        if len(blk) != mu:
-            raise BlockSizeError(blk, mu)
-    ids, repeated = _pair_coverage(S)
-    _check_no_double_cover(S, repeated)
-    total_pairs = S.v * (S.v - 1) // 2
-    if ids.size != total_pairs:
-        covered = set(int(x) for x in ids)
-        for a in range(S.v):
-            for b in range(a + 1, S.v):
-                if a * S.v + b not in covered:
-                    raise UncoveredPairError((a, b))
+    _check_pairs(S, mu, np.arange(S.v))
     bcount = S.v * (S.v - 1) // (mu * (mu - 1))
     r = (S.v - 1) // (mu - 1)
     if len(S.blocks) != bcount:
@@ -209,10 +215,7 @@ def verify_steiner(S: IncidenceStructure, mu: int) -> DesignParams:
 
 def verify_partial_steiner(S: IncidenceStructure, mu: int) -> None:
     """Every block has size mu and every pair is covered at most once."""
-    for blk in S.blocks:
-        if len(blk) != mu:
-            raise BlockSizeError(blk, mu)
-    _check_no_double_cover(S, _pair_coverage(S)[1])
+    _check_pairs(S, mu, None)
 
 
 def build_sts(v: int) -> IncidenceStructure:
@@ -290,24 +293,15 @@ def verify_gdd(S: IncidenceStructure, mu: int) -> None:
         seen |= set(g)
     if seen != set(range(S.v)):
         raise DesignError("groups do not partition the points")
-    group_of = {}
+    group_of = np.empty(S.v, dtype=np.intp)
     for gi, g in enumerate(S.groups):
-        for p in g:
-            group_of[p] = gi
-    for blk in S.blocks:
-        if len(blk) != mu:
-            raise BlockSizeError(blk, mu)
-        gs = [group_of[p] for p in blk]
-        if len(set(gs)) != len(gs):
-            raise DesignError(f"block {blk} meets a group twice")
-    # cross-group pairs exactly once
-    ids, repeated = _pair_coverage(S)
-    _check_no_double_cover(S, repeated)
-    covered = set(int(x) for x in ids)
-    for a in range(S.v):
-        for b in range(a + 1, S.v):
-            if group_of[a] != group_of[b] and a * S.v + b not in covered:
-                raise UncoveredPairError((a, b))
+        group_of[list(g)] = gi
+    # the first block that is not mu points in mu groups: a wrong size is
+    # left to _check_pairs, which names the same block
+    bad = next((blk for blk in S.blocks if len({group_of[p] for p in blk}) != mu), None)
+    if bad is not None and len(bad) == mu:
+        raise DesignError(f"block {bad} meets a group twice")
+    _check_pairs(S, mu, group_of)
 
 
 def build_transversal_design(mu: int, g: int) -> IncidenceStructure:
@@ -350,26 +344,41 @@ def compose_gdd_spread(
     if any(len(grp) != g for grp in gdd.groups):
         raise DesignError("groups have unequal sizes")
     new_blocks = list(gdd.blocks)
-    part_blocks: list[list[tuple[int, ...]]] = []
     for grp in gdd.groups:
-        mapping = dict(enumerate(sorted(grp)))
-        fb = [tuple(sorted(mapping[p] for p in blk)) for blk in filler.blocks]
-        part_blocks.append(fb)
-        new_blocks.extend(fb)
+        points = sorted(grp)
+        new_blocks.extend(tuple(sorted(points[p] for p in blk)) for blk in filler.blocks)
     S = IncidenceStructure(
         v=gdd.v,
         blocks=tuple(sorted(new_blocks)),
         provenance=f"gdd_fill({gdd.provenance},{filler.provenance})",
     )
     verify_steiner(S, mu)
-    index_of = {blk: i for i, blk in enumerate(S.blocks)}
-    parts = tuple(
-        (frozenset(grp), tuple(sorted(index_of[blk] for blk in fb)))
-        for grp, fb in zip(gdd.groups, part_blocks)
+    return S, spread_of(S, gdd.groups)
+
+
+def spread_of(S: IncidenceStructure, point_sets: Sequence[Iterable[int]]) -> SpreadPartition:
+    """The spread whose parts are these point sets, in order, each with the
+    indices of the blocks of S that lie inside it, checked by
+    ``verify_spread``.  Raises DesignError when a point of S lies in two of
+    the sets or in none."""
+    part_of = [-1] * S.v
+    for i, pts in enumerate(point_sets):
+        for p in pts:
+            if part_of[p] != -1:
+                raise DesignError("spread parts share points")
+            part_of[p] = i
+    if -1 in part_of:
+        raise DesignError("spread does not cover all points")
+    inside: list[list[int]] = [[] for _ in point_sets]
+    for j, blk in enumerate(S.blocks):
+        parts = {part_of[p] for p in blk}
+        if len(parts) == 1:
+            inside[parts.pop()].append(j)
+    spread = SpreadPartition(
+        parts=tuple((frozenset(pts), tuple(b)) for pts, b in zip(point_sets, inside))
     )
-    spread = SpreadPartition(parts=parts)
     verify_spread(S, spread)
-    return S, spread
+    return spread
 
 
 def verify_spread(S: IncidenceStructure, spread: SpreadPartition) -> None:

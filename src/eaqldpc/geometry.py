@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .designs import DesignError, IncidenceStructure, SpreadPartition, verify_spread
+from .designs import DesignError, IncidenceStructure, SpreadPartition, spread_of
 from .fields import FiniteField, enumerate_subspace_reps, make_field, field_for_order, subfield_embedding
 from .gf2 import BitMatrix, pack_bool_rows
 
@@ -269,52 +269,29 @@ def pg_spread(design: GeometryDesign, s: int) -> SpreadPartition:
     field = design.field
     big = make_field(field.p, field.e * (s + 1))
     emb = subfield_embedding(field, big)
-    inv_emb = {w: a for a, w in emb.items()}
     # basis of big over the embedded subfield: powers of a primitive element
     gamma = big.generator
     basis = [big.pow(gamma, i) for i in range(s + 1)]
-    # build the F_q-linear bijection F_q^{s+1} -> big as a lookup
-    to_big: dict[tuple[int, ...], int] = {}
+    # the F_q-linear bijection F_q^{s+1} -> big, as a lookup from big
     from_big: dict[int, tuple[int, ...]] = {}
     for coeffs in itertools.product(range(q), repeat=s + 1):
         w = 0
         for c, bb in zip(coeffs, basis):
             w = big.add(w, big.mul(emb[c], bb))
-        to_big[coeffs] = w
         from_big[w] = coeffs
     if len(from_big) != big.q:
         raise RuntimeError("subfield basis failed to span the extension field")
 
     n_over = (m + 1) // (s + 1)
     point_index = {p: i for i, p in enumerate(design.point_coords)}
-    block_index = {blk: i for i, blk in enumerate(design.structure.blocks)}
-    parts = []
-    seen_pts: set[int] = set()
+    point_sets = []
     for rep in enumerate_subspace_reps(big, n_over):
         part_points = set()
         for lam in range(1, big.q):
-            vec_big = tuple(big.mul(lam, x) for x in rep)
-            coords: list[int] = []
-            for w in vec_big:
-                coords.extend(from_big[w])
-            pp = field.normalize_projective(tuple(coords))
-            part_points.add(point_index[pp])
-        if part_points & seen_pts:
-            raise RuntimeError("spread parts overlap; bad field embedding")
-        seen_pts |= part_points
-        bidx = tuple(
-            sorted(
-                block_index[blk]
-                for blk in design.structure.blocks
-                if set(blk) <= part_points
-            )
-        )
-        parts.append((frozenset(part_points), bidx))
-    spread = SpreadPartition(parts=tuple(parts))
-    if len(seen_pts) != design.structure.v:
-        raise RuntimeError("spread does not cover all points")
-    verify_spread(design.structure, spread)
-    return spread
+            coords = [c for x in rep for c in from_big[big.mul(lam, x)]]
+            part_points.add(point_index[field.normalize_projective(tuple(coords))])
+        point_sets.append(part_points)
+    return spread_of(design.structure, point_sets)
 
 
 def ag_hyperplane_spread(design: GeometryDesign) -> SpreadPartition:
@@ -324,24 +301,11 @@ def ag_hyperplane_spread(design: GeometryDesign) -> SpreadPartition:
         raise DesignError("requires an AG design")
     if design.m < 3:
         raise DesignError("need m >= 3")
-    field = design.field
-    block_index = {blk: i for i, blk in enumerate(design.structure.blocks)}
-    parts = []
-    for cval in field.elements():
-        pts = frozenset(
-            i for i, p in enumerate(design.point_coords) if p[0] == cval
-        )
-        bidx = tuple(
-            sorted(
-                block_index[blk]
-                for blk in design.structure.blocks
-                if set(blk) <= pts
-            )
-        )
-        parts.append((pts, bidx))
-    spread = SpreadPartition(parts=tuple(parts))
-    verify_spread(design.structure, spread)
-    return spread
+    point_sets = [
+        [i for i, p in enumerate(design.point_coords) if p[0] == c]
+        for c in design.field.elements()
+    ]
+    return spread_of(design.structure, point_sets)
 
 
 # --- polarity of the symmetric planes -------------------------------------------
@@ -538,13 +502,10 @@ def point_hyperoval(design: GeometryDesign) -> WitnessCodeword:
         )
         if ext is None:
             raise DesignError("no external line to the hyperoval found")
-        # coordinate change sending ext to the first coordinate form
-        rows = [ext]
-        for cand in itertools.product(field.elements(), repeat=3):
-            if len(rows) == 3:
-                break
-            if _rank3(field, rows + [cand]) == len(rows) + 1:
-                rows.append(cand)
+        # coordinate change sending ext to the first coordinate form: ext and
+        # the unit vectors off its leading nonzero coordinate form a basis
+        lead = next(i for i, x in enumerate(ext) if x)
+        rows = [ext] + [tuple(int(i == j) for j in range(3)) for i in (2, 1, 0) if i != lead]
         affine_pts = []
         for p in pts:
             img = tuple(_dot(field, row, p) for row in rows)
@@ -565,25 +526,6 @@ def _dot(field: FiniteField, a: Sequence[int], b: Sequence[int]) -> int:
     for x, y in zip(a, b):
         acc = field.add(acc, field.mul(x, y))
     return acc
-
-
-def _rank3(field: FiniteField, rows) -> int:
-    mat = [list(r) for r in rows]
-    rank = 0
-    ncols = 3
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = field.inv(mat[rank][c])
-        mat[rank] = [field.mul(inv, x) for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
 
 
 def validate_witness(H, w: WitnessCodeword) -> None:

@@ -322,7 +322,7 @@ def _deletion_table(
     design = cache.geometry(kind, m, q)
     spread = cache.spread(kind, m, q, s)
     n0 = design.structure.b
-    mu = design.mu
+    params = verify_steiner(design.structure, design.mu)
     for (subs, n_e, rk_e, k_e, d_e, c_e, rate_e) in golden:
         folded = delete_subdesigns(design.structure, spread, subs)
         H = oriented_matrix(folded, POINT_BY_BLOCK)
@@ -333,11 +333,9 @@ def _deletion_table(
             rate = round4(Fraction(n0 - 2 * base.rank_h + base.c, base.n))
         else:
             rate = trunc4(Fraction(base.k, base.n))
-        record = DeletionRecord.from_spread(design.structure, spread, subs, mu)
+        record = DeletionRecord.from_spread(design.structure, spread, subs, params.mu)
         try:
-            c_pred = expected_c(
-                verify_steiner(design.structure, mu), POINT_BY_BLOCK, record
-            )
+            c_pred = expected_c(params, POINT_BY_BLOCK, record)
         except DesignError as e:  # mixed parities etc.
             c_pred = f"n/a ({e})"
         computed = {

@@ -22,6 +22,7 @@ from eaqldpc.designs import (
     count_pasch,
     delete_subdesigns,
     develop_cyclic,
+    spread_of,
     tanner_girth,
     verify_gdd,
     verify_steiner,
@@ -113,6 +114,27 @@ def test_transversal_designs():
         build_transversal_design(3, 6)  # not a prime power
 
 
+
+@pytest.mark.parametrize("drop,pair", [(0, (0, 5)), (7, (1, 7)), (24, (4, 9))])
+def test_verify_gdd_names_the_first_uncovered_pair(drop, pair):
+    td = build_transversal_design(3, 5)
+    blocks = td.blocks[:drop] + td.blocks[drop + 1 :]
+    with pytest.raises(UncoveredPairError) as err:
+        verify_gdd(IncidenceStructure(v=td.v, blocks=blocks, groups=td.groups), 3)
+    assert err.value.pair == pair
+
+
+@pytest.mark.parametrize("head,message", [
+    (((0, 1, 10),), r"block \(0, 1, 10\) meets a group twice"),
+    (((0, 5), (0, 1, 10)), r"block \(0, 5\) has size 2"),
+])
+def test_verify_gdd_names_the_first_bad_block(head, message):
+    # points 0 and 1 lie in the same group of TD(3, 5)
+    td = build_transversal_design(3, 5)
+    S = IncidenceStructure(v=td.v, blocks=head + td.blocks[2:], groups=td.groups)
+    with pytest.raises(DesignError, match=message):
+        verify_gdd(S, 3)
+
 def test_compose_gdd_spread_sts21():
     td = build_transversal_design(3, 7)
     S, spread = compose_gdd_spread(td, build_sts(7))
@@ -158,6 +180,13 @@ def test_delete_rejects_bad_part(fano):
     with pytest.raises(DesignError):
         delete_subdesigns(fano.structure, bad, 1)
 
+
+
+def test_spread_of_rejects_shared_and_uncovered_points(fano):
+    with pytest.raises(DesignError, match="share points"):
+        spread_of(fano.structure, [range(4), range(3, 7)])
+    with pytest.raises(DesignError, match="does not cover all points"):
+        spread_of(fano.structure, [range(3), range(4, 7)])
 
 def test_girth_four_cycle():
     S = IncidenceStructure(v=4, blocks=((0, 1, 2), (0, 1, 3)))

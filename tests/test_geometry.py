@@ -6,7 +6,13 @@ import itertools
 
 import pytest
 
-from eaqldpc.designs import verify_partial_steiner, verify_steiner
+from eaqldpc.designs import (
+    build_sts,
+    build_transversal_design,
+    compose_gdd_spread,
+    verify_partial_steiner,
+    verify_steiner,
+)
 from eaqldpc.eaqecc import BLOCK_BY_POINT, POINT_BY_BLOCK, _make_witness
 from eaqldpc.fields import enumerate_subspace_reps, field_for_order
 from eaqldpc.geometry import (
@@ -156,6 +162,31 @@ def test_ag_hyperplane_spread(cache):
 
         ag_hyperplane_spread(cache.geometry("AG", 2, 3))
 
+
+
+# (kind, m, q, s) -> first 16 hex digits of the SHA-256 of the spread's parts
+# in order, each as (sorted point set, block indices); "TD" is the TD(3, 7)
+# filled with STS(7)
+SPREAD_PINS = {
+    ("PG", 5, 2, 1): "61cc3b1b0283f8b2",
+    ("PG", 5, 2, 2): "799ccb1ccb5768db",
+    ("PG", 3, 2, 1): "7aa0ee932b612723",
+    ("PG", 3, 3, 1): "052195f3a6f2776f",
+    ("PG", 3, 4, 1): "0afb6dd6a88e0768",
+    ("AG", 3, 3, None): "47beec602c6186e4",
+    ("AG", 3, 4, None): "6147e84f402e7bf8",
+    ("TD", 3, 7, None): "6979e75b23255dcf",
+}
+
+
+@pytest.mark.parametrize("kind,m,q,s", SPREAD_PINS)
+def test_spread_pins(cache, kind, m, q, s):
+    if kind == "TD":
+        spread = compose_gdd_spread(build_transversal_design(m, q), build_sts(q))[1]
+    else:
+        spread = cache.spread(kind, m, q, s)
+    parts = [(sorted(pts), bidx) for pts, bidx in spread.parts]
+    assert hashlib.sha256(repr(parts).encode()).hexdigest()[:16] == SPREAD_PINS[(kind, m, q, s)]
 
 def _coverage(structure, support):
     cover = [0] * structure.v
