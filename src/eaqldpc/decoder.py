@@ -13,22 +13,22 @@ check-to-bit message, so edge s*m + i is slot s of check i.  The check
 update is the forward-backward product form (Hu, Eleftheriou, Arnold and
 Dholakia, GLOBECOM 2001): the left and right products of a check's other
 slots are built slab by slab, in the order ``cumprod`` would multiply them.
-The float loop runs in place on buffers allocated once per ``decode`` call
-and reused every iteration; retired trials are compacted out of the leading
-rows.  Trials enter the loop in blocks of at most ``FLOAT_BLOCK_BYTES`` of
-buffers, each block iterating to completion, so memory stays bounded on
-large graphs (PG(2,64)) while the (2,16) codes' batches stay one block.
+The bit update gathers every bit's slots, (B, dv, n), and sums them with one
+``np.add.reduce`` over the slot axis; numpy adds a non-innermost axis slice
+by slice, so every sum is ``L0 + ((s0 + s1) + ...)`` whatever the batch
+holds.  The float loop runs in place on buffers allocated once per
+``decode`` call; retired trials are compacted out of the leading rows.
+Trials enter it in blocks of at most ``FLOAT_BLOCK_BYTES`` of buffers, each
+iterating to completion, so memory stays bounded on large graphs (PG(2,64))
+while the (2,16) codes' batches stay one block.
 
-``BatchDecoder`` reads iteration 1 from two message tables.  There every
-bit-to-check message is the prior LLR, so a check-to-bit message depends
-only on its slot and its check's syndrome bit; the tables are the general
-check-node update run once on syndrome bit 0 and once on 1, hence exact.
-They, and the count thresholds below, depend on the prior alone, and the
-decoder keeps those of the last prior it saw.  The loop starts from these
-messages, so every iteration runs one body: the bit update, then the check
-update for the next iteration.  The bit update adds each bit's incoming
-messages slot by slot over the whole batch, ``L0 + ((s0 + s1) + ...)``, so
-every trial's sum takes the same order whatever the batch or block holds.
+Iteration 1 comes from two message tables.  There every bit-to-check
+message is the prior LLR, so a check-to-bit message depends only on its
+slot and its check's syndrome bit; the tables are the general check-node
+update run once on syndrome bit 0 and once on 1, hence exact.  They, and
+the count thresholds below, depend on the prior alone, and the decoder
+keeps those of the last prior it saw.  The loop starts from these messages,
+so every iteration runs the bit update, then the next check update.
 
 Most trials never reach those float messages.  A bit of degree d whose
 checks hold k set syndrome bits gets k slots from the syndrome-1 table and
@@ -37,11 +37,12 @@ d - k from the syndrome-0 table, so its exact iteration-1 total lies in
 its real slots).  Widened by a rounding bound that holds for the float sum
 in any order, an interval wholly below or above 0 fixes that bit's hard
 decision ``totals < 0`` exactly, tie-to-zero included, from the integer k
-alone.  ``decode`` counts k for every bit in the packed domain and retires,
-at iteration 1, each trial whose counts are all certified and whose hard
-decision meets its syndrome.  The rest (unconverged trials, and trials with
-a count near a tie) enter the float loop at iteration 1, so every trial's
-result is the float path's.
+alone.  ``decode`` keeps syndromes trials-last, (m, B) as the packed domain
+holds them, counts k for every bit of every trial, and retires at iteration
+1 each nonzero syndrome whose counts are all certified and whose hard
+decision meets it; the estimates are a view of those (n, B) decisions.  The
+rest (unconverged trials, and trials with a count near a tie) enter the
+float loop at iteration 1, so every trial's result is the float path's.
 """
 
 from __future__ import annotations
@@ -121,9 +122,10 @@ class BatchDecoder:
     slots, and messages are (B, dc, m).  ``bit_edge`` (n, dv) holds each
     bit's edges s*m + i in check order, ``bit_check`` their checks and
     ``bit_mask`` its real slots.  All operations are elementwise per trial,
-    and each bit's sum adds its slots in slot order for the whole batch at
-    once, so results are independent of batch composition and of the
-    ``FLOAT_BLOCK_BYTES`` blocks.
+    and each bit's sum adds its slots in slot order in one reduce over the
+    whole batch, so results are independent of batch composition and of the
+    ``FLOAT_BLOCK_BYTES`` blocks.  Syndromes are read trials-last, the count
+    test runs on every trial, and its (n, B) decisions back the estimates.
     Padded check slots enter the tanh product as 1, written only when the
     graph has padded slots (``self.padded``), as are the zeroed padded
     slots of the packed gathers in ``parity``.  Padded bit slots add 0 to
@@ -163,17 +165,22 @@ class BatchDecoder:
         self.padded = not (self.check_mask.all() and self.bit_mask.all())
         self.m, self.n, self.dc, self.dv = m, n, dc, dv
         self.count_dtype = np.min_scalar_type(dv + 1)
-        # float-loop bytes per trial: messages, check scratch and the
-        # compaction copy (3 dc m), the totals and a gather (2 n), the hard
-        # decisions, the syndrome sign and a product run (2 m)
-        self.block_rows = max(1, FLOAT_BLOCK_BYTES // (24 * dc * m + 17 * n + 16 * m))
+        # float-loop bytes per trial: messages and their compaction copy
+        # (2 dc m), the scratch shared by the check gather and the slot
+        # gather (max(dc m, dv n)), the totals and hard decisions (n), the
+        # syndrome sign and a product run (2 m)
+        self.work_size = max(dc * m, dv * n)
+        self.block_rows = max(1, FLOAT_BLOCK_BYTES // (
+            16 * dc * m + 8 * self.work_size + 9 * n + 16 * m))
         self._iter1 = (None, None)  # (L0, iteration-1 state) of the last prior
 
     def parity(self, bits: np.ndarray) -> np.ndarray:
-        """(B, n_bits) boolean batch -> (B, n_checks) uint8 check parities,
-        as the XOR of each check's bit rows with trials packed 8 per byte."""
-        par = self._packed_parity(_pack_trials(bits))
-        return np.ascontiguousarray(np.unpackbits(par, axis=1, count=bits.shape[0]).T)
+        """(B, n_bits) boolean batch in any layout (trials-last packs fastest)
+        -> (B, n_checks) uint8 check parities, the transposed view of an
+        (n_checks, B) array: the XOR of each check's bit rows with trials
+        packed 8 per byte."""
+        return np.unpackbits(self._packed_parity(_pack_trials(bits)), axis=1,
+                             count=bits.shape[0]).T
 
     def _packed_parity(self, packed: np.ndarray) -> np.ndarray:
         """(n_bits, W) bit rows, trials packed 8 per byte -> (n_checks, W)."""
@@ -274,7 +281,7 @@ class BatchDecoder:
         """Iteration 1 decided from integer counts and the thresholds of
         ``_certified_counts``: the (B,) mask of trials whose every bit has a
         certified count and whose hard decision meets the syndrome, and the
-        hard decisions of those trials, (retired, n_bits) bool."""
+        hard decisions of every trial, (n_bits, B) bool."""
         B = syn.shape[0]
         packed = _pack_trials(syn)
         k = np.zeros((self.n, B), dtype=self.count_dtype)
@@ -286,48 +293,34 @@ class BatchDecoder:
         hard = k >= one_from  # (n, B)
         retired = ~self._misses(np.packbits(hard, axis=1), packed, B)
         retired &= ~((k >= zero_below) & ~hard).any(axis=0)
-        return retired, hard[:, retired].T
+        return retired, hard
 
     def decode(self, syndromes: np.ndarray, prior: float):
-        """Decode a (B, n_checks) uint8 syndrome batch.
+        """Decode a (B, n_checks) 0/1 syndrome batch in any layout; the
+        trials-last view ``parity`` returns is read without a copy.
 
-        Returns (estimates (B, n_bits) bool, converged (B,) bool,
-        iterations (B,) int32).
+        Returns (estimates (B, n_bits) bool, possibly a transposed view,
+        converged (B,) bool, iterations (B,) int32, 0 for a zero syndrome).
         """
         L0 = _prior_llr(prior)
-        B = syndromes.shape[0]
-        out = (np.zeros((B, self.n), dtype=bool), np.zeros(B, dtype=bool),
-               np.full(B, self.max_iter, dtype=np.int32))
-        est, conv, iters = out
-
-        zero_rows = ~syndromes.any(axis=1)
-        conv[zero_rows] = True
-        iters[zero_rows] = 0
-        active = np.nonzero(~zero_rows)[0]
-        if active.size == 0:
-            return out
-
-        syn = syndromes[active].astype(bool)
         table, zero_below, one_from = self._iter1_state(L0)
-        retired, hard = self._retire_by_counts(syn, zero_below, one_from)
-        if retired.any():
-            rows = active[retired]
-            est[rows] = hard
-            conv[rows] = True
-            iters[rows] = 1
-            active = active[~retired]
-            if active.size == 0:
-                return out
-            syn = syn[~retired]
-
-        rows = min(active.size, self.block_rows)
-        buffers = (np.empty((rows, self.dc, self.m)), np.empty((rows, self.dc, self.m)),
-                   np.empty((rows, self.n)), np.empty((rows, self.n)),
-                   np.empty((rows, self.m)), np.empty((rows, self.m)),
-                   np.empty((rows, self.n), dtype=bool))
-        for lo in range(0, active.size, rows):
-            self._float_loop(syn[lo:lo + rows], active[lo:lo + rows], L0, table,
-                             buffers, out)
+        nonzero = syndromes.any(axis=1)
+        retired, hard = self._retire_by_counts(syndromes, zero_below, one_from)
+        retired &= nonzero
+        hard &= retired  # the float loop writes the rest
+        conv = retired | ~nonzero
+        iters = np.where(nonzero, np.where(retired, 1, self.max_iter), 0).astype(np.int32)
+        out = (hard.T, conv, iters)
+        active = np.flatnonzero(~conv)
+        if active.size:
+            syn = syndromes[active].astype(bool)
+            rows = min(active.size, self.block_rows)
+            buffers = (np.empty(rows * self.work_size), np.empty((rows, self.dc, self.m)),
+                       np.empty((rows, self.n)), np.empty((rows, self.m)),
+                       np.empty((rows, self.m)), np.empty((rows, self.n), dtype=bool))
+            for lo in range(0, active.size, rows):
+                self._float_loop(syn[lo:lo + rows], active[lo:lo + rows], L0, table,
+                                 buffers, out)
         return out
 
     def _float_loop(self, syn, active, L0, table, buffers, out):
@@ -337,21 +330,20 @@ class BatchDecoder:
         loop continues on the leading rows of ``buffers``."""
         est, conv, iters = out
         k = active.size
-        msg, work, acc, inc, run, sign, hard = (b[:k] for b in buffers)
+        work, *bufs = buffers  # work: flat scratch for either gather
+        msg, acc, run, sign, hard = (b[:k] for b in bufs)
         np.copyto(sign, 1.0)
         np.copyto(sign, -1.0, where=syn)
         np.copyto(msg, table[0])
         np.copyto(msg, table[1], where=syn[:, None, :])  # iteration 1's messages
         packed_syn = _pack_trials(syn)
         for it in range(1, self.max_iter + 1):
-            flat = msg.reshape(k, -1)
+            slots = work[:k * self.dv * self.n].reshape(k, self.dv, self.n)
+            msg.reshape(k, -1).take(self.slot_edges, axis=1, out=slots, mode="clip")
             for s, unused in enumerate(self.slot_unused):
-                slab = acc if s == 0 else inc
-                flat.take(self.slot_edges[s], axis=1, out=slab, mode="clip")
                 if unused.size:
-                    slab[:, unused] = 0.0
-                if s:
-                    acc += inc
+                    slots[:, s, unused] = 0.0
+            np.add.reduce(slots, axis=1, out=acc)  # slot by slot: axis 1 is not innermost
             np.add(acc, L0, out=acc)  # the totals
             np.less(acc, 0.0, out=hard)
 
@@ -372,5 +364,6 @@ class BatchDecoder:
                 packed_syn = _pack_trials(syn)
                 for view in (msg, acc, sign):  # carried to the next iteration
                     view[:k] = view[keep]
-                msg, work, acc, inc, run, sign, hard = (b[:k] for b in buffers)
-            self._check_update(acc, msg, work, run, sign)
+                msg, acc, run, sign, hard = (b[:k] for b in bufs)
+            checks = work[:k * self.dc * self.m].reshape(k, self.dc, self.m)
+            self._check_update(acc, msg, checks, run, sign)

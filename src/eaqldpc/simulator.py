@@ -18,7 +18,9 @@ Philox4x64 stream keyed by ``seed`` at counter (0, t, i, 0), so results are
 bit-identical for a fixed seed regardless of batch size or worker count.
 Philox is counter-based, so a batch opens one generator and, before each
 trial's n draws, sets its counter to that trial's start with an empty output
-buffer; the streams equal those of a fresh generator per trial.
+buffer, through the public ``state`` setter and a state dict of Python lists
+(read faster than arrays); the streams equal those of a fresh generator per
+trial.
 """
 
 from __future__ import annotations
@@ -86,7 +88,9 @@ class CodeInstance:
         self._null_packed = null.to_packed()  # (n - rank) x words
 
     def syndromes_of(self, errors: np.ndarray) -> np.ndarray:
-        """(B, n) boolean error batch -> (B, n_checks) uint8 syndromes."""
+        """(B, n) boolean error batch in any layout -> (B, n_checks) uint8
+        syndromes; trials-last in (a transposed (n, B) array) is fastest,
+        and the syndromes come out trials-last."""
         return self.decoder.parity(errors)
 
     def residual_in_row_space(self, residuals: np.ndarray) -> np.ndarray:
@@ -164,9 +168,11 @@ def trial_uniforms(seed: int, point_index: int, trial_lo: int, trial_hi: int,
     bg = np.random.Philox(key=seed, counter=[0, trial_lo, point_index, 0])
     gen = np.random.Generator(bg)
     # each trial restarts the generator at its own counter with an empty
-    # output buffer, through the public state setter
+    # output buffer, through the public state setter, which reads lists faster
     state = bg.state
-    counter = state["state"]["counter"]
+    inner = state["state"]
+    counter = inner["counter"] = inner["counter"].tolist()
+    inner["key"], state["buffer"] = inner["key"].tolist(), state["buffer"].tolist()
     for t, row in enumerate(u, start=trial_lo):
         counter[1] = t
         bg.state = state
@@ -185,6 +191,7 @@ def recovered(
     converge with a residual in the row space (or zero, if exact_recovery)."""
     ok = np.ones(x_err.shape[0], dtype=bool)
     for err in (x_err, z_err):
+        err = np.ascontiguousarray(err.T).T  # trials-last
         est, conv, _ = code.decoder.decode(code.syndromes_of(err), prior)
         residual = est ^ err
         if exact_recovery:

@@ -473,6 +473,31 @@ def test_parity_matches_dense_product(cache):
             assert np.array_equal(par, syn)
 
 
+def test_trials_last_syndromes_decode_as_a_contiguous_copy(cache):
+    """``parity``'s trials-last view of the syndromes and a C-contiguous
+    (B, m) copy of it decode alike: on the mc-anchor code (AG(2,16) Type I)
+    and the padded 40 x 60 graph, each with a depolarizing batch, an
+    all-zero batch and a batch with one nonzero row.  Zero syndromes
+    report iteration 0 and an all-zero estimate."""
+    ag = oriented_matrix(cache.geometry("AG", 2, 16).structure, BLOCK_BY_POINT)
+    for H, f_m, trials in ((ag, 0.02, 2048), (_irregular_H(), 0.15, 256)):
+        dec = BatchDecoder(build_tanner(H))
+        errors, _, prior = _syndrome_batch(H, f_m, trials, seed=31)
+        one = np.zeros((9, H.cols), dtype=bool)
+        one[4] = errors[errors.any(axis=1)][0]
+        for err in (errors, np.zeros_like(errors), one):
+            syn = dec.parity(np.ascontiguousarray(err.T).T)
+            assert syn.T.flags.c_contiguous and not syn.flags.c_contiguous
+            fast = dec.decode(syn, prior)
+            general = dec.decode(np.ascontiguousarray(syn), prior)
+            for a, b in zip(fast, general):
+                assert a.shape == b.shape and np.array_equal(a, b)
+            est, conv, iters = fast
+            zero = ~syn.any(axis=1)
+            assert conv[zero].all() and not iters[zero].any() and not est[zero].any()
+        assert zero.sum() == 8 and iters[4] >= 1  # the one-row batch, decoded last
+
+
 def _float_first_iteration(dec: BatchDecoder, syn: np.ndarray, prior: float):
     """Iteration 1 summed inline from the two message tables, as the float
     path does: (hard decisions (B, n), syndrome met (B,))."""
@@ -483,8 +508,8 @@ def _float_first_iteration(dec: BatchDecoder, syn: np.ndarray, prior: float):
 
 
 def _count_test(dec: BatchDecoder, syn: np.ndarray, prior: float):
-    """Certified thresholds, and the retired mask and estimates of the count
-    test on the nonzero rows of ``syn``."""
+    """Certified thresholds, and the retired mask and the (n, B) hard
+    decisions of the count test on the nonzero rows of ``syn``."""
     L0 = math.log((1.0 - prior) / prior)
     _, t0, t1 = dec._iter1_tables(L0)
     thresholds = dec._certified_counts(L0, t0, t1)
@@ -496,14 +521,17 @@ def _assert_count_test_is_float_first_iteration(dec, syn, prior, all_certified):
     (taken here from a dense gather over real slots) are all certified and
     whose float iteration-1 decision meets them, with the float estimates;
     the max_iter=1 decoder returns the float hard decisions."""
-    (zero_below, one_from), (retired, est_r) = _count_test(dec, syn, prior)
+    (zero_below, one_from), (retired, hard_r) = _count_test(dec, syn, prior)
     assert np.array_equal(zero_below, one_from) == all_certified
     k = (syn[:, dec.bit_check] * dec.bit_mask).sum(axis=2)  # (B, n)
     certified = ((k < zero_below.T) | (k >= one_from.T)).all(axis=1)
     hard, solved = _float_first_iteration(dec, syn, prior)
     nonzero = syn.any(axis=1)
     assert np.array_equal(retired, (solved & certified)[nonzero])
-    assert np.array_equal(est_r, hard[nonzero][retired])
+    assert hard_r.shape == (dec.n, nonzero.sum())
+    assert np.array_equal(hard_r.T[retired], hard[nonzero][retired])
+    # every certified trial's count decision is the float one, retired or not
+    assert np.array_equal(hard_r.T[certified[nonzero]], hard[nonzero & certified])
     est, conv, iters = dec.decode(syn, prior)
     assert np.array_equal(conv, solved | ~nonzero)
     assert np.array_equal(est[nonzero], hard[nonzero]) and not est[~nonzero].any()

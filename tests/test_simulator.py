@@ -175,8 +175,10 @@ def test_evaluate_batch_smoke(pg32_code):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 1, 256, 257])
 def test_batch_stream_equals_per_trial_streams(n):
-    """n % 4 in {0, 1, 2, 3}, trial_lo > 0 and point_index > 0."""
-    for seed, point_index, lo in ((0, 0, 0), (99, 1, 600), (2**40 + 5, 3, 2**32 - 3)):
+    """n % 4 in {0, 1, 2, 3}, trial_lo > 0, point_index > 0, and keys of
+    one and two 64-bit words."""
+    for seed, point_index, lo in ((0, 0, 0), (99, 1, 600), (2**40 + 5, 3, 2**32 - 3),
+                                  (2**64 + 7, 2, 5), (2**128 - 1, 1, 0)):
         u = trial_uniforms(seed, point_index, lo, lo + 6, n)
         expected = np.array([_oracle_uniforms(seed, point_index, t, n)
                              for t in range(lo, lo + 6)])
