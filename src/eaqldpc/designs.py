@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .fields import field_for_order
 from .gf2 import BitMatrix
+
+# pair ids generated, sorted and checked at once by _pair_chunks
+PAIR_CHUNK_IDS = 1 << 18
 
 
 class DesignError(ValueError):
@@ -147,33 +150,55 @@ def check_admissible(v: int, mu: int, lam: int = 1) -> bool:
     return lam * (v - 1) % (mu - 1) == 0 and lam * v * (v - 1) % (mu * (mu - 1)) == 0
 
 
-def _pair_coverage(S: IncidenceStructure) -> tuple[np.ndarray, np.ndarray]:
-    """(covered, repeated): the sorted distinct pair ids a*v + b (a < b) of
-    all in-block point pairs, and the sorted ids of those in two or more
-    blocks.
-
-    Ids are int32 while v^2 fits, else int64.  Blocks are grouped by size,
-    each group an ``(blocks, size)`` array whose pairs are written straight
-    into one id array, one first point at a time, which is sorted in place.
-    """
+def _block_arrays(S: IncidenceStructure) -> list[np.ndarray]:
+    """S's blocks of two or more points grouped by size, one ``(blocks,
+    size)`` array per size in order of first appearance: int32 while v^2
+    fits, so that every pair id a*v + b does, else int64."""
     by_size: dict[int, list[tuple[int, ...]]] = {}
     for blk in S.blocks:
-        by_size.setdefault(len(blk), []).append(blk)
+        if len(blk) > 1:
+            by_size.setdefault(len(blk), []).append(blk)
     dtype = np.int32 if S.v * S.v < 2**31 else np.int64
-    ids = np.empty(sum(len(b) * (n * (n - 1) // 2) for n, b in by_size.items()), dtype=dtype)
-    pos = 0
-    for size, blks in by_size.items():
-        a = np.array(blks, dtype=dtype)
-        for i in range(size - 1):
-            out = ids[pos : pos + len(blks) * (size - 1 - i)].reshape(len(blks), size - 1 - i)
-            np.multiply(a[:, i : i + 1], S.v, out=out)
-            out += a[:, i + 1 :]
+    return [np.array(blks, dtype=dtype) for blks in by_size.values()]
+
+
+def _pair_chunks(v: int, arrays: list[np.ndarray]) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield ``(lo, hi, ids)`` for ascending ranges lo..hi-1 of first points
+    that together cover 0..v-1: ``ids`` are the sorted ids a*v + b of the
+    in-block pairs (a, b), a < b, with lo <= a < hi, once per block holding
+    the pair, in the dtype of ``arrays`` (from ``_block_arrays``).
+
+    Every copy of a pair lies in its first point's range, so a repeated pair
+    repeats within one chunk, and the chunks ascend in id order.  Ranges are
+    cut from the per-point pair counts to hold about ``PAIR_CHUNK_IDS`` ids
+    (more only when one point has more pairs).  Each position column of a
+    block array is sorted once, so a range's first points at that position
+    are one contiguous slice of the sort order; the walk holds one chunk and
+    these orders beside the block arrays, never every pair at once.
+    """
+    counts = np.zeros(v, dtype=np.int64)
+    for A in arrays:
+        for i in range(A.shape[1] - 1):
+            counts += np.bincount(A[:, i], minlength=v) * (A.shape[1] - 1 - i)
+    before = np.concatenate(([0], np.cumsum(counts)))  # ids with first point < p
+    ends = np.searchsorted(before[1:], np.arange(PAIR_CHUNK_IDS, before[-1], PAIR_CHUNK_IDS), "right")
+    cuts = np.unique(np.concatenate(([0], ends, [v])))
+    columns = []  # (first points, later points, sort order, range slice bounds)
+    for A in arrays:
+        for i in range(A.shape[1] - 1):
+            order = np.argsort(A[:, i])
+            columns.append((A[:, i], A[:, i + 1 :], order, np.searchsorted(A[order, i], cuts)))
+    dtype = arrays[0].dtype if arrays else np.int32
+    for c in range(len(cuts) - 1):
+        ids = np.empty(before[cuts[c + 1]] - before[cuts[c]], dtype=dtype)
+        pos = 0
+        for first, later, order, bounds in columns:
+            rows = order[bounds[c] : bounds[c + 1]]
+            out = ids[pos : pos + rows.size * later.shape[1]].reshape(rows.size, later.shape[1])
+            np.add(later[rows], (first[rows] * v)[:, None], out=out)
             pos += out.size
-    ids.sort()
-    again = ids[1:] == ids[:-1]
-    if again.any():
-        return np.unique(ids), np.unique(ids[1:][again])
-    return ids, ids[:0]
+        ids.sort()
+        yield int(cuts[c]), int(cuts[c + 1]), ids
 
 
 def _check_pairs(S: IncidenceStructure, mu: int, group_of: Optional[np.ndarray]) -> None:
@@ -182,23 +207,35 @@ def _check_pairs(S: IncidenceStructure, mu: int, group_of: Optional[np.ndarray])
     point's group, ``group_of[p]``, raise then on the first pair in different
     groups that lies in no block.  Blocks must meet no group twice: the
     covered pairs are counted against the cross-group pairs, and the search
-    runs only when they fall short."""
+    runs only when they fall short.
+
+    Both passes walk ``_pair_chunks``, so memory is the block arrays plus
+    one chunk of about ``PAIR_CHUNK_IDS`` ids (the search holds that chunk
+    as a set), whatever the number of pairs.
+    """
     for blk in S.blocks:
         if len(blk) != mu:
             raise BlockSizeError(blk, mu)
-    ids, repeated = _pair_coverage(S)
-    if repeated.size:
-        pid = int(repeated[0])
-        raise DoublyCoveredPairError((pid // S.v, pid % S.v))
+    arrays = _block_arrays(S)
+    covered = 0
+    for _, _, ids in _pair_chunks(S.v, arrays):
+        again = np.flatnonzero(ids[1:] == ids[:-1])
+        if again.size:
+            raise DoublyCoveredPairError(divmod(int(ids[again[0]]), S.v))
+        covered += ids.size
     if group_of is None:
         return
     sizes = np.bincount(group_of)
-    if ids.size < (S.v * (S.v - 1) - int(sizes @ (sizes - 1))) // 2:
-        covered, g = set(ids.tolist()), group_of.tolist()
-        raise UncoveredPairError(next(
-            (a, b) for a in range(S.v) for b in range(a + 1, S.v)
-            if g[a] != g[b] and a * S.v + b not in covered
-        ))
+    if covered < (S.v * (S.v - 1) - int(sizes @ (sizes - 1))) // 2:
+        g = group_of.tolist()
+        for lo, hi, ids in _pair_chunks(S.v, arrays):
+            found = set(ids.tolist())
+            pair = next((
+                (a, b) for a in range(lo, hi) for b in range(a + 1, S.v)
+                if g[a] != g[b] and a * S.v + b not in found
+            ), None)
+            if pair is not None:
+                raise UncoveredPairError(pair)
 
 
 def verify_steiner(S: IncidenceStructure, mu: int) -> DesignParams:
@@ -421,30 +458,30 @@ def delete_subdesigns(
 def tanner_girth(S: IncidenceStructure, cap: int = 16):
     """Girth of the bipartite point/block graph; returns the length or ">=cap".
 
-    Fast paths: a doubly covered pair is a 4-cycle.  Otherwise lambda <= 1,
-    and a 6-cycle is a point p, blocks B1 != B2 through it, and a block B3
-    covering some q in B1 - p and r in B2 - p.  Any block covering such a
-    pair closes a 6-cycle: q != r, else {p, q} lies in B1 and B2; and B3 is
-    neither B1 nor B2, else r in B1 (or q in B2) puts {p, r} (or {p, q}) in
-    both.  So the girth is 6 exactly when some such pair is covered at all,
-    which ``searchsorted`` answers against the sorted pair ids.  The generic
-    capped BFS runs only when neither path settles it.
+    Fast paths: a doubly covered pair is a 4-cycle, which the ``_pair_chunks``
+    walk finds.  Otherwise lambda <= 1; let N(p) be the points other than p
+    on the blocks through p.  A 6-cycle through p is then exactly a block B3
+    not through p that holds two points q != r of N(p): q and r lie on
+    different blocks B1, B2 through p, since a block through p holding both
+    would share {q, r} with B3, and a B3 through p would share {p, q} with
+    B1.  So each point tried marks N(p) once and gathers the marks over the
+    block arrays, and the girth is 6 at the first p where a block not
+    through p holds two marks.  Memory is the block arrays plus one chunk of
+    pair ids.  The generic capped BFS runs only when neither path settles it.
     """
-    ids, repeated = _pair_coverage(S)
-    if repeated.size:
-        return 4
-    for p, through in enumerate(S.blocks_through()):
-        # keys in the ids' dtype, so searchsorted converts neither array
-        others = [
-            np.array([x for x in S.blocks[j] if x != p], dtype=ids.dtype) for j in through
-        ]
-        for a in range(len(others) - 1):
-            q = others[a][:, None]
-            r = np.concatenate(others[a + 1 :])[None, :]
-            keys = (np.minimum(q, r) * S.v + np.maximum(q, r)).ravel()
-            pos = np.minimum(np.searchsorted(ids, keys), ids.size - 1)
-            if np.any(ids[pos] == keys):
-                return 6
+    arrays = _block_arrays(S)
+    for _, _, ids in _pair_chunks(S.v, arrays):
+        if np.any(ids[1:] == ids[:-1]):
+            return 4
+    mark = np.zeros(S.v, dtype=bool)
+    for p in range(S.v):
+        through = [(A == p).any(axis=1) for A in arrays]
+        for A, on in zip(arrays, through):
+            mark[A[on]] = True
+        mark[p] = False
+        if any(np.any((np.count_nonzero(mark[A], axis=1) >= 2) & ~on) for A, on in zip(arrays, through)):
+            return 6
+        mark[:] = False
     return _bfs_girth(S, cap)
 
 

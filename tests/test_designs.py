@@ -8,9 +8,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from eaqldpc import designs
 from eaqldpc.designs import (
     _bfs_girth,
-    _pair_coverage,
+    _block_arrays,
+    _pair_chunks,
     DesignError,
     DoublyCoveredPairError,
     IncidenceStructure,
@@ -222,7 +224,7 @@ def gq22():
 def test_girth_generalized_quadrangle_needs_bfs():
     S = gq22()
     assert S.b == 15 and S.replication_counts() == [3] * 15
-    assert _pair_coverage(S)[1].size == 0  # lambda <= 1: past the 4-cycle test
+    assert pair_walk(S)[2].size == 0  # lambda <= 1: past the 4-cycle test
     assert tanner_girth(S) == 8
     assert _bfs_girth(S, 16) == 8
     assert tanner_girth(S, cap=8) == ">=8"
@@ -233,25 +235,40 @@ def test_girth_six_fast_path_matches_bfs(fano, cache):
         assert tanner_girth(S) == _bfs_girth(S, 16) == 6
 
 
-def test_pair_coverage_counts_mixed_block_sizes():
-    S = IncidenceStructure(
+def pair_walk(S: IncidenceStructure) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """(ranges, ids, repeated): the first-point ranges of ``_pair_chunks``,
+    its chunks concatenated, and the sorted distinct ids seen twice or more
+    within a chunk."""
+    chunks = list(_pair_chunks(S.v, _block_arrays(S)))
+    ids = np.concatenate([c[2] for c in chunks]) if chunks else np.empty(0, np.int32)
+    repeated = [c[2][1:][c[2][1:] == c[2][:-1]] for c in chunks]
+    return [c[:2] for c in chunks], ids, np.unique(np.concatenate(repeated + [ids[:0]]))
+
+
+def mixed_sizes() -> IncidenceStructure:
+    return IncidenceStructure(
         v=9,
         blocks=((0,), (0, 1), (0, 1, 2), (0, 3, 5, 8), (1, 2), (2, 4, 6), (3, 5), (4, 7, 8)),
     )
+
+
+def test_pair_coverage_counts_mixed_block_sizes():
+    S = mixed_sizes()
     ref = Counter(a * S.v + b for blk in S.blocks for a, b in combinations(blk, 2))
-    ids, repeated = _pair_coverage(S)
-    assert ids.tolist() == sorted(ref)
+    ranges, ids, repeated = pair_walk(S)
+    assert ranges == [(0, S.v)]  # 13 pairs: one chunk
+    assert ids.tolist() == sorted(ref.elements())
+    assert np.unique(ids).tolist() == sorted(ref)
     assert repeated.tolist() == sorted(i for i in ref if ref[i] > 1)
     assert tanner_girth(S) == 4
-    empty = _pair_coverage(IncidenceStructure(v=3, blocks=()))
-    assert [x.size for x in empty] == [0, 0]
+    empty = pair_walk(IncidenceStructure(v=3, blocks=()))
+    assert empty[0] == [(0, 3)] and [x.size for x in empty[1:]] == [0, 0]
+    assert pair_walk(IncidenceStructure(v=0, blocks=()))[0] == []
 
 
 def test_pair_coverage_memory_bound(cache):
     """AG(2,32) has 1056 lines of 32 points, 523776 in-block pairs.  The
-    girth and Steiner checks peak below 12 bytes per pair: the int32 ids
-    sorted in place, their repeat mask and the search keys, with no int64
-    copy of every pair and no sorted copy of it."""
+    girth and Steiner checks peak below 12 bytes per pair."""
     S = cache.geometry("AG", 2, 32).structure
     pairs = S.b * 32 * 31 // 2
     for check in (tanner_girth, lambda S: verify_steiner(S, 32)):
@@ -264,18 +281,70 @@ def test_pair_coverage_memory_bound(cache):
         assert peak < 12 * pairs
 
 
+def test_pair_walk_memory_is_bounded_by_the_chunk(cache):
+    """AG(2,64) has 4160 lines of 64 points, 8386560 in-block pairs, 32 MiB
+    as int32 ids.  The girth and Steiner checks hold the block arrays, their
+    column sort orders and one chunk of pair ids, below 8 MiB in all."""
+    S = cache.geometry("AG", 2, 64).structure
+    for check in (tanner_girth, lambda S: verify_steiner(S, 64)):
+        tracemalloc.start()
+        try:
+            check(S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+def int64_case() -> IncidenceStructure:
+    v = 46342
+    blocks = ((0, 1, v - 1), (0, 4, v - 1), (2, v - 2, v - 1), (3, v - 2, v - 1))
+    return IncidenceStructure(v=v, blocks=blocks)
+
+
 def test_pair_coverage_int64_ids_past_int32():
     """v^2 >= 2^31 switches the ids to int64, where the largest pair id no
     longer fits int32; the first doubly covered pair in id order is reported."""
-    v = 46342
-    blocks = ((0, 1, v - 1), (0, 4, v - 1), (2, v - 2, v - 1), (3, v - 2, v - 1))
-    S = IncidenceStructure(v=v, blocks=blocks)
-    ids, repeated = _pair_coverage(S)
+    S = int64_case()
+    v = S.v
+    _, ids, repeated = pair_walk(S)
     assert ids.dtype == np.int64 and ids[-1] == (v - 2) * v + v - 1 >= 2**31
     assert repeated.tolist() == [v - 1, (v - 2) * v + v - 1]
     with pytest.raises(DoublyCoveredPairError) as err:
         verify_steiner(S, 3)
     assert err.value.pair == (0, v - 1)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7])
+def test_pair_chunk_budget_changes_no_answer(budget, monkeypatch, fano, cache):
+    """Cutting the pair walk into chunks of a few ids changes no id, no
+    reported pair and no girth."""
+    monkeypatch.setattr(designs, "PAIR_CHUNK_IDS", budget)
+    S = mixed_sizes()
+    ranges, ids, repeated = pair_walk(S)
+    assert len(ranges) > 1 and ranges[0][0] == 0 and ranges[-1][1] == S.v
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    ref = Counter(a * S.v + b for blk in S.blocks for a, b in combinations(blk, 2))
+    assert ids.tolist() == sorted(ref.elements())
+    assert repeated.tolist() == sorted(i for i in ref if ref[i] > 1)
+    S = int64_case()
+    _, ids, _ = pair_walk(S)
+    assert ids.dtype == np.int64
+    with pytest.raises(DoublyCoveredPairError) as err:
+        verify_steiner(S, 3)
+    assert err.value.pair == (0, S.v - 1)
+    td = build_transversal_design(3, 5)
+    for drop, pair in ((0, (0, 5)), (7, (1, 7)), (24, (4, 9))):
+        blocks = td.blocks[:drop] + td.blocks[drop + 1 :]
+        with pytest.raises(UncoveredPairError) as err:
+            verify_gdd(IncidenceStructure(v=td.v, blocks=blocks, groups=td.groups), 3)
+        assert err.value.pair == pair
+    assert tanner_girth(mixed_sizes()) == 4
+    for S in (fano.structure, cache.geometry("AG", 2, 3).structure, build_sts(13)):
+        assert tanner_girth(S) == 6
+    assert tanner_girth(gq22()) == 8
+    assert tanner_girth(gq22(), cap=8) == ">=8"
+    assert tanner_girth(IncidenceStructure(v=6, blocks=((0, 1, 2), (3, 4, 5))), cap=12) == ">=12"
 
 
 def incidence_rows(S: IncidenceStructure) -> tuple[list[int], list[int]]:
