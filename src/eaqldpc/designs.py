@@ -4,6 +4,13 @@ designs, spreads, subdesign deletion, girth and Pasch counting.
 Blocks are stored as sorted tuples of 0-based point indices, and block lists
 are kept in lexicographic order, so every construction is reproducible
 bit-for-bit across runs.
+
+Every pair check (Steiner, partial Steiner, GDD and the 4-cycle test of
+``tanner_girth``) walks the in-block pairs in chunks of about
+``PAIR_CHUNK_IDS`` ids, one range of first points at a time, so its memory
+is that budget plus the size-grouped block arrays, not the pair count.
+Under lambda <= 1 the girth is 6 exactly when, for some point p, a block
+not through p holds two points of the blocks through p.
 """
 
 from __future__ import annotations

@@ -266,19 +266,23 @@ def test_pair_coverage_counts_mixed_block_sizes():
     assert pair_walk(IncidenceStructure(v=0, blocks=()))[0] == []
 
 
+def traced_peak(check, S: IncidenceStructure) -> int:
+    """Bytes at the tracemalloc peak of ``check(S)``."""
+    tracemalloc.start()
+    try:
+        check(S)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_pair_coverage_memory_bound(cache):
     """AG(2,32) has 1056 lines of 32 points, 523776 in-block pairs.  The
     girth and Steiner checks peak below 12 bytes per pair."""
     S = cache.geometry("AG", 2, 32).structure
     pairs = S.b * 32 * 31 // 2
     for check in (tanner_girth, lambda S: verify_steiner(S, 32)):
-        tracemalloc.start()
-        try:
-            check(S)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12 * pairs
+        assert traced_peak(check, S) < 12 * pairs
 
 
 def test_pair_walk_memory_is_bounded_by_the_chunk(cache):
@@ -287,13 +291,7 @@ def test_pair_walk_memory_is_bounded_by_the_chunk(cache):
     column sort orders and one chunk of pair ids, below 8 MiB in all."""
     S = cache.geometry("AG", 2, 64).structure
     for check in (tanner_girth, lambda S: verify_steiner(S, 64)):
-        tracemalloc.start()
-        try:
-            check(S)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert traced_peak(check, S) < 8 * 2**20
 
 
 def int64_case() -> IncidenceStructure:
