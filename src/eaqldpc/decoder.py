@@ -32,17 +32,18 @@ so every iteration runs the bit update, then the next check update.
 
 Most trials never reach those float messages.  A bit of degree d whose
 checks hold k set syndrome bits gets k slots from the syndrome-1 table and
-d - k from the syndrome-0 table, so its exact iteration-1 total lies in
-[L0 + (d-k) min t0 + k min t1, L0 + (d-k) max t0 + k max t1] (extremes over
-its real slots).  Widened by a rounding bound that holds for the float sum
-in any order, an interval wholly below or above 0 fixes that bit's hard
-decision ``totals < 0`` exactly, tie-to-zero included, from the integer k
-alone.  ``decode`` keeps syndromes trials-last, (m, B) as the packed domain
-holds them, counts k for every bit of every trial, and retires at iteration
-1 each nonzero syndrome whose counts are all certified and whose hard
-decision meets it; the estimates are a view of those (n, B) decisions.  The
-rest (unconverged trials, and trials with a count near a tie) enter the
-float loop at iteration 1, so every trial's result is the float path's.
+d - k from the syndrome-0 table, so its exact iteration-1 total lies
+between L0 + sum(t0) plus the sum of the k smallest and of the k largest
+t1 - t0 over its real slots, whichever k checks are set.  Widened by a
+rounding bound that holds for the float sum in any order, an interval
+wholly below or above 0 fixes that bit's hard decision ``totals < 0``
+exactly, tie-to-zero included, from the integer k alone.  ``decode`` keeps
+syndromes trials-last, (m, B) as the packed domain holds them, counts k for
+every bit of every trial, and retires at iteration 1 each nonzero syndrome
+whose counts are all certified and whose hard decision meets it; the
+estimates are a view of those (n, B) decisions.  The rest (unconverged
+trials, and trials with a count near a tie) enter the float loop at
+iteration 1, so every trial's result is the float path's.
 """
 
 from __future__ import annotations
@@ -244,20 +245,27 @@ class BatchDecoder:
         its checks is certainly 0 for k < zero_below and certainly 1 for
         k >= one_from; counts in between are uncertified.
 
-        The float total sums L0 and d slot values, so it is within
-        gamma_{d+1} S of the exact total, S = |L0| + d max|t|.  The interval
-        endpoints take 4 roundings (gamma_4 S), and twice gamma_{d+4} S
-        covers both with room for the margin's own rounding."""
-        t = np.stack([t0, t1])
-        t = np.where(self.bit_mask, t, t[..., :1])  # padded slots repeat slot 0
-        lo, hi = t.min(axis=2)[..., None], t.max(axis=2)[..., None]  # (2, n, 1)
+        A bit's exact total is L0 + sum(t0) + the sum of t1 - t0 over its k
+        slots with syndrome 1, so its extremes add the k smallest and the k
+        largest differences over its real slots: prefix sums of the sorted
+        differences.  With M the bit's largest |t| and A = |L0| + 3 d M,
+        which bounds |L0| + sum|t0| + sum|t1 - t0|, the float total is
+        within gamma_{d+1} A of the exact one, the differences' roundings
+        move an extreme by at most gamma_1 A, and the endpoint's sum of at
+        most 2d + 1 terms by gamma_{2d} A (1 + u); twice gamma_{3d+4} A
+        covers all three with room for the margin's own rounding."""
+        diff = t1 - t0
+        base = L0 + t0.sum(axis=1, keepdims=True)  # padded slots hold 0
+        start = np.zeros((self.n, 1))
+        # past a bit's degree the sums run into +inf (lower) and -inf (upper)
+        lower, upper = (base + sign * np.cumsum(np.hstack(
+            [start, np.sort(np.where(self.bit_mask, sign * diff, np.inf))]), axis=1)
+            for sign in (1.0, -1.0))
         d = self.bit_deg[:, None].astype(float)
-        k = np.arange(self.dv + 1)
-        lower = L0 + (d - k) * lo[0] + k * lo[1]
-        upper = L0 + (d - k) * hi[0] + k * hi[1]
-        margin = 2.0 * _gamma(d + 4) * (abs(L0) + d * np.abs(t).max(axis=(0, 2))[:, None])
+        big = np.maximum(np.abs(t0), np.abs(t1)).max(axis=1, keepdims=True)
+        margin = 2.0 * _gamma(3.0 * d + 4.0) * (abs(L0) + 3.0 * d * big)
         zero = np.logical_and.accumulate(lower - margin > 0.0, axis=1).sum(axis=1)
-        one = np.logical_and.accumulate(((upper + margin < 0.0) | (k > d))[:, ::-1], axis=1)
+        one = np.logical_and.accumulate((upper + margin < 0.0)[:, ::-1], axis=1)
         zero_below = np.minimum(zero, self.bit_deg + 1)
         one_from = self.dv + 1 - one.sum(axis=1)
         return (zero_below[:, None].astype(self.count_dtype),

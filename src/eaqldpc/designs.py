@@ -217,8 +217,10 @@ def _check_pairs(S: IncidenceStructure, mu: int, group_of: Optional[np.ndarray])
     runs only when they fall short.
 
     Both passes walk ``_pair_chunks``, so memory is the block arrays plus
-    one chunk of about ``PAIR_CHUNK_IDS`` ids (the search holds that chunk
-    as a set), whatever the number of pairs.
+    one chunk of about ``PAIR_CHUNK_IDS`` ids, whatever the number of pairs.
+    The search counts each chunk's pairs by first point against that
+    point's later points in other groups; the first point that falls short
+    names the pair, its first cross-group partner missing from the chunk.
     """
     for blk in S.blocks:
         if len(blk) != mu:
@@ -232,17 +234,22 @@ def _check_pairs(S: IncidenceStructure, mu: int, group_of: Optional[np.ndarray])
         covered += ids.size
     if group_of is None:
         return
+    v = S.v
     sizes = np.bincount(group_of)
-    if covered < (S.v * (S.v - 1) - int(sizes @ (sizes - 1))) // 2:
-        g = group_of.tolist()
-        for lo, hi, ids in _pair_chunks(S.v, arrays):
-            found = set(ids.tolist())
-            pair = next((
-                (a, b) for a in range(lo, hi) for b in range(a + 1, S.v)
-                if g[a] != g[b] and a * S.v + b not in found
-            ), None)
-            if pair is not None:
-                raise UncoveredPairError(pair)
+    if covered < (v * (v - 1) - int(sizes @ (sizes - 1))) // 2:
+        # each point's later points outside its group: all later points
+        # minus its group's points after it
+        order = np.argsort(group_of, kind="stable")
+        rank = np.empty(v, dtype=np.int64)  # points of the same group before it
+        rank[order] = np.arange(v) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        later = (v - 1 - np.arange(v)) - (sizes[group_of] - 1 - rank)
+        for lo, hi, ids in _pair_chunks(v, arrays):
+            short = np.flatnonzero(np.bincount(ids // v - lo, minlength=hi - lo) < later[lo:hi])
+            if short.size:
+                a = lo + int(short[0])
+                partners = ids[np.searchsorted(ids, a * v) : np.searchsorted(ids, (a + 1) * v)] % v
+                cross = a + 1 + np.flatnonzero(group_of[a + 1 :] != group_of[a])
+                raise UncoveredPairError((a, int(np.setdiff1d(cross, partners)[0])))
 
 
 def verify_steiner(S: IncidenceStructure, mu: int) -> DesignParams:

@@ -13,14 +13,21 @@ convention: f_m is the total depolarizing probability).  The "per-pauli"
 convention (p = f_m) is available for sensitivity analysis; the "total"
 reading is the one that reproduces the published block error rates.
 
-Reproducibility: trial t of sweep point i draws its n uniforms from the
-Philox4x64 stream keyed by ``seed`` at counter (0, t, i, 0), so results are
-bit-identical for a fixed seed regardless of batch size or worker count.
-Philox is counter-based, so a batch opens one generator and, before each
-trial's n draws, sets its counter to that trial's start with an empty output
-buffer, through the public ``state`` setter and a state dict of Python lists
-(read faster than arrays); the streams equal those of a fresh generator per
-trial.
+Reproducibility: trial t of sweep point i draws its n raw 64-bit words from
+the Philox4x64 stream keyed by ``seed`` at counter (0, t, i, 0), so results
+are bit-identical for a fixed seed regardless of batch size or worker count.
+Philox is counter-based, so a batch opens one bit generator and, before each
+trial's ``random_raw(n)``, sets its counter to that trial's start with an
+empty output buffer, through the public ``state`` setter and a state dict of
+Python lists (read faster than arrays); the streams equal those of a fresh
+generator per trial.  The words are thresholded as integers: numpy's
+``random()`` maps a word w to the exact double (w >> 11) 2^-53, so u < a
+holds exactly when w < ceil(a 2^53) 2^11 (``_word_cut``), and every error
+equals the one drawn from the uniforms.  At 3p = 1 the Z cut-off is 2^64,
+past uint64, so Z is tested on w - cut(p) modulo 2^64 against the width
+cut(3p) - cut(p), which fits.  Trials are drawn ``SAMPLE_CHUNK_TRIALS`` at a
+time, and each chunk's comparisons are copied into trials-last (n, B)
+components, so a batch holds one chunk of words, never one per trial.
 """
 
 from __future__ import annotations
@@ -40,6 +47,8 @@ from .gf2 import BitMatrix, nullspace_basis, pack_bool_rows
 
 CONVENTION_TOTAL = "total"
 CONVENTION_PER_PAULI = "per-pauli"
+# trials whose raw words draw_errors holds, thresholds and lays out at once
+SAMPLE_CHUNK_TRIALS = 256
 
 
 @dataclass(frozen=True)
@@ -65,15 +74,6 @@ def pauli_probability(f_m: float, convention: str = CONVENTION_TOTAL) -> float:
     if convention == CONVENTION_PER_PAULI:
         return f_m
     raise ValueError(f"unknown channel convention {convention!r}")
-
-
-def sample_error(u: np.ndarray, p: float):
-    """Threshold uniforms into Pauli errors: boolean (x_component, z_component).
-
-    One uniform per qubit: u < p -> X, p <= u < 2p -> Y, 2p <= u < 3p -> Z.
-    So x flips where u < 2p and z flips where p <= u < 3p.
-    """
-    return u < 2.0 * p, (u >= p) & (u < 3.0 * p)
 
 
 class CodeInstance:
@@ -160,24 +160,49 @@ def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054):
     return max(0.0, min(center - half, phat)), min(1.0, max(center + half, phat))
 
 
-def trial_uniforms(seed: int, point_index: int, trial_lo: int, trial_hi: int,
-                   n: int) -> np.ndarray:
-    """(trial_hi - trial_lo, n) uniforms; row t - trial_lo is trial t's
-    stream, Philox keyed by ``seed`` at counter (0, t, point_index, 0)."""
-    u = np.empty((trial_hi - trial_lo, n))
+def _word_cut(a: float) -> int:
+    """The least raw word w, as a Python int, with (w >> 11) 2^-53 >= a, for
+    a double a in [0, 1]: a 2^53 is exact, so (w >> 11) 2^-53 < a exactly
+    when w < ceil(a 2^53) 2^11.  It is 2^64, past uint64, at a = 1."""
+    return math.ceil(a * 2.0**53) << 11
+
+
+def draw_errors(seed: int, point_index: int, trial_lo: int, trial_hi: int, n: int,
+                p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Depolarizing errors of trials [trial_lo, trial_hi) at per-Pauli
+    probability p: boolean (x_component, z_component), each (B, n) and the
+    transposed view of a trials-last (n, B) array.  Trial t reads n raw
+    words of the Philox stream keyed by ``seed`` at counter (0, t,
+    point_index, 0), one per qubit, and each word w, as the uniform u = (w >>
+    11) 2^-53, gives X for u < p, Y for p <= u < 2p and Z for 2p <= u < 3p:
+    x flips where u < 2p and z where p <= u < 3p."""
+    B = trial_hi - trial_lo
+    x_err, z_err = np.empty((n, B), dtype=bool), np.empty((n, B), dtype=bool)
     bg = np.random.Philox(key=seed, counter=[0, trial_lo, point_index, 0])
-    gen = np.random.Generator(bg)
-    # each trial restarts the generator at its own counter with an empty
+    # each trial restarts the bit generator at its own counter with an empty
     # output buffer, through the public state setter, which reads lists faster
     state = bg.state
     inner = state["state"]
     counter = inner["counter"] = inner["counter"].tolist()
     inner["key"], state["buffer"] = inner["key"].tolist(), state["buffer"].tolist()
-    for t, row in enumerate(u, start=trial_lo):
-        counter[1] = t
-        bg.state = state
-        gen.random(n, out=row)
-    return u
+    cut_p, cut_2p, cut_3p = (_word_cut(a) for a in (p, 2.0 * p, 3.0 * p))
+    x_cut, z_lo, z_width = np.uint64(cut_2p), np.uint64(cut_p), np.uint64(cut_3p - cut_p)
+    chunk = SAMPLE_CHUNK_TRIALS
+    words, x_rows, z_rows = (np.empty((min(B, chunk), n), dtype=d)
+                             for d in (np.uint64, bool, bool))
+    for lo in range(0, B, chunk):
+        k = min(chunk, B - lo)
+        w = words[:k]
+        for i, t in enumerate(range(trial_lo + lo, trial_lo + lo + k)):
+            counter[1] = t
+            bg.state = state
+            w[i] = bg.random_raw(n)
+        np.less(w, x_cut, out=x_rows[:k])
+        np.subtract(w, z_lo, out=w)  # modulo 2^64
+        np.less(w, z_width, out=z_rows[:k])
+        x_err[:, lo:lo + k] = x_rows[:k].T
+        z_err[:, lo:lo + k] = z_rows[:k].T
+    return x_err.T, z_err.T
 
 
 def recovered(
@@ -187,11 +212,13 @@ def recovered(
     prior: float,
     exact_recovery: bool = False,
 ) -> np.ndarray:
-    """Decode (B, n) boolean X then Z error components; (B,) True where both
-    converge with a residual in the row space (or zero, if exact_recovery)."""
+    """Decode (B, n) boolean X then Z error components in any layout;
+    trials-last ones, the transposed views of (n, B) arrays that
+    ``draw_errors`` returns, are packed by ``syndromes_of`` without a copy.
+    Returns (B,) True where both converge with a residual in the row space
+    (or zero, if exact_recovery)."""
     ok = np.ones(x_err.shape[0], dtype=bool)
     for err in (x_err, z_err):
-        err = np.ascontiguousarray(err.T).T  # trials-last
         est, conv, _ = code.decoder.decode(code.syndromes_of(err), prior)
         residual = est ^ err
         if exact_recovery:
@@ -211,9 +238,12 @@ def evaluate_batch(
     prior: float,
     exact_recovery: bool = False,
 ) -> int:
-    """Run trials [trial_lo, trial_hi); return the number of block errors."""
-    u = trial_uniforms(seed, point_index, trial_lo, trial_hi, code.n)
-    x_err, z_err = sample_error(u, channel.p_pauli)
+    """Run trials [trial_lo, trial_hi); return the number of block errors.
+    ``draw_errors`` thresholds each trial's raw Philox words as integers
+    into trials-last components, ``SAMPLE_CHUNK_TRIALS`` trials of words at
+    a time, and ``recovered`` decodes them in that layout."""
+    x_err, z_err = draw_errors(seed, point_index, trial_lo, trial_hi, code.n,
+                               channel.p_pauli)
     return int((~recovered(code, x_err, z_err, prior, exact_recovery)).sum())
 
 

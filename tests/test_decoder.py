@@ -25,7 +25,7 @@ from eaqldpc.decoder import (
 )
 from eaqldpc.eaqecc import BLOCK_BY_POINT, POINT_BY_BLOCK, oriented_matrix
 from eaqldpc.gf2 import BitMatrix
-from eaqldpc.simulator import sample_error, trial_uniforms
+from eaqldpc.simulator import draw_errors
 
 
 def mul_vector(H: BitMatrix, x: int) -> int:
@@ -368,7 +368,7 @@ def _sweep_z_syndromes(H: BitMatrix, lo: int, hi: int):
     prior.  On PG(2,16)/I trial 16136's Z decode converges at iteration 67
     only when each bit adds its 17 slots in slot order."""
     p = 0.02 / 3.0
-    _, z = sample_error(trial_uniforms(20260809, 0, lo, hi, H.cols), p)
+    _, z = draw_errors(20260809, 0, lo, hi, H.cols, p)
     syn = (z.astype(np.int64) @ H.to_dense().T.astype(np.int64)) & 1
     return z, syn.astype(np.uint8), 2.0 * p
 
@@ -565,6 +565,30 @@ def test_count_test_on_padded_graph():
         retired += _assert_count_test_is_float_first_iteration(
             dec, syn, prior, all_certified=False).sum()
     assert retired >= 100
+
+
+def test_certified_counts_hold_for_every_choice_of_checks():
+    """On the irregular graph, every certified (bit, k) cell is the hard
+    decision of every choice of k set checks among the bit's real slots,
+    each total summed in slot order as the float path sums it.  Taking the
+    exact extremes (the k smallest and largest t1 - t0) leaves 10 cells
+    uncertified at f_m = 0.05, where the interval from each table's minimum
+    and maximum over all slots left 21."""
+    dec = BatchDecoder(build_tanner(_irregular_H()), max_iter=1)
+    for f_m in (0.05, 0.15, 0.3):
+        L0 = math.log((1.0 - 2.0 * f_m / 3.0) / (2.0 * f_m / 3.0))
+        _, t0, t1 = dec._iter1_tables(L0)
+        zero_below, one_from = (a[:, 0].astype(int) for a in dec._certified_counts(L0, t0, t1))
+        for j, d in enumerate(dec.bit_deg):
+            chosen = (np.arange(2**d)[:, None] >> np.arange(d)) & 1 == 1  # (2^d, d)
+            slots = np.where(chosen, t1[j, :d], t0[j, :d])
+            sums = np.zeros(2**d)
+            for s in range(d):
+                sums += slots[:, s]
+            hard, k = L0 + sums < 0.0, chosen.sum(axis=1)
+            assert not hard[k < zero_below[j]].any() and hard[k >= one_from[j]].all()
+        if f_m == 0.05:
+            assert (one_from - zero_below).clip(0).sum() == 10
 
 
 def test_uncertified_count_falls_back_to_float(cache):

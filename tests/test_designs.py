@@ -294,6 +294,22 @@ def test_pair_walk_memory_is_bounded_by_the_chunk(cache):
         assert traced_peak(check, S) < 8 * 2**20
 
 
+def test_uncovered_pair_search_memory_is_bounded_by_the_chunk(cache):
+    """AG(2,64) without its first or its last line misses that line's pairs.
+    The search names the first of them, counting each chunk's pairs by first
+    point, and holds the block arrays and one chunk, below 8 MiB."""
+    S = cache.geometry("AG", 2, 64).structure
+    for drop, pair in ((0, (0, 1)), (S.b - 1, (4032, 4033))):
+        deficient = IncidenceStructure(v=S.v, blocks=S.blocks[:drop] + S.blocks[drop + 1 :])
+
+        def check(S):
+            with pytest.raises(UncoveredPairError) as err:
+                verify_steiner(S, 64)
+            assert err.value.pair == pair
+
+        assert traced_peak(check, deficient) < 8 * 2**20
+
+
 def int64_case() -> IncidenceStructure:
     v = 46342
     blocks = ((0, 1, v - 1), (0, 4, v - 1), (2, v - 2, v - 1), (3, v - 2, v - 1))

@@ -2,20 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from eaqldpc import simulator
 from eaqldpc.eaqecc import BLOCK_BY_POINT, POINT_BY_BLOCK, oriented_matrix
 from eaqldpc.gf2 import BitMatrix, rank_value
 from eaqldpc.simulator import (
+    SAMPLE_CHUNK_TRIALS,
     ChannelModel,
     CodeInstance,
     SimConfig,
+    _word_cut,
+    draw_errors,
     estimate_bler,
     evaluate_batch,
     pauli_probability,
     recovered,
-    sample_error,
-    trial_uniforms,
     wilson_interval,
 )
 
@@ -25,6 +28,42 @@ CHI2_CRIT_DF3_A001 = 16.266  # chi-square critical value, df=3, alpha=0.001
 # batches start at nonzero trial_lo) for each (2,16) Type I plane code; frozen
 # from the per-trial-generator simulator before the batch stream replaced it.
 TYPE_I_PINS = {"AG": 4, "PG": 13, "EG": 6}
+
+# (seed, point_index, trial_lo): keys of one and two 64-bit words, and a
+# batch whose trial counters cross 2^32
+STREAM_CASES = ((0, 0, 0), (99, 1, 600), (2**40 + 5, 3, 2**32 - 3),
+                (2**64 + 7, 2, 5), (2**128 - 1, 1, 0))
+
+
+# --- uniforms thresholded as floats, kept as draw_errors' oracle -------------
+
+def trial_uniforms(seed: int, point_index: int, trial_lo: int, trial_hi: int,
+                   n: int) -> np.ndarray:
+    """(trial_hi - trial_lo, n) uniforms; row t - trial_lo is trial t's
+    stream, Philox keyed by ``seed`` at counter (0, t, point_index, 0)."""
+    u = np.empty((trial_hi - trial_lo, n))
+    bg = np.random.Philox(key=seed, counter=[0, trial_lo, point_index, 0])
+    gen = np.random.Generator(bg)
+    # each trial restarts the generator at its own counter with an empty
+    # output buffer, through the public state setter, which reads lists faster
+    state = bg.state
+    inner = state["state"]
+    counter = inner["counter"] = inner["counter"].tolist()
+    inner["key"], state["buffer"] = inner["key"].tolist(), state["buffer"].tolist()
+    for t, row in enumerate(u, start=trial_lo):
+        counter[1] = t
+        bg.state = state
+        gen.random(n, out=row)
+    return u
+
+
+def sample_error(u: np.ndarray, p: float):
+    """Threshold uniforms into Pauli errors: boolean (x_component, z_component).
+
+    One uniform per qubit: u < p -> X, p <= u < 2p -> Y, 2p <= u < 3p -> Z.
+    So x flips where u < 2p and z flips where p <= u < 3p.
+    """
+    return u < 2.0 * p, (u >= p) & (u < 3.0 * p)
 
 
 def _oracle_uniforms(seed, point_index, trial, n):
@@ -51,20 +90,18 @@ def test_pauli_probability_conventions():
 
 
 def test_sample_error_extremes():
-    rng = np.random.default_rng(0)
-    x, z = sample_error(rng.random(100), 0.0)
+    x, z = draw_errors(0, 0, 0, 10, 10, 0.0)
     assert not x.any() and not z.any()
-    x, z = sample_error(rng.random(100), 1 / 3)
+    x, z = draw_errors(0, 0, 0, 10, 10, 1 / 3)  # 3p = 1: the Z cut-off is 2^64
     # every qubit errs; each component set iff the Pauli has that component
-    assert np.array_equal(x | z, np.ones(100, dtype=bool))
+    assert np.array_equal(x | z, np.ones((10, 10), dtype=bool))
+    assert x.any() and z.any() and not (x & z).all()
 
 
 def test_sample_error_marginals_chisquare():
     """Category counts (I, X, Y, Z) over 10^6 draws at per-Pauli p = 0.02/3."""
     p = 0.02 / 3
-    rng = np.random.Generator(np.random.Philox(key=123))
-    n = 1_000_000
-    x, z = sample_error(rng.random(n), p)
+    x, z = draw_errors(123, 0, 0, 1000, 1000, p)
     counts = np.array(
         [
             int((~x & ~z).sum()),  # I
@@ -73,6 +110,7 @@ def test_sample_error_marginals_chisquare():
             int((~x & z).sum()),  # Z
         ]
     )
+    n = x.size
     expected = np.array([1 - 3 * p, p, p, p]) * n
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < CHI2_CRIT_DF3_A001
@@ -84,12 +122,47 @@ def test_sample_error_marginals_chisquare():
 def test_sample_error_marginal_three_sigma():
     """Per-Pauli p = 0.02: component flip marginal 2p = 0.04 within 3 sigma
     of binomial over 10^6 draws."""
-    rng = np.random.Generator(np.random.Philox(key=77))
-    n = 1_000_000
-    x, z = sample_error(rng.random(n), 0.02)
+    x, z = draw_errors(77, 0, 0, 1000, 1000, 0.02)
+    n = x.size
     sigma = (0.04 * 0.96 / n) ** 0.5
     assert abs(x.mean() - 0.04) < 3 * sigma
     assert abs(z.mean() - 0.04) < 3 * sigma
+
+
+@given(st.integers(0, 2**64 - 1), st.floats(0.0, 1.0))
+@example(0, 0.0)
+@example(2**64 - 1, 0.0)
+@example(2**64 - 1, 1.0)
+@example(2**64 - 2**11, 1.0 - 2.0**-53)  # u = 1 - 2^-53 is the largest uniform
+@example(3 * 2**11, 3 * 2.0**-53)  # a 2^53 an integer, w on the cut: u = a
+@example(3 * 2**11 - 1, 3 * 2.0**-53)
+@example(2**63, 0.5)
+@example(2**63 - 1, 0.5)
+@example(2**11, 5e-324)  # the least subnormal a: only u = 0 lies below it
+def test_word_cut_is_the_uniform_threshold(w, a):
+    """For every raw word w and double a in [0, 1], numpy's uniform
+    (w >> 11) 2^-53 lies below a exactly when w lies below the cut-off."""
+    assert ((w >> 11) * 2.0**-53 < a) == (w < _word_cut(a))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, SAMPLE_CHUNK_TRIALS])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 1, 256, 257])
+def test_draw_errors_equals_thresholded_uniforms(n, chunk, monkeypatch):
+    """The integer thresholds of the raw words give the components the float
+    thresholds of the uniforms give, whatever the chunk of trials, on the
+    streams of ``test_batch_stream_equals_per_trial_streams``, and at 3p = 1,
+    where the Z cut-off is 2^64."""
+    monkeypatch.setattr(simulator, "SAMPLE_CHUNK_TRIALS", chunk)
+    assert 3.0 * (1 / 3) == 1.0
+    for seed, point_index, lo in STREAM_CASES:
+        u = trial_uniforms(seed, point_index, lo, lo + 7, n)
+        for p in (0.02 / 3, 0.05 / 3, 0.1, 1 / 3):
+            x, z = draw_errors(seed, point_index, lo, lo + 7, n, p)
+            assert x.T.flags.c_contiguous and z.T.flags.c_contiguous  # trials-last
+            x_ref, z_ref = sample_error(u, p)
+            assert np.array_equal(x, x_ref) and np.array_equal(z, z_ref)
+    x, z = draw_errors(1, 0, 4, 4, n, 0.1)
+    assert x.shape == z.shape == (0, n)
 
 
 @pytest.fixture(scope="module")
@@ -177,8 +250,7 @@ def test_evaluate_batch_smoke(pg32_code):
 def test_batch_stream_equals_per_trial_streams(n):
     """n % 4 in {0, 1, 2, 3}, trial_lo > 0, point_index > 0, and keys of
     one and two 64-bit words."""
-    for seed, point_index, lo in ((0, 0, 0), (99, 1, 600), (2**40 + 5, 3, 2**32 - 3),
-                                  (2**64 + 7, 2, 5), (2**128 - 1, 1, 0)):
+    for seed, point_index, lo in STREAM_CASES:
         u = trial_uniforms(seed, point_index, lo, lo + 6, n)
         expected = np.array([_oracle_uniforms(seed, point_index, t, n)
                              for t in range(lo, lo + 6)])
@@ -240,8 +312,8 @@ def test_estimate_bler_reproducible_across_batch_and_workers(cache, monkeypatch)
     assert r1[0].block_errors != r1[1].block_errors  # the points differ
     # a different seed gives a different stream
     n = H.cols
-    assert not np.array_equal(trial_uniforms(99, 0, 0, 600, n),
-                              trial_uniforms(100, 0, 0, 600, n))
+    assert not np.array_equal(draw_errors(99, 0, 0, 600, n, 0.1)[0],
+                              draw_errors(100, 0, 0, 600, n, 0.1)[0])
 
 
 def test_estimate_bler_reproducible_on_a_degree_17_code(cache):
