@@ -178,7 +178,7 @@ def cmd_design_develop(args) -> int:
         for part in args.bases.split(";"):
             bases.append(tuple(int(x) for x in part.split(",")))
     S = develop_cyclic(v, bases)
-    mu = len(S.blocks[0]) if S.blocks else 0
+    mu = S.arrays[0].shape[1] if S.b else 0
     try:
         params = verify_steiner(S, mu)
         print(f"verified: S(2,{params.mu},{params.v}) b={params.b} r={params.r}",

@@ -1,21 +1,26 @@
 """Incidence structures: Steiner 2-designs, cyclic development, transversal
 designs, spreads, subdesign deletion, girth and Pasch counting.
 
-Blocks are stored as sorted tuples of 0-based point indices, and block lists
-are kept in lexicographic order, so every construction is reproducible
-bit-for-bit across runs.
+Blocks are stored as integer arrays (``IncidenceStructure.arrays``): one
+``(count, size)`` array per block size, the sizes in order of first
+appearance, int32 while v^2 fits so that every pair id a*v + b does, else
+int64.  A block's points ascend, and every construction here emits its
+blocks in lexicographic order (``IncidenceStructure.from_arrays``), so it is
+reproducible bit for bit across runs.  Validation, the incidence matrix,
+spreads, deletion and the pair checks read the arrays; the tuple view
+``IncidenceStructure.blocks`` is built on first use only, for file writers,
+the BFS girth, Pasch counting and callers that want Python objects.
 
 Every pair check (Steiner, partial Steiner, GDD and the 4-cycle test of
 ``tanner_girth``) walks the in-block pairs in chunks of about
 ``PAIR_CHUNK_IDS`` ids, one range of first points at a time, so its memory
-is that budget plus the size-grouped block arrays, not the pair count.
-Under lambda <= 1 the girth is 6 exactly when, for some point p, a block
-not through p holds two points of the blocks through p.
+is that budget plus the block arrays and their int32 column orders, not the
+pair count.  Under lambda <= 1 the girth is 6 exactly when, for some point
+p, a block not through p holds two points of the blocks through p.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -62,45 +67,178 @@ class DesignParams:
     r: int
 
 
-@dataclass(frozen=True)
+def _point_dtype(v: int):
+    """int32 while every pair id a*v + b < v^2 fits, int64 while points
+    do, else object."""
+    return np.int32 if v * v < 2**31 else np.int64 if v <= 2**63 else object
+
+
+def _size_classes(sizes: np.ndarray) -> list[np.ndarray]:
+    """Indices of the entries of each distinct value of ``sizes``, the
+    values in order of first appearance."""
+    values, first = np.unique(sizes, return_index=True)
+    return [np.flatnonzero(sizes == values[i]) for i in np.argsort(first)]
+
+
+def _first_repeat(A: np.ndarray) -> Optional[int]:
+    """The index of the first row of A equal to an earlier row, or None.
+    Rows that ascend lexicographically, as every construction emits them,
+    are settled without a sort."""
+    n, k = A.shape
+    if n < 2 or k == 0:
+        return 1 if n > 1 else None
+    step = A[1:] != A[:-1]
+    col = step.argmax(axis=1)
+    rows = np.arange(n - 1)
+    if step.any(axis=1).all() and (A[1:][rows, col] > A[:-1][rows, col]).all():
+        return None
+    if A.dtype == object:  # points past 64 bits
+        seen: dict = {}
+        return next((i for i, r in enumerate(map(tuple, A.tolist())) if seen.setdefault(r, i) != i), None)
+    order = np.lexsort(A.T[::-1])  # stable: equal rows stay in index order
+    same = (A[order[1:]] == A[order[:-1]]).all(axis=1)
+    return int(order[1:][same].min()) if same.any() else None
+
+
 class IncidenceStructure:
-    """Points 0..v-1 and a family of blocks (sorted tuples, lexicographic order)."""
+    """Points 0..v-1 and a sequence of blocks, each a strictly increasing
+    point set within 0..v-1, no block twice.  ``arrays`` holds the blocks
+    grouped by size (see the module docstring) and ``blocks`` is their tuple
+    view, built on first use.  Immutable; two structures are equal, and
+    hash equally, when v, the block sequence, provenance and groups agree."""
 
-    v: int
-    blocks: tuple[tuple[int, ...], ...]
-    provenance: str = ""
-    groups: Optional[tuple[tuple[int, ...], ...]] = None  # for GDDs
+    __slots__ = ("v", "arrays", "provenance", "groups", "_positions", "_blocks")
 
-    def __post_init__(self):
-        """Every block strictly increasing within 0..v-1, and no block twice.
-        The points of all blocks are checked as one array; the error names
-        the first offending block, with the checks in that order within it."""
-        if self.v < 0:
-            raise DesignError(f"negative point count v={self.v}")
-        blocks = self.blocks
+    def __init__(self, v: int, blocks: Iterable[Sequence[int]], provenance: str = "",
+                 groups: Optional[tuple[tuple[int, ...], ...]] = None):
+        """Blocks as point sequences, in the order given."""
+        blocks = tuple(map(tuple, blocks))
         sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
-        try:
-            flat = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.int64)
-        except OverflowError:  # a point past 64 bits: compare as Python ints
-            flat = np.fromiter(itertools.chain.from_iterable(blocks), dtype=object)
-        block_of = np.repeat(np.arange(len(blocks)), sizes)
-        same_block = block_of[1:] == block_of[:-1]
-        unsorted = block_of[1:][same_block & (flat[1:] <= flat[:-1])]
-        outside = block_of[(flat < 0) | (flat >= self.v)]
-        firsts = [int(js[0]) if len(js) else len(blocks) for js in (unsorted, outside)]
-        repeat = len(blocks)
-        if len(set(blocks)) < len(blocks):
-            index: dict = {}
-            repeat = next(j for j, b in enumerate(blocks) if index.setdefault(b, j) != j)
-        j, check = min((j, i) for i, j in enumerate(firsts + [repeat]))
-        if j < len(blocks):
+        arrays = []
+        positions = _size_classes(sizes)
+        for rows in positions:
+            points = [blocks[j] for j in rows.tolist()]
+            try:
+                A = np.array(points, dtype=np.int64)
+            except OverflowError:  # a point past 64 bits
+                A = np.array(points, dtype=object)
+            arrays.append(A.reshape(len(rows), sizes[rows[0]]))
+        self._adopt(v, arrays, positions, provenance, groups)
+
+    @classmethod
+    def from_arrays(cls, v: int, arrays: Sequence[np.ndarray], provenance: str = "",
+                  groups: Optional[tuple[tuple[int, ...], ...]] = None) -> IncidenceStructure:
+        """The structure whose blocks are the rows of these 2-D integer
+        arrays (of any sizes), each row's points sorted, the rows in
+        lexicographic order; rows of different sizes are ordered as tuples."""
+        arrays = [A for A in arrays if len(A)]
+        dtype = np.int64
+        if all(A.min() >= 0 and A.max() < v for A in arrays if A.size):
+            dtype = _point_dtype(v)  # every point in range: narrow before sorting
+        S = cls.__new__(cls)
+        if len({A.shape[1] for A in arrays}) <= 1:
+            A = np.concatenate(arrays or [np.empty((0, 0))], dtype=dtype)
+            A.sort(axis=1)
+            S._adopt(v, [A[np.lexsort(A.T[::-1])] if A.shape[1] else A] if len(A) else [], [],
+                     provenance, groups)
+            return S
+        arrays = [A.astype(dtype) for A in arrays]
+        for A in arrays:
+            A.sort(axis=1)
+        # tuple order: pad every row past its end with a value below every point
+        width = max(A.shape[1] for A in arrays)
+        padded = np.full((sum(map(len, arrays)), width), np.iinfo(np.int64).min)
+        sizes = np.repeat([A.shape[1] for A in arrays], [len(A) for A in arrays])
+        start = 0
+        for A in arrays:
+            padded[start : start + len(A), : A.shape[1]] = A
+            start += len(A)
+        order = np.lexsort(padded.T[::-1])
+        padded, sizes = padded[order], sizes[order]
+        positions = _size_classes(sizes)
+        S._adopt(v, [padded[rows, : sizes[rows[0]]] for rows in positions], positions,
+                 provenance, groups)
+        return S
+
+    def _adopt(self, v, arrays, positions, provenance, groups) -> None:
+        """Check and store the size-grouped ``arrays`` whose rows are the
+        blocks at ``positions`` (one ascending index array per array; empty
+        when there is at most one array).  The error names the first
+        offending block; within a block sorting is checked first, then the
+        range, then whether it repeats an earlier block."""
+        if v < 0:
+            raise DesignError(f"negative point count v={v}")
+        faults = []  # (block index, check, array, row)
+        for g, A in enumerate(arrays):
+            unsorted = np.flatnonzero((A[:, 1:] <= A[:, :-1]).any(axis=1))[:1].tolist()
+            outside = np.flatnonzero(((A < 0) | (A >= v)).any(axis=1))[:1].tolist()
+            repeat = _first_repeat(A)
+            for check, rows in enumerate((unsorted, outside, [] if repeat is None else [repeat])):
+                faults += [(int(positions[g][r]) if positions else r, check, g, r) for r in rows]
+        if faults:
+            _, check, g, r = min(faults)
             message = ("block {b} not sorted/distinct", "block {b} out of range for v={v}",
                        "duplicate block {b}")[check]
-            raise DesignError(message.format(b=blocks[j], v=self.v))
+            raise DesignError(message.format(b=tuple(arrays[g][r].tolist()), v=v))
+        set_ = object.__setattr__
+        set_(self, "_blocks", None)
+        dtype = _point_dtype(v)
+        arrays = tuple(A.astype(dtype, copy=False) for A in arrays)
+        for A in arrays + tuple(positions):
+            A.setflags(write=False)
+        set_(self, "v", v)
+        set_(self, "arrays", arrays)
+        set_(self, "_positions", tuple(positions) if len(arrays) > 1 else None)
+        set_(self, "provenance", provenance)
+        set_(self, "groups", groups)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"IncidenceStructure is immutable; cannot set {name}")
+
+    def _key(self) -> tuple:
+        data = tuple((A.shape, repr(A.tolist()) if A.dtype == object else A.tobytes())
+                     for A in self.arrays + (self._positions or ()))
+        return self.v, data, self.provenance, self.groups
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IncidenceStructure):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"IncidenceStructure(v={self.v}, b={self.b}, provenance={self.provenance!r})"
+
+    def located(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(array, block index of each of its rows) per size group."""
+        if self._positions is None:
+            return [(A, np.arange(len(A))) for A in self.arrays]
+        return list(zip(self.arrays, self._positions))
+
+    def block(self, j: int) -> tuple[int, ...]:
+        """The points of block j."""
+        for A, at in self.located():
+            i = int(np.searchsorted(at, j))
+            if i < len(at) and at[i] == j:
+                return tuple(A[i].tolist())
+        raise IndexError(f"block index {j} out of range for b={self.b}")
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks as point tuples, in order; built once, on first use."""
+        if self._blocks is None:
+            out: list = [None] * self.b
+            for A, at in self.located():
+                for j, row in zip(at.tolist(), A.tolist()):
+                    out[j] = tuple(row)
+            object.__setattr__(self, "_blocks", tuple(out))
+        return self._blocks
 
     @property
     def b(self) -> int:
-        return len(self.blocks)
+        return sum(len(A) for A in self.arrays)
 
     def point_by_block(self) -> BitMatrix:
         """The v x b incidence matrix: ``block_by_point``'s transpose, which
@@ -108,7 +246,13 @@ class IncidenceStructure:
         return self.block_by_point().transpose()
 
     def block_by_point(self) -> BitMatrix:
-        return BitMatrix.from_supports(self.blocks, self.v)
+        """The b x v incidence matrix, scattered from the block arrays."""
+        if self._positions is None and self.arrays:
+            return BitMatrix.from_supports(self.arrays[0], self.v)
+        words = np.zeros((self.b, -(-self.v // 64)), dtype=np.uint64)
+        for A, at in self.located():
+            words[at] = BitMatrix.from_supports(A, self.v).to_packed()
+        return BitMatrix.from_packed(words, self.v)
 
     def blocks_through(self) -> list[list[int]]:
         """Indices of the blocks on each point, in block order."""
@@ -119,18 +263,10 @@ class IncidenceStructure:
         return out
 
     def replication_counts(self) -> list[int]:
-        r = [0] * self.v
-        for blk in self.blocks:
-            for p in blk:
-                r[p] += 1
-        return r
-
-    def with_blocks(self, blocks: Iterable[tuple[int, ...]], provenance: str) -> IncidenceStructure:
-        return IncidenceStructure(
-            v=self.v,
-            blocks=tuple(sorted(tuple(b) for b in blocks)),
-            provenance=provenance,
-        )
+        r = np.zeros(self.v, dtype=np.int64)
+        for A in self.arrays:
+            r += np.bincount(A.ravel(), minlength=self.v)
+        return r.tolist()
 
 
 @dataclass(frozen=True)
@@ -158,15 +294,9 @@ def check_admissible(v: int, mu: int, lam: int = 1) -> bool:
 
 
 def _block_arrays(S: IncidenceStructure) -> list[np.ndarray]:
-    """S's blocks of two or more points grouped by size, one ``(blocks,
-    size)`` array per size in order of first appearance: int32 while v^2
-    fits, so that every pair id a*v + b does, else int64."""
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-    for blk in S.blocks:
-        if len(blk) > 1:
-            by_size.setdefault(len(blk), []).append(blk)
-    dtype = np.int32 if S.v * S.v < 2**31 else np.int64
-    return [np.array(blks, dtype=dtype) for blks in by_size.values()]
+    """S's block arrays of two or more points per block, in the pair-id
+    dtype: int32 while v^2 fits, so that every pair id a*v + b does."""
+    return [A for A in S.arrays if A.shape[1] > 1]
 
 
 def _pair_chunks(v: int, arrays: list[np.ndarray]) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -180,8 +310,9 @@ def _pair_chunks(v: int, arrays: list[np.ndarray]) -> Iterator[tuple[int, int, n
     cut from the per-point pair counts to hold about ``PAIR_CHUNK_IDS`` ids
     (more only when one point has more pairs).  Each position column of a
     block array is sorted once, so a range's first points at that position
-    are one contiguous slice of the sort order; the walk holds one chunk and
-    these orders beside the block arrays, never every pair at once.
+    are one contiguous slice of the sort order, kept as int32 while the rows
+    fit; the walk holds one chunk and these orders beside the block arrays,
+    never every pair at once.
     """
     counts = np.zeros(v, dtype=np.int64)
     for A in arrays:
@@ -193,7 +324,7 @@ def _pair_chunks(v: int, arrays: list[np.ndarray]) -> Iterator[tuple[int, int, n
     columns = []  # (first points, later points, sort order, range slice bounds)
     for A in arrays:
         for i in range(A.shape[1] - 1):
-            order = np.argsort(A[:, i])
+            order = np.argsort(A[:, i]).astype(np.int32 if len(A) < 2**31 else np.int64)
             columns.append((A[:, i], A[:, i + 1 :], order, np.searchsorted(A[order, i], cuts)))
     dtype = arrays[0].dtype if arrays else np.int32
     for c in range(len(cuts) - 1):
@@ -222,9 +353,9 @@ def _check_pairs(S: IncidenceStructure, mu: int, group_of: Optional[np.ndarray])
     point's later points in other groups; the first point that falls short
     names the pair, its first cross-group partner missing from the chunk.
     """
-    for blk in S.blocks:
-        if len(blk) != mu:
-            raise BlockSizeError(blk, mu)
+    wrong = [at[0] for A, at in S.located() if A.shape[1] != mu]
+    if wrong:
+        raise BlockSizeError(S.block(min(wrong)), mu)
     arrays = _block_arrays(S)
     covered = 0
     for _, _, ids in _pair_chunks(S.v, arrays):
@@ -259,8 +390,8 @@ def verify_steiner(S: IncidenceStructure, mu: int) -> DesignParams:
     _check_pairs(S, mu, np.arange(S.v))
     bcount = S.v * (S.v - 1) // (mu * (mu - 1))
     r = (S.v - 1) // (mu - 1)
-    if len(S.blocks) != bcount:
-        raise DesignError(f"block count {len(S.blocks)} != {bcount}")
+    if S.b != bcount:
+        raise DesignError(f"block count {S.b} != {bcount}")
     return DesignParams(v=S.v, mu=mu, lam=1, b=bcount, r=r)
 
 
@@ -279,39 +410,24 @@ def build_sts(v: int) -> IncidenceStructure:
     """
     if v < 7 or v % 6 not in (1, 3):
         raise DesignError(f"no STS({v}): need v = 1 or 3 (mod 6), v >= 7")
-    blocks: list[tuple[int, ...]] = []
     if v % 6 == 3:
         n = (v - 3) // 6
-        order = 2 * n + 1
-        half = n + 1  # inverse of 2 mod (2n+1)
-        pt = lambda x, i: 3 * x + i
-        for x in range(order):
-            blocks.append(tuple(sorted((pt(x, 0), pt(x, 1), pt(x, 2)))))
-        for i in range(3):
-            for x in range(order):
-                for y in range(x + 1, order):
-                    z = ((x + y) * half) % order
-                    blocks.append(tuple(sorted((pt(x, i), pt(y, i), pt(z, (i + 1) % 3)))))
+        order, first, o = 2 * n + 1, 2 * n + 1, 0  # point (x, i) is o + 3x + i
+        x, y = np.triu_indices(order, 1)
+        z = ((x + y) * (n + 1)) % order  # n + 1 is the inverse of 2 mod 2n + 1
+        rows = []
     else:
         n = (v - 1) // 6
-        order = 2 * n
-
-        def circ(s: int) -> int:  # half-idempotent product value for x+y=s
-            s %= order
-            return s // 2 if s % 2 == 0 else n + (s - 1) // 2
-
-        pt = lambda x, i: 1 + 3 * x + i  # 0 is the infinity point
-        for x in range(n):
-            blocks.append(tuple(sorted((pt(x, 0), pt(x, 1), pt(x, 2)))))
-        for i in range(3):
-            for x in range(n):
-                blocks.append(tuple(sorted((0, pt(n + x, i), pt(x, (i + 1) % 3)))))
-        for i in range(3):
-            for x in range(order):
-                for y in range(x + 1, order):
-                    z = circ(x + y)
-                    blocks.append(tuple(sorted((pt(x, i), pt(y, i), pt(z, (i + 1) % 3)))))
-    S = IncidenceStructure(v=v, blocks=tuple(sorted(blocks)), provenance=f"sts({v})")
+        order, first, o = 2 * n, n, 1  # 0 is the infinity point
+        x, y = np.triu_indices(order, 1)
+        t = (x + y) % order  # the half-idempotent product of x and y
+        z = np.where(t % 2 == 0, t // 2, n + (t - 1) // 2)
+        t = np.arange(n)
+        rows = [np.column_stack([np.zeros(n, np.int64), o + 3 * (n + t) + i, o + 3 * t + (i + 1) % 3])
+                for i in range(3)]
+    rows.append(o + 3 * np.arange(first)[:, None] + np.arange(3))
+    rows += [np.column_stack([o + 3 * x + i, o + 3 * y + i, o + 3 * z + (i + 1) % 3]) for i in range(3)]
+    S = IncidenceStructure.from_arrays(v, rows, provenance=f"sts({v})")
     verify_steiner(S, 3)
     return S
 
@@ -319,18 +435,21 @@ def build_sts(v: int) -> IncidenceStructure:
 def develop_cyclic(v: int, base_blocks: Sequence[Sequence[int]]) -> IncidenceStructure:
     """Orbits of the base blocks under x -> x+1 (mod v); short orbits deduplicated.
 
-    Verification is the caller's job (the result need not be a design).
+    Each base block's orbit is one (v, size) array, and the distinct sorted
+    rows of each size are kept.  Verification is the caller's job (the
+    result need not be a design).
     """
     if v < 1:
         raise DesignError(f"cyclic development needs v >= 1, got {v}")
-    out = set()
+    orbits: dict[int, list[np.ndarray]] = {}
     for base in base_blocks:
         base = [x % v for x in base]
         if len(set(base)) != len(base):
             raise DesignError(f"base block {base} has repeated points")
-        for s in range(v):
-            out.add(tuple(sorted((x + s) % v for x in base)))
-    return IncidenceStructure(v=v, blocks=tuple(sorted(out)), provenance=f"cyclic({v})")
+        orbit = (np.array(base, dtype=np.int64) + np.arange(v)[:, None]) % v
+        orbits.setdefault(len(base), []).append(np.sort(orbit, axis=1))
+    rows = [np.unique(np.concatenate(parts), axis=0) for parts in orbits.values()]
+    return IncidenceStructure.from_arrays(v, rows, provenance=f"cyclic({v})")
 
 
 def verify_gdd(S: IncidenceStructure, mu: int) -> None:
@@ -349,9 +468,13 @@ def verify_gdd(S: IncidenceStructure, mu: int) -> None:
         group_of[list(g)] = gi
     # the first block that is not mu points in mu groups: a wrong size is
     # left to _check_pairs, which names the same block
-    bad = next((blk for blk in S.blocks if len({group_of[p] for p in blk}) != mu), None)
-    if bad is not None and len(bad) == mu:
-        raise DesignError(f"block {bad} meets a group twice")
+    bad = []
+    for A, at in S.located():
+        met = np.sort(group_of[A], axis=1)
+        groups_met = (met[:, 1:] != met[:, :-1]).sum(axis=1) + (A.shape[1] > 0)
+        bad += [(int(at[r]), A.shape[1]) for r in np.flatnonzero(groups_met != mu)[:1]]
+    if bad and min(bad)[1] == mu:
+        raise DesignError(f"block {S.block(min(bad)[0])} meets a group twice")
     _check_pairs(S, mu, group_of)
 
 
@@ -367,16 +490,13 @@ def build_transversal_design(mu: int, g: int) -> IncidenceStructure:
     F = field_for_order(g)  # raises if not a prime power
     if mu > g:
         raise DesignError(f"mu={mu} > g={g}: no TD via MOLS")
-    blocks = []
-    for a in range(g):
-        for b in range(g):
-            # alpha_i is the i-th field element; mu <= g keeps them distinct
-            blk = tuple(sorted(i * g + F.add(F.mul(a, i), b) for i in range(mu)))
-            blocks.append(blk)
+    add, mul = F.tables()
+    a, b = np.divmod(np.arange(g * g), g)
+    # alpha_i is the i-th field element; mu <= g keeps them distinct
+    i = np.arange(mu)
+    blocks = i * g + add[mul[a[:, None], i], b[:, None]]
     groups = tuple(tuple(range(i * g, (i + 1) * g)) for i in range(mu))
-    S = IncidenceStructure(
-        v=mu * g, blocks=tuple(sorted(blocks)), provenance=f"td({mu},{g})", groups=groups
-    )
+    S = IncidenceStructure.from_arrays(mu * g, [blocks], provenance=f"td({mu},{g})", groups=groups)
     verify_gdd(S, mu)
     return S
 
@@ -388,19 +508,15 @@ def compose_gdd_spread(
     a Steiner spread whose members are the fillers."""
     if gdd.groups is None:
         raise DesignError("gdd lacks group annotation")
-    mu = len(gdd.blocks[0]) if gdd.blocks else 0
+    mu = gdd.arrays[0].shape[1] if gdd.b else 0
     g = len(gdd.groups[0])
     if filler.v != g:
         raise DesignError(f"filler order {filler.v} != group size {g}")
     if any(len(grp) != g for grp in gdd.groups):
         raise DesignError("groups have unequal sizes")
-    new_blocks = list(gdd.blocks)
-    for grp in gdd.groups:
-        points = sorted(grp)
-        new_blocks.extend(tuple(sorted(points[p] for p in blk)) for blk in filler.blocks)
-    S = IncidenceStructure(
-        v=gdd.v,
-        blocks=tuple(sorted(new_blocks)),
+    copies = [np.array(sorted(grp), dtype=np.int64)[F] for grp in gdd.groups for F in filler.arrays]
+    S = IncidenceStructure.from_arrays(
+        gdd.v, list(gdd.arrays) + copies,
         provenance=f"gdd_fill({gdd.provenance},{filler.provenance})",
     )
     verify_steiner(S, mu)
@@ -412,45 +528,65 @@ def spread_of(S: IncidenceStructure, point_sets: Sequence[Iterable[int]]) -> Spr
     indices of the blocks of S that lie inside it, checked by
     ``verify_spread``.  Raises DesignError when a point of S lies in two of
     the sets or in none."""
-    part_of = [-1] * S.v
-    for i, pts in enumerate(point_sets):
-        for p in pts:
-            if part_of[p] != -1:
-                raise DesignError("spread parts share points")
-            part_of[p] = i
-    if -1 in part_of:
+    sets = [np.fromiter(pts, dtype=np.intp) for pts in point_sets]
+    flat = np.concatenate(sets + [np.empty(0, np.intp)])
+    counts = np.bincount(flat, minlength=S.v)
+    if (counts > 1).any():
+        raise DesignError("spread parts share points")
+    if (counts[: S.v] == 0).any():
         raise DesignError("spread does not cover all points")
-    inside: list[list[int]] = [[] for _ in point_sets]
-    for j, blk in enumerate(S.blocks):
-        parts = {part_of[p] for p in blk}
-        if len(parts) == 1:
-            inside[parts.pop()].append(j)
-    spread = SpreadPartition(
-        parts=tuple((frozenset(pts), tuple(b)) for pts, b in zip(point_sets, inside))
-    )
+    part_of = np.empty(len(counts), dtype=np.intp)
+    part_of[flat] = np.repeat(np.arange(len(sets)), [len(pts) for pts in sets])
+    index, part = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for A, at in S.located():
+        if A.shape[1]:
+            label = part_of[A]
+            inside = np.flatnonzero((label == label[:, :1]).all(axis=1))
+            index.append(at[inside])
+            part.append(label[inside, 0])
+    index, part = np.concatenate(index), np.concatenate(part)
+    order = np.lexsort((index, part))
+    inside = np.split(index[order], np.cumsum(np.bincount(part, minlength=len(sets)))[:-1])
+    spread = SpreadPartition(parts=tuple(
+        (frozenset(pts.tolist()), tuple(b.tolist())) for pts, b in zip(sets, inside)
+    ))
     verify_spread(S, spread)
     return spread
+
+
+def _blocks_at(S: IncidenceStructure, index: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The blocks of S at these indices, as (array, positions in ``index``)
+    per size, the rows in index order."""
+    index = np.asarray(index, dtype=np.intp)
+    found = []
+    for A, at in S.located():
+        rows = np.searchsorted(at, index)
+        hit = np.flatnonzero(at[np.minimum(rows, len(at) - 1)] == index) if len(at) else rows[:0]
+        if hit.size:
+            found.append((A[rows[hit]], hit))
+    if sum(len(hit) for _, hit in found) != len(index):
+        raise IndexError(f"block index outside 0..{S.b - 1}")
+    return found
 
 
 def verify_spread(S: IncidenceStructure, spread: SpreadPartition) -> None:
     """Each part's blocks lie inside its point set and form a Steiner
     subdesign whose mu is the part's block size."""
     for pts, bidx in spread.parts:
-        sub_blocks = [S.blocks[i] for i in bidx]
-        for blk in sub_blocks:
-            if not set(blk) <= pts:
-                raise DesignError(f"block {blk} leaves its part")
-        sub_mu = len(sub_blocks[0]) if sub_blocks else 0
-        spts = sorted(pts)
-        remap = {p: i for i, p in enumerate(spts)}
-        sub = IncidenceStructure(
-            v=len(spts),
-            blocks=tuple(sorted(tuple(sorted(remap[p] for p in blk)) for blk in sub_blocks)),
-            provenance="part",
+        found = _blocks_at(S, bidx)
+        spts = np.array(sorted(pts), dtype=np.int64)
+        leaving = [(int(hit[r]), A[r]) for A, hit in found
+                   for r in np.flatnonzero(~np.isin(A, spts).all(axis=1))[:1]]
+        if leaving:
+            raise DesignError(f"block {tuple(min(leaving, key=lambda x: x[0])[1].tolist())} "
+                              "leaves its part")
+        sub_mu = next((A.shape[1] for A, hit in found if hit[0] == 0), 0)
+        sub = IncidenceStructure.from_arrays(
+            len(spts), [np.searchsorted(spts, A) for A, _ in found], provenance="part"
         )
         if len(spts) > sub_mu:
             verify_steiner(sub, sub_mu)
-        elif len(sub_blocks) != 1:
+        elif len(bidx) != 1:
             # trivial subdesign: the single full block
             raise DesignError("trivial part must consist of one block")
 
@@ -462,11 +598,11 @@ def delete_subdesigns(
     if count < 0 or count > len(parts.parts):
         raise DesignError(f"cannot delete {count} of {len(parts.parts)} parts")
     verify_spread(S, SpreadPartition(parts=parts.parts[:count]))
-    drop: set[int] = set()
+    drop = np.zeros(S.b, dtype=bool)
     for _, bidx in parts.parts[:count]:
-        drop |= set(bidx)
-    kept = [blk for i, blk in enumerate(S.blocks) if i not in drop]
-    return S.with_blocks(kept, provenance=f"{S.provenance}-del{count}")
+        drop[list(bidx)] = True
+    kept = [A[~drop[at]] for A, at in S.located()]
+    return IncidenceStructure.from_arrays(S.v, kept, provenance=f"{S.provenance}-del{count}")
 
 
 def tanner_girth(S: IncidenceStructure, cap: int = 16):

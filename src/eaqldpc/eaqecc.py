@@ -315,7 +315,7 @@ def _structural_lower(design, orientation: str) -> tuple[int, str]:
         r = design.replication
     else:
         S = design
-        sizes = {len(b) for b in S.blocks}
+        sizes = {A.shape[1] for A in S.arrays}
         if len(sizes) != 1:
             return 1, ""
         mu = sizes.pop()
@@ -395,7 +395,7 @@ def distance_verdict(
                 formula_value = val
         witness = _make_witness(design, orientation)
     elif isinstance(design, IncidenceStructure):
-        sizes = {len(b) for b in structure.blocks}
+        sizes = {A.shape[1] for A in structure.arrays}
         # verified STS: nonzero codewords weigh between 4 and 8
         if sizes == {3} and orientation == POINT_BY_BLOCK and src_struct and structure.v > 3:
             upper = min(upper, 8)

@@ -16,6 +16,8 @@ import itertools
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 FIELD_ORDER_CAP = 1 << 16
 
 # Modulus coefficients low-to-high, degree e monic (leading 1 included).
@@ -211,6 +213,18 @@ class FiniteField:
 
     def frobenius(self, a: int) -> int:
         return self.pow(a, self.p)
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Addition and multiplication of GF(q) as q x q arrays in the
+        smallest unsigned dtype that holds q - 1 (uint8 up to q = 256)."""
+        place = self.p ** np.arange(self.e)
+        coeffs = np.arange(self.q)[:, None] // place % self.p  # base p, low first
+        add = (coeffs[:, None, :] + coeffs[None, :, :]) % self.p @ place
+        log, exp = np.array(self._log), np.array(self._exp)
+        mul = exp[(log[:, None] + log) % (self.q - 1)]
+        mul[0, :] = mul[:, 0] = 0
+        dtype = np.min_scalar_type(self.q - 1)
+        return add.astype(dtype), mul.astype(dtype)
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"

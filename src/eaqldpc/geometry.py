@@ -11,7 +11,9 @@ leading 1, affine points in lexicographic coordinate order) and lines are
 emitted in lexicographic block order, so indices are stable across runs.
 
 Lines are built once each, in numpy, from the addition and multiplication
-tables of GF(q); a point's number is read off its coordinates in base q.  The
+tables of GF(q) (``FiniteField.tables``, uint8 up to q = 256), and go into
+the design as one line array; a point's number is read off its coordinates
+in base q.  The
 AG lines of direction d (leading 1 at j) are {h + lam*d} for the q^{m-1}
 points h with h_j = 0.  A PG line is spanned by its reduced basis u, w
 (leading 1s at i < j, u_j = 0): its points w and u + lam*w are normalized.
@@ -88,43 +90,26 @@ class WitnessCodeword:
         return len(self.block_indices)
 
 
-def _field_tables(field: FiniteField) -> tuple[np.ndarray, np.ndarray]:
-    """Addition and multiplication of GF(q) as q x q index arrays."""
-    e = field.elements()
-    add = np.array([[field.add(a, b) for b in e] for a in e], dtype=np.intp)
-    mul = np.array([[field.mul(a, b) for b in e] for a in e], dtype=np.intp)
-    return add, mul
-
-
 def _vectors(q: int, n: int) -> np.ndarray:
     """All q^n coordinate vectors of length n, as rows in lexicographic order."""
-    return np.array(list(itertools.product(range(q), repeat=n)), dtype=np.intp).reshape(q**n, n)
+    return np.indices((q,) * n, dtype=np.min_scalar_type(q - 1)).reshape(n, q**n).T
 
 
 def _line_points(add: np.ndarray, mul: np.ndarray, base: np.ndarray, step: np.ndarray) -> np.ndarray:
     """Coordinates of base + lam * step for every lam in F_q (tables from
-    ``_field_tables``), on a new second-to-last axis; base and step broadcast."""
+    ``FiniteField.tables``), on a new second-to-last axis; base and step broadcast."""
     lam = np.arange(len(add))[:, None]
     return add[base[..., None, :], mul[lam, step[..., None, :]]]
 
 
 def _checked_design(kind: str, m: int, q: int, lines: list[np.ndarray], point_coords) -> GeometryDesign:
-    """The design on these lines, once its line count matches ``design_counts``."""
+    """The design on these lines (arrays of point numbers, one line a row),
+    once its line count matches ``design_counts``."""
     b = design_counts(kind, m, q)[1]
-    S = IncidenceStructure(v=len(point_coords), blocks=_sorted_blocks(lines),
-                           provenance=f"{kind.lower()}({m},{q})")
+    S = IncidenceStructure.from_arrays(len(point_coords), lines, provenance=f"{kind.lower()}({m},{q})")
     if S.b != b:
         raise DesignError(f"{kind}({m},{q}): got {S.b} lines, expected {b}")
     return GeometryDesign(kind=kind, m=m, q=q, structure=S, point_coords=tuple(point_coords))
-
-
-def _sorted_blocks(lines: list[np.ndarray]) -> tuple[tuple[int, ...], ...]:
-    """Blocks as sorted point tuples in lexicographic order.  Every block
-    refers to one shared int object per point, which keeps large designs
-    small in memory."""
-    arr = np.sort(np.concatenate(lines), axis=1)
-    arr = arr[np.lexsort(arr.T[::-1])]
-    return tuple(map(tuple, np.arange(arr.max() + 1).astype(object)[arr].tolist()))
 
 
 def build_pg(m: int, q: int) -> GeometryDesign:
@@ -132,13 +117,14 @@ def build_pg(m: int, q: int) -> GeometryDesign:
     if m < 2:
         raise DesignError("need m >= 2")
     field = field_for_order(q)
-    add, mul = _field_tables(field)
+    add, mul = field.tables()
     points = enumerate_subspace_reps(field, m + 1)
     # a point with its leading 1 at position L is number offset[L] + (base-q tail)
-    offset = np.cumsum([0] + [q ** (m - L) for L in range(m)])
+    number = np.int32 if len(points) < 2**31 else np.int64
+    offset = np.cumsum([0] + [q ** (m - L) for L in range(m)], dtype=number)
 
     def index(x: np.ndarray, lead: int) -> np.ndarray:
-        return offset[lead] + x[..., lead + 1 :] @ (q ** np.arange(m - lead - 1, -1, -1))
+        return offset[lead] + x[..., lead + 1 :] @ (q ** np.arange(m - lead - 1, -1, -1, dtype=number))
 
     lines = []
     for i in range(m + 1):
@@ -147,8 +133,8 @@ def build_pg(m: int, q: int) -> GeometryDesign:
             # w leads at j; its points are w and u + lam*w (leading 1 at i)
             free_u = [k for k in range(i + 1, m + 1) if k != j]
             free = _vectors(q, len(free_u) + m - j)
-            u = np.zeros((len(free), m + 1), dtype=np.intp)
-            w = np.zeros((len(free), m + 1), dtype=np.intp)
+            u = np.zeros((len(free), m + 1), dtype=free.dtype)
+            w = np.zeros((len(free), m + 1), dtype=free.dtype)
             u[:, i], w[:, j] = 1, 1
             u[:, free_u], w[:, j + 1 :] = free[:, : len(free_u)], free[:, len(free_u) :]
             on_line = index(_line_points(add, mul, u, w), i)
@@ -160,15 +146,15 @@ def build_ag(m: int, q: int) -> GeometryDesign:
     """Points and lines (1-flats) of AG(m, q): an S(2, q, q^m)."""
     if m < 2:
         raise DesignError("need m >= 2")
-    add, mul = _field_tables(field_for_order(q))
+    add, mul = field_for_order(q).tables()
     points = tuple(itertools.product(range(q), repeat=m))  # point number = base-q value
-    weights = q ** np.arange(m - 1, -1, -1)
+    weights = q ** np.arange(m - 1, -1, -1, dtype=np.int32 if q**m < 2**31 else np.int64)
     lines = []
     for j in range(m):
         # directions with leading 1 at j; each such line meets x_j = 0 exactly once
-        dirs = np.zeros((q ** (m - 1 - j), m), dtype=np.intp)
+        dirs = np.zeros((q ** (m - 1 - j), m), dtype=add.dtype)
         dirs[:, j], dirs[:, j + 1 :] = 1, _vectors(q, m - 1 - j)
-        hyper = np.zeros((q ** (m - 1), m), dtype=np.intp)
+        hyper = np.zeros((q ** (m - 1), m), dtype=add.dtype)
         hyper[:, np.arange(m) != j] = _vectors(q, m - 1)
         on_line = _line_points(add, mul, hyper[None, :, :], dirs[:, None, :]) @ weights
         lines.append(on_line.reshape(-1, q))
@@ -179,7 +165,7 @@ def build_eg(m: int, q: int) -> GeometryDesign:
     """AG(m, q) minus the zero point and the lines through it (partial design)."""
     ag = build_ag(m, q)
     # the origin is AG point 0, so it starts every sorted block through it
-    lines = np.array(ag.structure.blocks)
+    lines = ag.structure.arrays[0]
     return _checked_design(EG, m, q, [lines[lines[:, 0] > 0] - 1], ag.point_coords[1:])
 
 
@@ -340,9 +326,9 @@ def _polar_lines(design: GeometryDesign, blocks: np.ndarray) -> np.ndarray:
     block-by-point matrix) that is {y : x.y = c}, c = 0 for PG and 1 for EG,
     or -1 when no block is that point set.  Holds one v x v array of dot
     products, so it is meant for planes small enough to enumerate."""
-    add, mul = _field_tables(design.field)
-    pts = np.array(design.point_coords, dtype=np.intp)
-    dots = np.zeros((len(pts), len(pts)), dtype=np.intp)
+    add, mul = design.field.tables()
+    pts = np.array(design.point_coords, dtype=add.dtype)
+    dots = np.zeros((len(pts), len(pts)), dtype=add.dtype)
     for i in range(pts.shape[1]):
         dots = add[dots, mul[pts[:, None, i], pts[None, :, i]]]
     rows = pack_bool_rows(dots == (0 if design.kind == PG else 1))
@@ -418,14 +404,18 @@ def _lines_to_witness(
             [tuple(field.add(x, t) for x, t in zip(pt, tau)) for pt in line]
             for line in lines
         ]
-    lookup = {blk: i for i, blk in enumerate(design.structure.blocks)}
+    # a geometry's lines are one array of lexicographic rows: the rows that
+    # start with a line's first point are one slice
+    A = design.structure.arrays[0]
     point_index = {p: i for i, p in enumerate(design.point_coords)}
     support = []
     for line in lines:
-        blk = tuple(sorted(point_index[pt] for pt in line))
-        if blk not in lookup:
-            raise DesignError(f"{kind}: line {blk} is not a block")
-        support.append(lookup[blk])
+        blk = sorted(point_index[pt] for pt in line)
+        lo, hi = np.searchsorted(A[:, 0], [blk[0], blk[0] + 1])
+        hit = np.flatnonzero((A[lo:hi] == blk).all(axis=1)) if len(blk) == A.shape[1] else []
+        if not len(hit):
+            raise DesignError(f"{kind}: line {tuple(blk)} is not a block")
+        support.append(lo + int(hit[0]))
     return WitnessCodeword(kind=kind, block_indices=tuple(sorted(support)))
 
 

@@ -53,7 +53,6 @@ profile, transpose) is computed lazily and cached.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -63,6 +62,10 @@ WORD_BITS = 64
 # words of B rows gathered at once by _product; transpose unpacks about as
 # many bytes per row block
 PRODUCT_CHUNK_WORDS = 1 << 17
+# words of a matrix that one table lookup of _xor_combinations XORs at once
+ECHELON_BLOCK_WORDS = 1 << 15
+# rows of M whose rows of M @ M.T gram_rank forms and reduces at once
+GRAM_CHUNK_ROWS = 512
 # min_distance enumerates at most 2^26 codewords, or 2^28 dual-code vectors
 CODEWORD_EXPONENT_CAP = 26
 DUAL_EXPONENT_CAP = 28
@@ -113,19 +116,24 @@ class BitMatrix:
         return M
 
     @classmethod
-    def from_supports(cls, supports: Sequence[Sequence[int]], cols: int) -> BitMatrix:
+    def from_supports(cls, supports, cols: int) -> BitMatrix:
         """The len(supports) x cols matrix whose row i has ones at the column
-        indices ``supports[i]``, scattered byte by byte into the words."""
-        sizes = np.fromiter(map(len, supports), dtype=np.int32, count=len(supports))
-        cols_idx = np.fromiter(itertools.chain.from_iterable(supports), dtype=np.int32,
-                               count=int(sizes.sum()))
-        if len(cols_idx) and not (0 <= cols_idx.min() and cols_idx.max() < cols):
+        indices ``supports[i]``, a 2-D integer array (rows of one length).
+        Each position column is scattered at once: it sets one bit per row,
+        so its word updates never collide, and its temporaries hold one
+        index per row, never one per incidence."""
+        supports = np.asarray(supports)
+        if supports.ndim != 2:
+            raise ValueError(f"expected a 2-D array of column indices, got shape {supports.shape}")
+        if supports.size and not (0 <= supports.min() and supports.max() < cols):
             raise ValueError(f"column index outside 0..{cols - 1}")
         words = np.zeros((len(supports), _word_count(cols)), dtype=np.uint64)
-        rows_idx = np.repeat(np.arange(len(supports), dtype=np.int32), sizes)
-        np.bitwise_or.at(words.view(np.uint8), (rows_idx, cols_idx >> 3),
-                         np.uint8(1) << (cols_idx & 7).astype(np.uint8))
-        return cls.from_packed(words, cols)
+        rows = np.arange(len(supports))
+        for col in supports.T:
+            words[rows, col // WORD_BITS] |= np.uint64(1) << (col % WORD_BITS).astype(np.uint64)
+        M = cls.__new__(cls)
+        M._adopt(words, cols)
+        return M
 
     @classmethod
     def from_dense(cls, array) -> BitMatrix:
@@ -217,26 +225,33 @@ class EnumeratedDistance:
     side: str = field(default="code", compare=False)
 
 
-def _combine(rows: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """XOR of the ``rows`` (at most 64) that each bitmask in ``coeff`` selects.
+def _xor_combinations(target: np.ndarray, rows: np.ndarray, coeff: np.ndarray) -> None:
+    """XOR into row i of ``target``, in place, the combination of ``rows``
+    (at most 64) that ``coeff[i]`` selects: bit k picks ``rows[k]``.
 
-    Bit k of ``coeff[i]`` picks ``rows[k]``.  Every eight rows give one
-    256-entry table of their combinations, indexed by one byte of ``coeff``.
+    Every eight rows give one 256-entry table of their combinations, indexed
+    by one byte of ``coeff``; each table's lookups are XORed into blocks of
+    about ``ECHELON_BLOCK_WORDS`` words of ``target``, so no temporary is
+    the size of ``target``.  ``coeff`` is read once per table, so it must
+    not be a view of ``target``.
     """
-    out = np.zeros((len(coeff), rows.shape[1]), dtype=np.uint64)
+    step = max(1, ECHELON_BLOCK_WORDS // max(1, target.shape[1]))
     for g in range(0, len(rows), 8):
         table = np.zeros((1 << len(rows[g : g + 8]), rows.shape[1]), dtype=np.uint64)
         for i, r in enumerate(rows[g : g + 8]):
             table[1 << i : 2 << i] = table[: 1 << i] ^ r
-        out ^= table[((coeff >> np.uint64(g)) & np.uint64(0xFF)).astype(np.intp)]
-    return out
+        index = ((coeff >> np.uint64(g)) & np.uint64(0xFF)).astype(np.intp)
+        for r0 in range(0, len(target), step):
+            target[r0 : r0 + step] ^= table[index[r0 : r0 + step]]
 
 
-def _gather_bits(word: np.ndarray, bits: Sequence[int]) -> np.ndarray:
-    """Bit k of the result is bit ``bits[k]`` of ``word``."""
-    out = np.zeros(len(word), dtype=np.uint64)
-    for k, b in enumerate(bits):
-        out |= ((word >> np.uint64(b)) & np.uint64(1)) << np.uint64(k)
+def _gather_bits(A: np.ndarray, columns: Sequence[int]) -> np.ndarray:
+    """Bit k of entry i of the result is column ``columns[k]`` (at most 64)
+    of row i of the packed rows ``A``."""
+    out = np.zeros(len(A), dtype=np.uint64)
+    for k, c in enumerate(columns):
+        bit = (A[:, c // WORD_BITS] >> np.uint64(c % WORD_BITS)) & np.uint64(1)
+        out |= bit << np.uint64(k)
     return out
 
 
@@ -245,16 +260,21 @@ def _echelon(A: np.ndarray, reduced: bool) -> tuple[list[int], Optional[np.ndarr
 
     Returns the pivot columns in ascending order and, when ``reduced``, the
     fully reduced echelon rows (one per pivot, same order) as a packed array.
-    ``active`` holds the rows not yet reduced to zero, cut to the words from
-    the current one on; all their earlier words are zero.
+    The nonzero rows of A are copied once; ``active``, a view of the first n
+    rows from the current word on, holds the rows not yet reduced to zero,
+    whose earlier words are zero.  Rows that become zero are squeezed out
+    in place, ``ECHELON_BLOCK_WORDS`` words at a time, so the elimination
+    holds that copy and no second one.
     """
     words = A.shape[1]
-    active = A[A.any(axis=1)]
+    rows = A[A.any(axis=1)]
+    n = len(rows)
     pivots: list[int] = []
     basis = np.zeros((0, words), dtype=np.uint64)
     for w in range(words):
-        if not len(active):
+        if not n:
             break
+        active = rows[:n, w:]
         word = active[:, 0]
         # the word's pivots: eliminate on its distinct values, lowest bit first
         vals, first = np.unique(word, return_index=True)
@@ -278,15 +298,22 @@ def _echelon(A: np.ndarray, reduced: bool) -> tuple[list[int], Optional[np.ndarr
                     if i != j and vals_p[i] >> b & 1:
                         vals_p[i] ^= vals_p[j]
                         mix[i] ^= mix[j]
-            R = _combine(active[pick], np.array(mix, dtype=np.uint64))
-            active ^= _combine(R, _gather_bits(word, bits))
+            R = np.zeros((len(bits), active.shape[1]), dtype=np.uint64)
+            _xor_combinations(R, active[pick], np.array(mix, dtype=np.uint64))
+            _xor_combinations(active, R, _gather_bits(active, bits))
             if reduced:
-                basis[:, w:] ^= _combine(R, _gather_bits(basis[:, w], bits))
+                _xor_combinations(basis[:, w:], R, _gather_bits(basis[:, w:], bits))
                 new = np.zeros((len(bits), words), dtype=np.uint64)
                 new[:, w:] = R
                 basis = np.vstack([basis, new])
             pivots += [WORD_BITS * w + b for b in bits]
-        active = active[active[:, 1:].any(axis=1), 1:]
+        keep = np.flatnonzero(active[:, 1:].any(axis=1))
+        if len(keep) < n:  # row keep[i] >= i moves up to i, blocks in order
+            step = max(1, ECHELON_BLOCK_WORDS // max(1, words - w))
+            for i in range(0, len(keep), step):
+                moved = keep[i : i + step]
+                rows[i : i + len(moved), w + 1 :] = rows[moved, w + 1 :]
+            n = len(keep)
     return pivots, basis if reduced else None
 
 
@@ -308,16 +335,14 @@ def rank_value(M: BitMatrix) -> int:
     return M._rank
 
 
-def _product(A: BitMatrix, B: BitMatrix) -> np.ndarray:
-    """Packed rows of A @ B: row i XORs the rows of B picked by the bits of
-    row i of A, in row chunks that gather about ``PRODUCT_CHUNK_WORDS`` words."""
-    if A.cols != B.rows:
-        raise ValueError(f"dimension mismatch: {A.cols} vs {B.rows}")
-    Ap, Bp = A.to_packed(), B.to_packed()
-    out = np.zeros((A.rows, Bp.shape[1]), dtype=np.uint64)
+def _product(Ap: np.ndarray, Bp: np.ndarray) -> np.ndarray:
+    """Packed rows of A @ B from the packed rows of A and B: row i XORs the
+    rows of B picked by the bits of row i of A, in row chunks that gather
+    about ``PRODUCT_CHUNK_WORDS`` words."""
+    out = np.zeros((len(Ap), Bp.shape[1]), dtype=np.uint64)
     nnz = int(np.bitwise_count(Ap).sum())
-    step = max(1, PRODUCT_CHUNK_WORDS * A.rows // max(1, nnz * Bp.shape[1]))
-    for r0 in range(0, A.rows, step):
+    step = max(1, PRODUCT_CHUNK_WORDS * len(Ap) // max(1, nnz * Bp.shape[1]))
+    for r0 in range(0, len(Ap), step):
         bits = np.unpackbits(Ap[r0 : r0 + step].view(np.uint8), axis=1, bitorder="little")
         row, col = np.nonzero(bits)
         if len(row):
@@ -328,12 +353,34 @@ def _product(A: BitMatrix, B: BitMatrix) -> np.ndarray:
 
 def multiply(A: BitMatrix, B: BitMatrix) -> BitMatrix:
     """C = A @ B over GF(2)."""
-    return BitMatrix.from_packed(_product(A, B), B.cols)
+    if A.cols != B.rows:
+        raise ValueError(f"dimension mismatch: {A.cols} vs {B.rows}")
+    return BitMatrix.from_packed(_product(A.to_packed(), B.to_packed()), B.cols)
 
 
 def gram_rank(M: BitMatrix) -> int:
-    """rank(M @ M.T) over GF(2)."""
-    return len(_echelon(_product(M, M.transpose()), reduced=False)[0])
+    """rank(M @ M.T) over GF(2), without holding the rows x rows product.
+
+    The product's rows are formed ``GRAM_CHUNK_ROWS`` at a time.  A chunk is
+    reduced by the fully reduced basis of the chunks before it (its bits at
+    the basis pivots, read 64 at a time, pick the basis rows through the
+    tables of ``_xor_combinations``), ``_echelon`` fully reduces what is
+    left, and those rows clear their pivots from the basis and join it.
+    Memory is one chunk of the product plus the basis, rank rows.
+    """
+    T = M.transpose().to_packed()
+    basis = np.zeros((0, _word_count(M.rows)), dtype=np.uint64)
+    pivots: list[int] = []
+    for r0 in range(0, M.rows, GRAM_CHUNK_ROWS):
+        G = _product(M.to_packed()[r0 : r0 + GRAM_CHUNK_ROWS], T)
+        for g in range(0, len(pivots), WORD_BITS):
+            _xor_combinations(G, basis[g : g + WORD_BITS], _gather_bits(G, pivots[g : g + WORD_BITS]))
+        new, R = _echelon(G, reduced=True)
+        for g in range(0, len(new), WORD_BITS):
+            _xor_combinations(basis, R[g : g + WORD_BITS], _gather_bits(basis, new[g : g + WORD_BITS]))
+        basis = np.vstack([basis, R])
+        pivots += new
+    return len(pivots)
 
 
 def nullspace_basis(M: BitMatrix) -> BitMatrix:

@@ -5,10 +5,11 @@ import hashlib
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from eaqldpc import geometry, gf2
-from eaqldpc.designs import DesignError, build_sts, verify_steiner
+from eaqldpc.designs import DesignError, IncidenceStructure, build_sts, verify_steiner
 from eaqldpc.eaqecc import (
     BLOCK_BY_POINT,
     POINT_BY_BLOCK,
@@ -370,7 +371,7 @@ def test_plane_polarity_rejects_relabelled_points(cache, kind):
     design = cache.geometry(kind, 2, 4)
     S = design.structure
     perm = list(range(1, S.v)) + [0]
-    moved = S.with_blocks([tuple(sorted(perm[p] for p in blk)) for blk in S.blocks], "relabelled")
+    moved = IncidenceStructure.from_arrays(S.v, [np.array(perm)[S.arrays[0]]], "relabelled")
     with pytest.raises(DesignError):
         plane_polarity(dataclasses.replace(design, structure=moved))
 

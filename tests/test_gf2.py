@@ -606,10 +606,12 @@ def test_from_packed_copies_and_clears_the_tail():
 
 
 def test_from_supports_matches_int_rows():
-    supports = [(0, 2), (), (1, 63, 64, 69), (69,)]
-    rows = [sum(1 << j for j in s) for s in supports]
+    """Rows of one length, a row's columns in any order, words crossed."""
+    supports = np.array([(0, 2, 5), (1, 63, 64), (69, 0, 3), (65, 64, 69)])
+    rows = [sum(1 << j for j in s) for s in supports.tolist()]
     assert BitMatrix.from_supports(supports, 70) == BitMatrix(4, 70, rows)
-    for bad in ([(70,)], [(-1,)]):
+    assert BitMatrix.from_supports(np.empty((3, 0), int), 70) == BitMatrix(3, 70, [0, 0, 0])
+    for bad in ([(70,)], [(-1,)], [(0, 1), (2,)], [0, 1]):
         with pytest.raises(ValueError):
             BitMatrix.from_supports(bad, 70)
 
