@@ -20,7 +20,6 @@ import sys
 import time
 import warnings
 from collections import Counter
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -44,17 +43,33 @@ from .eaqecc import (
     oriented_matrix,
     type_label,
 )
-from .geometry import AG, EG, PG, GeometryDesign, ag_hyperplane_spread, build_geometry, pg_spread
+from .geometry import (
+    AG,
+    EG,
+    PG,
+    GeometryDesign,
+    ag_hyperplane_spread,
+    build_geometry,
+    design_counts,
+    pg_spread,
+)
 from .simulator import (
     CONVENTION_PER_PAULI,
     CONVENTION_TOTAL,
     SimConfig,
+    WorkerDiedError,
     estimate_bler,
 )
 from .tables import TABLE_IDS, ConstructionCache, compute_table, diff_report, rows_to_csv
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+# builds refused before any work: a geometry whose v x b incidence matrix has
+# more cells (64 MiB as packed bits; PG(2,64) has about 17.3 M, AG(3,16)
+# 286 M), and an STS or cyclic development on more points (STS(4095) has
+# 2.8 M blocks)
+MAX_INCIDENCE_CELLS = 1 << 29
+MAX_POINTS = 1 << 12
 
 
 def _sha256(path: Path) -> str:
@@ -113,10 +128,31 @@ class SystemExit2(SystemExit):
         super().__init__(USAGE_ERROR)
 
 
+def _build_geometry(args) -> GeometryDesign:
+    """The geometry of --pg/--ag/--eg M Q, refused up front when its
+    incidence matrix would hold more than ``MAX_INCIDENCE_CELLS`` cells."""
+    kind, m, q = _pick_geometry(args)
+    if m >= 2 and q >= 2:  # smaller ones fail in the build with its own message
+        cells = None  # past q^m >= 2^1024 points, not worth counting
+        if m * (q.bit_length() - 1) < 1024:
+            v, b = design_counts(kind, m, q)[:2]
+            cells = v * b
+        if cells is None or cells > MAX_INCIDENCE_CELLS:
+            raise SystemExit2(f"{kind}({m},{q}) has {cells or 'more than 2^1024'} incidence "
+                              f"cells (v*b), over the cap of {MAX_INCIDENCE_CELLS}")
+    return build_geometry(kind, m, q)
+
+
+def _check_points(what: str, v: int) -> None:
+    if v > MAX_POINTS:
+        raise SystemExit2(f"{what} has v = {v} points, over the cap of {MAX_POINTS}")
+
+
 # --- design ------------------------------------------------------------------
 
 def cmd_design_build(args) -> int:
     if args.sts:
+        _check_points(f"STS({args.sts})", args.sts)
         S = build_sts(args.sts)
         mu = 3
         comments = [f"sts({args.sts})"]
@@ -127,8 +163,8 @@ def cmd_design_build(args) -> int:
             ",".join(map(str, grp)) for grp in S.groups)]
         mu = None  # GDD, not a Steiner design
     else:
-        kind, m, q = _pick_geometry(args)
-        design = build_geometry(kind, m, q)
+        design = _build_geometry(args)
+        kind, m, q = design.kind, design.m, design.q
         S = design.structure
         mu = design.mu if kind != EG else None
         comments = [f"{kind.lower()}({m},{q})", "point coordinates:"]
@@ -177,6 +213,7 @@ def cmd_design_develop(args) -> int:
         v = args.v
         for part in args.bases.split(";"):
             bases.append(tuple(int(x) for x in part.split(",")))
+    _check_points("cyclic development", v)
     S = develop_cyclic(v, bases)
     mu = S.arrays[0].shape[1] if S.b else 0
     try:
@@ -193,8 +230,8 @@ def cmd_design_develop(args) -> int:
 
 
 def cmd_design_delete(args) -> int:
-    kind, m, q = _pick_geometry(args)
-    design = build_geometry(kind, m, q)
+    design = _build_geometry(args)
+    kind = design.kind
     if kind == PG:
         if args.spread_s is None:
             raise SystemExit2("--spread-s S required for PG spreads")
@@ -220,9 +257,8 @@ def _load_structure(args):
         with open(args.design) as fh:
             S = formats.read_design(fh)
         return S, Path(args.design).name
-    kind, m, q = _pick_geometry(args)
-    design = build_geometry(kind, m, q)
-    return design, f"{kind.lower()}({m},{q})"
+    design = _build_geometry(args)
+    return design, f"{design.kind.lower()}({design.m},{design.q})"
 
 
 def _load_matrix(args, orientation: str):
@@ -473,7 +509,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    except BrokenProcessPool:
+    except WorkerDiedError:
         print("error: a worker process died; no result", file=sys.stderr)
         return CHECK_FAILED
     except KeyboardInterrupt:

@@ -73,13 +73,6 @@ def _point_dtype(v: int):
     return np.int32 if v * v < 2**31 else np.int64 if v <= 2**63 else object
 
 
-def _size_classes(sizes: np.ndarray) -> list[np.ndarray]:
-    """Indices of the entries of each distinct value of ``sizes``, the
-    values in order of first appearance."""
-    values, first = np.unique(sizes, return_index=True)
-    return [np.flatnonzero(sizes == values[i]) for i in np.argsort(first)]
-
-
 def _first_repeat(A: np.ndarray) -> Optional[int]:
     """The index of the first row of A equal to an earlier row, or None.
     Rows that ascend lexicographically, as every construction emits them,
@@ -92,9 +85,6 @@ def _first_repeat(A: np.ndarray) -> Optional[int]:
     rows = np.arange(n - 1)
     if step.any(axis=1).all() and (A[1:][rows, col] > A[:-1][rows, col]).all():
         return None
-    if A.dtype == object:  # points past 64 bits
-        seen: dict = {}
-        return next((i for i, r in enumerate(map(tuple, A.tolist())) if seen.setdefault(r, i) != i), None)
     order = np.lexsort(A.T[::-1])  # stable: equal rows stay in index order
     same = (A[order[1:]] == A[order[:-1]]).all(axis=1)
     return int(order[1:][same].min()) if same.any() else None
@@ -114,8 +104,9 @@ class IncidenceStructure:
         """Blocks as point sequences, in the order given."""
         blocks = tuple(map(tuple, blocks))
         sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+        values, first = np.unique(sizes, return_index=True)  # sizes by first appearance
+        positions = [np.flatnonzero(sizes == values[i]) for i in np.argsort(first)]
         arrays = []
-        positions = _size_classes(sizes)
         for rows in positions:
             points = [blocks[j] for j in rows.tolist()]
             try:
@@ -132,31 +123,16 @@ class IncidenceStructure:
         arrays (of any sizes), each row's points sorted, the rows in
         lexicographic order; rows of different sizes are ordered as tuples."""
         arrays = [A for A in arrays if len(A)]
+        if len({A.shape[1] for A in arrays}) > 1:  # several sizes: sorted as tuples
+            rows = (tuple(r) for A in arrays for r in np.sort(A, axis=1).tolist())
+            return cls(v, sorted(rows), provenance, groups)
         dtype = np.int64
         if all(A.min() >= 0 and A.max() < v for A in arrays if A.size):
             dtype = _point_dtype(v)  # every point in range: narrow before sorting
+        A = np.concatenate(arrays or [np.empty((0, 0))], dtype=dtype)
+        A.sort(axis=1)
         S = cls.__new__(cls)
-        if len({A.shape[1] for A in arrays}) <= 1:
-            A = np.concatenate(arrays or [np.empty((0, 0))], dtype=dtype)
-            A.sort(axis=1)
-            S._adopt(v, [A[np.lexsort(A.T[::-1])] if A.shape[1] else A] if len(A) else [], [],
-                     provenance, groups)
-            return S
-        arrays = [A.astype(dtype) for A in arrays]
-        for A in arrays:
-            A.sort(axis=1)
-        # tuple order: pad every row past its end with a value below every point
-        width = max(A.shape[1] for A in arrays)
-        padded = np.full((sum(map(len, arrays)), width), np.iinfo(np.int64).min)
-        sizes = np.repeat([A.shape[1] for A in arrays], [len(A) for A in arrays])
-        start = 0
-        for A in arrays:
-            padded[start : start + len(A), : A.shape[1]] = A
-            start += len(A)
-        order = np.lexsort(padded.T[::-1])
-        padded, sizes = padded[order], sizes[order]
-        positions = _size_classes(sizes)
-        S._adopt(v, [padded[rows, : sizes[rows[0]]] for rows in positions], positions,
+        S._adopt(v, [A[np.lexsort(A.T[::-1])] if A.shape[1] else A] if len(A) else [], [],
                  provenance, groups)
         return S
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
@@ -252,6 +251,10 @@ def evaluate_batch(
 _WORKER_CODE: Optional[CodeInstance] = None
 
 
+class WorkerDiedError(RuntimeError):
+    """A worker process of ``estimate_bler``'s pool died; there is no result."""
+
+
 def _worker_init(H_words, H_cols, name, max_iter):
     global _WORKER_CODE
     _WORKER_CODE = CodeInstance(
@@ -275,7 +278,8 @@ def _worker_run(task) -> int:
 def estimate_bler(H: BitMatrix, config: SimConfig, name: str = "") -> list[BlerRecord]:
     """Block error rate at each f_m; bit-reproducible for a fixed seed and
     independent of batch size and worker count.  With ``workers > 1`` one
-    process pool serves every point."""
+    process pool serves every point (imported only then), and a worker that
+    dies raises ``WorkerDiedError``."""
     records = []
     with ExitStack() as stack:
         if config.workers <= 1:
@@ -283,13 +287,21 @@ def estimate_bler(H: BitMatrix, config: SimConfig, name: str = "") -> list[BlerR
             chunk = config.trials
             run_all = partial(map, partial(_run_task, code))
         else:
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=config.workers,
                 initializer=_worker_init,
                 initargs=(H.to_packed(), H.cols, name, config.max_iter),
             ))
             chunk = max(config.batch_size, -(-config.trials // config.workers // 4))
-            run_all = partial(pool.map, _worker_run)
+
+            def run_all(tasks):
+                try:
+                    return list(pool.map(_worker_run, tasks))
+                except BrokenProcessPool as e:
+                    raise WorkerDiedError("a worker process died") from e
         for pi, f_m in enumerate(config.f_m_values):
             channel = ChannelModel(pauli_probability(f_m, config.convention))
             prior = config.prior_override if config.prior_override is not None else channel.marginal_flip

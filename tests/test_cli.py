@@ -8,12 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eaqldpc
 from eaqldpc import cli, formats, simulator
-from eaqldpc.cli import main
+from eaqldpc.cli import MAX_INCIDENCE_CELLS, main
+from eaqldpc.geometry import design_counts
 from eaqldpc.gf2 import BitMatrix
 
 
@@ -257,9 +259,57 @@ def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(cli, "build_geometry", exhausted)
-    code, out, err = run_cli(capsys, "code", "distance", "--pg", "3", "64", "--type", "I")
+    code, out, err = run_cli(capsys, "code", "distance", "--pg", "2", "4", "--type", "I")
     assert code == 1 and out == ""
     assert err == "error: out of memory; no result\n"
+
+
+CAP = f"over the cap of {MAX_INCIDENCE_CELLS}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("code params --pg 6 64 --type I",
+     f"PG(6,64) has 81783270638348827151583166593 incidence cells (v*b), {CAP}"),
+    ("code distance --pg 3 64 --type I", f"PG(3,64) has 4539865645185 incidence cells (v*b), {CAP}"),
+    ("design build --ag 9 32",
+     f"AG(9,32) has 43907402183345650587976476180434911232 incidence cells (v*b), {CAP}"),
+    ("design build --sts 300001", "STS(300001) has v = 300001 points, over the cap of 4096"),
+    ("design develop --v 30000001 --bases 0,1,3",
+     "cyclic development has v = 30000001 points, over the cap of 4096"),
+    ("sim --eg 1100 2 --type I --fm 0.1", f"EG(1100,2) has more than 2^1024 incidence cells (v*b), {CAP}"),
+    ("design delete --pg 9 3 --spread-s 4 --count 1", f"PG(9,3) has 2144517693604 incidence cells (v*b), {CAP}"),
+])
+def test_oversized_builds_are_refused_before_any_work(capsys, monkeypatch, argv, message):
+    """v*b of a geometry, v of an STS or a cyclic development: each over
+    its cap exits 2 with one line naming the size and the cap, and nothing
+    is built."""
+    def built(*args, **kwargs):
+        raise AssertionError("an oversized input reached a build")
+
+    for name in ("build_geometry", "build_sts", "develop_cyclic"):
+        monkeypatch.setattr(cli, name, built)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_size_caps_admit_the_table_geometries_and_skip_closed_forms(capsys):
+    v, b = design_counts("PG", 2, 64)[:2]
+    assert 17_300_000 < v * b <= MAX_INCIDENCE_CELLS
+    v, b = design_counts("AG", 3, 16)[:2]
+    assert v * b <= MAX_INCIDENCE_CELLS
+    assert run_cli(capsys, "design", "build", "--sts", "4095")[0] == 0
+    code, out, _ = run_cli(capsys, "code", "params", "--family", "--pg", "3", "64", "--type", "II")
+    assert code == 0 and out.splitlines()[1].startswith("PG,II,3,64,17047617,16759616,")
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """Only a run with workers > 1 imports the process pool."""
+    src = str(Path(eaqldpc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, eaqldpc.cli; print('concurrent.futures.process' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert run.returncode == 0 and run.stdout == "False\n", run.stderr
 
 
 def test_usage_error_exit_code(capsys):

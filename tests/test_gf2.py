@@ -1,9 +1,12 @@
 """GF(2) core: rank, products, nullspace, membership, minimum distance."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eaqldpc import gf2
 from eaqldpc.gf2 import (
@@ -644,3 +647,34 @@ def test_rank_is_eliminated_once_per_matrix(monkeypatch, fano):
     P = BitMatrix(H.rows, H.cols, H.row_bits())
     P.rank_profile()
     assert rank_value(P) == 4 and len(calls) == 2
+
+
+@st.composite
+def small_matrices(draw):
+    """Up to 40 rows of up to 150 columns, each row random or drawn from a
+    pool of a few, so that both full and low Gram ranks occur."""
+    rows, cols = draw(st.integers(0, 40)), draw(st.integers(0, 150))
+    row = st.integers(0, (1 << cols) - 1)
+    pool = draw(st.lists(row, min_size=1, max_size=5))
+    return BitMatrix(rows, cols, draw(st.lists(st.one_of(row, st.sampled_from(pool)),
+                                                min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_matrices())
+def test_streamed_gram_rank_equals_the_rank_of_the_product(M):
+    """gram_rank forms M @ M.T in chunks of 1, 2, 7 or 512 rows, and the
+    eliminator XORs into blocks of one word, a few rows or whole matrices;
+    every split gives rank(M @ M.T), and rank_value and rank agree with the
+    int oracles under each block size."""
+    expect = rank_only_oracle(multiply_oracle(M, M.transpose()))
+    rk, pivots, rref = rank_oracle(M)
+    for block in (1, 3, 1 << 15):
+        with mock.patch.object(gf2, "ECHELON_BLOCK_WORDS", block):
+            fresh = BitMatrix(M.rows, M.cols, M.row_bits())
+            assert rank_value(fresh) == rk
+            prof = rank(BitMatrix(M.rows, M.cols, M.row_bits()))
+            assert (prof.rank, prof.pivot_columns, prof.rref.row_bits()) == (rk, pivots, rref)
+            for chunk in (1, 2, 7, 512):
+                with mock.patch.object(gf2, "GRAM_CHUNK_ROWS", chunk):
+                    assert gram_rank(BitMatrix(M.rows, M.cols, M.row_bits())) == expect

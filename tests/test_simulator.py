@@ -1,5 +1,7 @@
 """Channel sampling, trial semantics, reproducibility, and BLER plumbing."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -293,12 +295,12 @@ def test_estimate_bler_reproducible_across_batch_and_workers(cache, monkeypatch)
     H = oriented_matrix(cache.geometry("PG", 3, 2).structure, POINT_BY_BLOCK)
     pools = []
 
-    class CountingPool(simulator.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     f_ms = (0.05, 0.08)
     r1 = estimate_bler(H, SimConfig(f_m_values=f_ms, trials=600, seed=99, batch_size=600))
     r2 = estimate_bler(H, SimConfig(f_m_values=f_ms, trials=600, seed=99, batch_size=37))
