@@ -12,10 +12,15 @@ blocks of about ``PRODUCT_CHUNK_WORDS`` bytes, so it never holds a dense
 Elimination is one M4RI-style kernel (Albrecht, Bard and Hart, ACM TOMS
 2010), ``_echelon``: per 64-column word it finds the pivots on the word's
 distinct values, reduces the pivot rows among themselves and clears the word
-from all other rows through 256-entry tables of pivot-row combinations.
-Zero rows are dropped as they appear, so low-rank matrices stop early.  The
-fully reduced form is unique for a row space, so pivots and ``rref`` equal
-those of any Gauss-Jordan elimination.
+from all other rows through 256-entry tables of pivot-row combinations,
+XORed in place into row blocks of about ``ECHELON_BLOCK_WORDS`` words.
+Zero rows are squeezed out in place as they appear, so low-rank matrices
+stop early and the elimination holds one copy of its input.  The fully
+reduced form is unique for a row space, so pivots and ``rref`` equal those
+of any Gauss-Jordan elimination.  ``gram_rank`` never forms the rows x rows
+product M M^T: it reduces ``GRAM_CHUNK_ROWS`` of its rows at a time against
+the fully reduced basis of the rows before, so it holds one chunk and the
+basis.
 
 ``weight_distribution`` enumerates the span of a systematic basis: k packed
 rows that are the identity on k given unit columns, as the fully reduced rows
