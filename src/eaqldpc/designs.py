@@ -399,10 +399,11 @@ def build_sts(v: int) -> IncidenceStructure:
         t = (x + y) % order  # the half-idempotent product of x and y
         z = np.where(t % 2 == 0, t // 2, n + (t - 1) // 2)
         t = np.arange(n)
-        rows = [np.column_stack([np.zeros(n, np.int64), o + 3 * (n + t) + i, o + 3 * t + (i + 1) % 3])
+        rows = [np.column_stack([np.zeros_like(t), o + 3 * (n + t) + i, o + 3 * t + (i + 1) % 3])
                 for i in range(3)]
     rows.append(o + 3 * np.arange(first)[:, None] + np.arange(3))
-    rows += [np.column_stack([o + 3 * x + i, o + 3 * y + i, o + 3 * z + (i + 1) % 3]) for i in range(3)]
+    rows += [np.column_stack([o + 3 * x + i, o + 3 * y + i, o + 3 * z + (i + 1) % 3])
+             for i in range(3)]
     S = IncidenceStructure.from_arrays(v, rows, provenance=f"sts({v})")
     verify_steiner(S, 3)
     return S

@@ -13,9 +13,8 @@ emitted in lexicographic block order, so indices are stable across runs.
 Lines are built once each, in numpy, from the addition and multiplication
 tables of GF(q) (``FiniteField.tables``, uint8 up to q = 256), and go into
 the design as one line array; a point's number is read off its coordinates
-in base q.  The
-AG lines of direction d (leading 1 at j) are {h + lam*d} for the q^{m-1}
-points h with h_j = 0.  A PG line is spanned by its reduced basis u, w
+in base q.  The AG lines of direction d (leading 1 at j) are {h + lam*d} for
+the q^{m-1} points h with h_j = 0.  A PG line is spanned by its reduced basis u, w
 (leading 1s at i < j, u_j = 0): its points w and u + lam*w are normalized.
 """
 
@@ -106,7 +105,7 @@ def _checked_design(kind: str, m: int, q: int, lines: list[np.ndarray], point_co
     """The design on these lines (arrays of point numbers, one line a row),
     once its line count matches ``design_counts``."""
     b = design_counts(kind, m, q)[1]
-    S = IncidenceStructure.from_arrays(len(point_coords), lines, provenance=f"{kind.lower()}({m},{q})")
+    S = IncidenceStructure.from_arrays(len(point_coords), lines, f"{kind.lower()}({m},{q})")
     if S.b != b:
         raise DesignError(f"{kind}({m},{q}): got {S.b} lines, expected {b}")
     return GeometryDesign(kind=kind, m=m, q=q, structure=S, point_coords=tuple(point_coords))
@@ -122,9 +121,10 @@ def build_pg(m: int, q: int) -> GeometryDesign:
     # a point with its leading 1 at position L is number offset[L] + (base-q tail)
     number = np.int32 if len(points) < 2**31 else np.int64
     offset = np.cumsum([0] + [q ** (m - L) for L in range(m)], dtype=number)
+    place = q ** np.arange(m, -1, -1, dtype=number)  # coordinate k weighs q^(m-k)
 
     def index(x: np.ndarray, lead: int) -> np.ndarray:
-        return offset[lead] + x[..., lead + 1 :] @ (q ** np.arange(m - lead - 1, -1, -1, dtype=number))
+        return offset[lead] + x[..., lead + 1 :] @ place[lead + 1 :]
 
     lines = []
     for i in range(m + 1):

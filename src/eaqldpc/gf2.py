@@ -379,10 +379,12 @@ def gram_rank(M: BitMatrix) -> int:
     for r0 in range(0, M.rows, GRAM_CHUNK_ROWS):
         G = _product(M.to_packed()[r0 : r0 + GRAM_CHUNK_ROWS], T)
         for g in range(0, len(pivots), WORD_BITS):
-            _xor_combinations(G, basis[g : g + WORD_BITS], _gather_bits(G, pivots[g : g + WORD_BITS]))
+            picks = _gather_bits(G, pivots[g : g + WORD_BITS])
+            _xor_combinations(G, basis[g : g + WORD_BITS], picks)
         new, R = _echelon(G, reduced=True)
         for g in range(0, len(new), WORD_BITS):
-            _xor_combinations(basis, R[g : g + WORD_BITS], _gather_bits(basis, new[g : g + WORD_BITS]))
+            picks = _gather_bits(basis, new[g : g + WORD_BITS])
+            _xor_combinations(basis, R[g : g + WORD_BITS], picks)
         basis = np.vstack([basis, R])
         pivots += new
     return len(pivots)
