@@ -131,9 +131,13 @@ class IncidenceStructure:
             dtype = _point_dtype(v)  # every point in range: narrow before sorting
         A = np.concatenate(arrays or [np.empty((0, 0))], dtype=dtype)
         A.sort(axis=1)
+        return cls._stored(v, [A[np.lexsort(A.T[::-1])] if A.shape[1] else A] if len(A) else [],
+                           [], provenance, groups)
+
+    @classmethod
+    def _stored(cls, v, arrays, positions, provenance, groups) -> IncidenceStructure:
         S = cls.__new__(cls)
-        S._adopt(v, [A[np.lexsort(A.T[::-1])] if A.shape[1] else A] if len(A) else [], [],
-                 provenance, groups)
+        S._adopt(v, arrays, positions, provenance, groups)
         return S
 
     def _adopt(self, v, arrays, positions, provenance, groups) -> None:
@@ -170,6 +174,10 @@ class IncidenceStructure:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"IncidenceStructure is immutable; cannot set {name}")
+
+    def __reduce__(self):  # copies and pickles rebuild through the checks
+        return IncidenceStructure._stored, (self.v, list(self.arrays), list(self._positions or ()),
+                                            self.provenance, self.groups)
 
     def _key(self) -> tuple:
         data = tuple((A.shape, repr(A.tolist()) if A.dtype == object else A.tobytes())

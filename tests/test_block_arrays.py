@@ -3,7 +3,9 @@ their order, structures compare and hash by their blocks, errors name the
 same block as before, and the tables' largest row never builds the tuple
 view and stays within a traced memory bound."""
 
+import copy
 import hashlib
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -142,6 +144,9 @@ def test_structures_compare_and_hash_by_v_blocks_provenance_and_groups(fano):
     assert same == S and hash(same) == hash(S)
     with pytest.raises(AttributeError):
         S.v = 8
+    for T in (a, S, IncidenceStructure(v=5, blocks=blocks[::-1], groups=((0, 1, 2), (3, 4)))):
+        for twin in (copy.copy(T), copy.deepcopy(T), pickle.loads(pickle.dumps(T))):
+            assert twin == T and twin.blocks == T.blocks and twin.groups == T.groups
 
 
 @pytest.mark.parametrize("arrays, message", [
