@@ -70,7 +70,7 @@ PRODUCT_CHUNK_WORDS = 1 << 17
 # words of a matrix that one table lookup of _xor_combinations XORs at once
 ECHELON_BLOCK_WORDS = 1 << 15
 # rows of M whose rows of M @ M.T gram_rank forms and reduces at once
-GRAM_CHUNK_ROWS = 512
+GRAM_CHUNK_ROWS = 1024
 # min_distance enumerates at most 2^26 codewords, or 2^28 dual-code vectors
 CODEWORD_EXPONENT_CAP = 26
 DUAL_EXPONENT_CAP = 28
@@ -265,21 +265,21 @@ def _echelon(A: np.ndarray, reduced: bool) -> tuple[list[int], Optional[np.ndarr
 
     Returns the pivot columns in ascending order and, when ``reduced``, the
     fully reduced echelon rows (one per pivot, same order) as a packed array.
-    The nonzero rows of A are copied once; ``active``, a view of the first n
-    rows from the current word on, holds the rows not yet reduced to zero,
-    whose earlier words are zero.  Rows that become zero are squeezed out
-    in place, ``ECHELON_BLOCK_WORDS`` words at a time, so the elimination
-    holds that copy and no second one.
+    ``active`` holds the rows not yet reduced to zero, cut to the words from
+    the current one on; all their earlier words are zero.  It lives in one
+    copy of the nonzero rows of A: after each word the rows that stay are
+    moved, ``ECHELON_BLOCK_WORDS`` words at a time, to the front of that
+    copy, one word narrower, so the elimination holds no second copy and
+    ``active`` stays contiguous.
     """
     words = A.shape[1]
-    rows = A[A.any(axis=1)]
-    n = len(rows)
+    active = A[A.any(axis=1)]
+    buf = active.reshape(-1)
     pivots: list[int] = []
     basis = np.zeros((0, words), dtype=np.uint64)
     for w in range(words):
-        if not n:
+        if not len(active):
             break
-        active = rows[:n, w:]
         word = active[:, 0]
         # the word's pivots: eliminate on its distinct values, lowest bit first
         vals, first = np.unique(word, return_index=True)
@@ -313,12 +313,12 @@ def _echelon(A: np.ndarray, reduced: bool) -> tuple[list[int], Optional[np.ndarr
                 basis = np.vstack([basis, new])
             pivots += [WORD_BITS * w + b for b in bits]
         keep = np.flatnonzero(active[:, 1:].any(axis=1))
-        if len(keep) < n:  # row keep[i] >= i moves up to i, blocks in order
-            step = max(1, ECHELON_BLOCK_WORDS // max(1, words - w))
-            for i in range(0, len(keep), step):
-                moved = keep[i : i + step]
-                rows[i : i + len(moved), w + 1 :] = rows[moved, w + 1 :]
-            n = len(keep)
+        width = words - w - 1
+        step = max(1, ECHELON_BLOCK_WORDS // max(1, width))
+        for i in range(0, len(keep), step):  # row keep[i] >= i: no unread row is overwritten
+            moved = keep[i : i + step]
+            buf[i * width : (i + len(moved)) * width] = active[moved, 1:].reshape(-1)
+        active = buf[: len(keep) * width].reshape(len(keep), width)
     return pivots, basis if reduced else None
 
 
@@ -381,6 +381,8 @@ def gram_rank(M: BitMatrix) -> int:
         for g in range(0, len(pivots), WORD_BITS):
             picks = _gather_bits(G, pivots[g : g + WORD_BITS])
             _xor_combinations(G, basis[g : g + WORD_BITS], picks)
+        if r0 + GRAM_CHUNK_ROWS >= M.rows:  # the last chunk: its rank is all that is left
+            return len(pivots) + len(_echelon(G, reduced=False)[0])
         new, R = _echelon(G, reduced=True)
         for g in range(0, len(new), WORD_BITS):
             picks = _gather_bits(basis, new[g : g + WORD_BITS])
