@@ -18,14 +18,21 @@ from __future__ import annotations
 
 from typing import Iterable, TextIO
 
+import numpy as np
+
 from .designs import DesignError, IncidenceStructure
 from .gf2 import BitMatrix
 
 
 def write_design(S: IncidenceStructure, fh: TextIO, comments: Iterable[str] = ()) -> None:
+    """Blocks of one size are written row by row from their array, so no
+    tuple per block is built; mixed sizes go through the tuple view."""
     for line in comments:
         fh.write(f"# {line}\n")
     fh.write(f"{S.v} {S.b}\n")
+    if len(S.arrays) == 1:
+        np.savetxt(fh, S.arrays[0], fmt="%d")
+        return
     for blk in S.blocks:
         fh.write(" ".join(str(p) for p in blk) + "\n")
 

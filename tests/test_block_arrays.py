@@ -5,13 +5,14 @@ view and stays within a traced memory bound."""
 
 import copy
 import hashlib
+import io
 import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from eaqldpc import eaqecc, gf2
+from eaqldpc import eaqecc, formats, gf2
 from eaqldpc.designs import (
     DesignError,
     IncidenceStructure,
@@ -187,3 +188,15 @@ def test_largest_table_row_chain_traced_peak():
     finally:
         tracemalloc.stop()
     assert peak < 9 * 2**20
+
+
+def test_design_files_are_written_block_by_block_in_order(fano):
+    """One block size is written from its array, mixed sizes from the
+    tuple view; either way one line of points per block, in order."""
+    mixed = IncidenceStructure(v=5, blocks=((0, 1, 3), (), (0, 2), (4,)))
+    for S in (fano.structure, mixed, IncidenceStructure(v=3, blocks=((),)),
+              IncidenceStructure(v=2, blocks=())):
+        buf = io.StringIO()
+        formats.write_design(S, buf, comments=["c"])
+        lines = ["# c", f"{S.v} {S.b}"] + [" ".join(map(str, b)) for b in S.blocks]
+        assert buf.getvalue() == "\n".join(lines) + "\n"

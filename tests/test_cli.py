@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import eaqldpc
 from eaqldpc import cli, formats, simulator
 from eaqldpc.cli import MAX_INCIDENCE_CELLS, main
+from eaqldpc.designs import build_sts, develop_cyclic
 from eaqldpc.geometry import design_counts
 from eaqldpc.gf2 import BitMatrix
 
@@ -292,12 +293,17 @@ def test_oversized_builds_are_refused_before_any_work(capsys, monkeypatch, argv,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-def test_size_caps_admit_the_table_geometries_and_skip_closed_forms(capsys):
+def test_size_caps_admit_the_table_geometries_and_skip_closed_forms(capsys, monkeypatch):
     v, b = design_counts("PG", 2, 64)[:2]
     assert 17_300_000 < v * b <= MAX_INCIDENCE_CELLS
     v, b = design_counts("AG", 3, 16)[:2]
     assert v * b <= MAX_INCIDENCE_CELLS
+    asked = []  # the largest STS and development under the cap reach their builds
+    monkeypatch.setattr(cli, "build_sts", lambda v: asked.append(v) or build_sts(7))
+    monkeypatch.setattr(cli, "develop_cyclic", lambda v, bases: asked.append(v) or develop_cyclic(7, bases))
     assert run_cli(capsys, "design", "build", "--sts", "4095")[0] == 0
+    assert run_cli(capsys, "design", "develop", "--v", "4096", "--bases", "0,1,3")[0] == 0
+    assert asked == [4095, 4096]
     code, out, _ = run_cli(capsys, "code", "params", "--family", "--pg", "3", "64", "--type", "II")
     assert code == 0 and out.splitlines()[1].startswith("PG,II,3,64,17047617,16759616,")
 
