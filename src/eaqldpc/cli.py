@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import platform
 import sys
@@ -97,14 +96,16 @@ def write_manifest(out_paths: list[Path], args: argparse.Namespace, extra: dict 
     print(f"manifest: {mpath}", file=sys.stderr)
 
 
-def _emit(text: str, out: str | None, args, extra=None) -> list[Path]:
-    if out:
-        path = Path(out)
-        path.write_text(text)
-        write_manifest([path], args, extra)
-        return [path]
-    sys.stdout.write(text)
-    return []
+def _emit(args, write) -> None:
+    """Call ``write(fh)`` on the --out file, then write its manifest, or on
+    stdout, so the output is formatted straight into its destination."""
+    if args.out:
+        path = Path(args.out)
+        with path.open("w") as fh:
+            write(fh)
+        write_manifest([path], args)
+    else:
+        write(sys.stdout)
 
 
 def _geometry_args(parser: argparse.ArgumentParser):
@@ -177,9 +178,7 @@ def cmd_design_build(args) -> int:
         params = verify_steiner(S, mu)
         print(f"verified: S(2,{params.mu},{params.v}) with b={params.b} r={params.r} "
               f"girth={tanner_girth(S)}", file=sys.stderr)
-    buf = io.StringIO()
-    formats.write_design(S, buf, comments=comments)
-    _emit(buf.getvalue(), args.out, args)
+    _emit(args, lambda fh: formats.write_design(S, fh, comments=comments))
     return 0
 
 
@@ -223,9 +222,8 @@ def cmd_design_develop(args) -> int:
     except DesignError as e:
         print(f"verification FAILED: {e}", file=sys.stderr)
         return CHECK_FAILED
-    buf = io.StringIO()
-    formats.write_design(S, buf, comments=[f"cyclic development v={v} bases={bases}"])
-    _emit(buf.getvalue(), args.out, args)
+    comments = [f"cyclic development v={v} bases={bases}"]
+    _emit(args, lambda fh: formats.write_design(S, fh, comments=comments))
     return 0
 
 
@@ -243,9 +241,7 @@ def cmd_design_delete(args) -> int:
     folded = delete_subdesigns(design.structure, spread, args.count)
     print(f"deleted {args.count} of {len(spread.parts)} spread parts: "
           f"{design.structure.b} -> {folded.b} blocks", file=sys.stderr)
-    buf = io.StringIO()
-    formats.write_design(folded, buf, comments=[folded.provenance])
-    _emit(buf.getvalue(), args.out, args)
+    _emit(args, lambda fh: formats.write_design(folded, fh, comments=[folded.provenance]))
     return 0
 
 
@@ -286,7 +282,7 @@ def cmd_code_params(args) -> int:
         f"{params.d.status},{params.d.lower},{params.d.upper},{params.c},{params.rank_h},"
         f"{params.girth},{float(params.rate):.4f},{float(params.net_rate):.4f}\n"
     )
-    _emit(header + row, args.out, args)
+    _emit(args, lambda fh: fh.write(header + row))
     return 0
 
 
@@ -306,9 +302,7 @@ def cmd_code_distance(args) -> int:
 def cmd_code_export_alist(args) -> int:
     orientation = normalize_orientation(args.type)
     H, label = _load_matrix(args, orientation)
-    buf = io.StringIO()
-    formats.write_alist(H, buf)
-    _emit(buf.getvalue(), args.out, args)
+    _emit(args, lambda fh: formats.write_alist(H, fh))
     print(f"alist: {label} type {type_label(orientation)} "
           f"n={H.cols} m={H.rows}", file=sys.stderr)
     return 0
@@ -389,7 +383,7 @@ def cmd_sim(args) -> int:
             f"[{r.ci_low:.2e}, {r.ci_high:.2e}] ({r.wall_time:.1f}s)",
             file=sys.stderr,
         )
-    _emit("\n".join(lines) + "\n", args.out, args)
+    _emit(args, lambda fh: fh.write("\n".join(lines) + "\n"))
     return 0
 
 

@@ -6,10 +6,10 @@ Blocks are stored as integer arrays (``IncidenceStructure.arrays``): one
 appearance, int32 while v^2 fits so that every pair id a*v + b does, else
 int64.  A block's points ascend, and every construction here emits its
 blocks in lexicographic order (``IncidenceStructure.from_arrays``), so it is
-reproducible bit for bit across runs.  Validation, the incidence matrix,
-spreads, deletion and the pair checks read the arrays; the tuple view
-``IncidenceStructure.blocks`` is built on first use only, for file writers,
-the BFS girth, Pasch counting and callers that want Python objects.
+reproducible bit for bit across runs.  The arrays are the only block
+representation: validation, the incidence matrix, spreads, deletion, the
+pair checks, the girth and Pasch counting all read them, and
+``IncidenceStructure.block(j)`` gives one block as a point tuple.
 
 Every pair check (Steiner, partial Steiner, GDD and the 4-cycle test of
 ``tanner_girth``) walks the in-block pairs in chunks of about
@@ -22,6 +22,7 @@ p, a block not through p holds two points of the blocks through p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -93,11 +94,11 @@ def _first_repeat(A: np.ndarray) -> Optional[int]:
 class IncidenceStructure:
     """Points 0..v-1 and a sequence of blocks, each a strictly increasing
     point set within 0..v-1, no block twice.  ``arrays`` holds the blocks
-    grouped by size (see the module docstring) and ``blocks`` is their tuple
-    view, built on first use.  Immutable; two structures are equal, and
-    hash equally, when v, the block sequence, provenance and groups agree."""
+    grouped by size (see the module docstring).  Immutable; two structures
+    are equal, and hash equally, when v, the block sequence, provenance and
+    groups agree."""
 
-    __slots__ = ("v", "arrays", "provenance", "groups", "_positions", "_blocks")
+    __slots__ = ("v", "arrays", "provenance", "groups", "_positions")
 
     def __init__(self, v: int, blocks: Iterable[Sequence[int]], provenance: str = "",
                  groups: Optional[tuple[tuple[int, ...], ...]] = None):
@@ -161,7 +162,6 @@ class IncidenceStructure:
                        "duplicate block {b}")[check]
             raise DesignError(message.format(b=tuple(arrays[g][r].tolist()), v=v))
         set_ = object.__setattr__
-        set_(self, "_blocks", None)
         dtype = _point_dtype(v)
         arrays = tuple(A.astype(dtype, copy=False) for A in arrays)
         for A in arrays + tuple(positions):
@@ -203,22 +203,11 @@ class IncidenceStructure:
 
     def block(self, j: int) -> tuple[int, ...]:
         """The points of block j."""
-        for A, at in self.located():
-            i = int(np.searchsorted(at, j))
-            if i < len(at) and at[i] == j:
-                return tuple(A[i].tolist())
-        raise IndexError(f"block index {j} out of range for b={self.b}")
-
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """The blocks as point tuples, in order; built once, on first use."""
-        if self._blocks is None:
-            out: list = [None] * self.b
-            for A, at in self.located():
-                for j, row in zip(at.tolist(), A.tolist()):
-                    out[j] = tuple(row)
-            object.__setattr__(self, "_blocks", tuple(out))
-        return self._blocks
+        try:
+            [(A, _)] = _blocks_at(self, [j])
+        except (IndexError, OverflowError):
+            raise IndexError(f"block index {j} out of range for b={self.b}") from None
+        return tuple(A[0].tolist())
 
     @property
     def b(self) -> int:
@@ -237,14 +226,6 @@ class IncidenceStructure:
         for A, at in self.located():
             words[at] = BitMatrix.from_supports(A, self.v).to_packed()
         return BitMatrix.from_packed(words, self.v)
-
-    def blocks_through(self) -> list[list[int]]:
-        """Indices of the blocks on each point, in block order."""
-        out: list[list[int]] = [[] for _ in range(self.v)]
-        for j, blk in enumerate(self.blocks):
-            for p in blk:
-                out[p].append(j)
-        return out
 
     def replication_counts(self) -> list[int]:
         r = np.zeros(self.v, dtype=np.int64)
@@ -277,17 +258,12 @@ def check_admissible(v: int, mu: int, lam: int = 1) -> bool:
     return lam * (v - 1) % (mu - 1) == 0 and lam * v * (v - 1) % (mu * (mu - 1)) == 0
 
 
-def _block_arrays(S: IncidenceStructure) -> list[np.ndarray]:
-    """S's block arrays of two or more points per block, in the pair-id
-    dtype: int32 while v^2 fits, so that every pair id a*v + b does."""
-    return [A for A in S.arrays if A.shape[1] > 1]
-
-
 def _pair_chunks(v: int, arrays: list[np.ndarray]) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield ``(lo, hi, ids)`` for ascending ranges lo..hi-1 of first points
     that together cover 0..v-1: ``ids`` are the sorted ids a*v + b of the
     in-block pairs (a, b), a < b, with lo <= a < hi, once per block holding
-    the pair, in the dtype of ``arrays`` (from ``_block_arrays``).
+    the pair, in the dtype of ``arrays``: a structure's block arrays of two
+    or more points per block, int32 while v^2 fits, so every pair id does.
 
     Every copy of a pair lies in its first point's range, so a repeated pair
     repeats within one chunk, and the chunks ascend in id order.  Ranges are
@@ -340,7 +316,7 @@ def _check_pairs(S: IncidenceStructure, mu: int, group_of: Optional[np.ndarray])
     wrong = [at[0] for A, at in S.located() if A.shape[1] != mu]
     if wrong:
         raise BlockSizeError(S.block(min(wrong)), mu)
-    arrays = _block_arrays(S)
+    arrays = [A for A in S.arrays if A.shape[1] > 1]
     covered = 0
     for _, _, ids in _pair_chunks(S.v, arrays):
         again = np.flatnonzero(ids[1:] == ids[:-1])
@@ -604,7 +580,7 @@ def tanner_girth(S: IncidenceStructure, cap: int = 16):
     through p holds two marks.  Memory is the block arrays plus one chunk of
     pair ids.  The generic capped BFS runs only when neither path settles it.
     """
-    arrays = _block_arrays(S)
+    arrays = [A for A in S.arrays if A.shape[1] > 1]
     for _, _, ids in _pair_chunks(S.v, arrays):
         if np.any(ids[1:] == ids[:-1]):
             return 4
@@ -625,8 +601,8 @@ def _bfs_girth(S: IncidenceStructure, cap: int):
     from collections import deque
 
     best = None
-    adj_p = S.blocks_through()
-    adj_b = [list(blk) for blk in S.blocks]
+    incidence = S.block_by_point()  # the Tanner graph: blocks' points, points' blocks
+    adj_b, adj_p = incidence.supports(), incidence.transpose().supports()
     for s in range(S.v):
         dist = {("p", s): 0}
         parent = {("p", s): None}
@@ -658,43 +634,26 @@ def count_pasch(S: IncidenceStructure) -> int:
     """Number of Pasch configurations (4 blocks on 6 points) in an STS.
 
     Equivalently the number of weight-4 codewords of the block-indexed code.
+    With ``third[x, y]`` the third point of the block through x and y, two
+    blocks {a, b, c} and {a, d, e} through a point a lie in a Pasch
+    configuration, with blocks {b, d, f} and {c, e, f}, exactly when
+    third[b, d] == third[c, e] (or likewise with d and e swapped).  Each
+    configuration is found once at each of its 6 points.
     """
     params = verify_steiner(S, 3)
     if params.v > 100:
         raise DesignError("count_pasch capped at v = 100")
-    pair_block: dict[tuple[int, int], int] = {}
-    for j, blk in enumerate(S.blocks):
-        for x in range(3):
-            for y in range(x + 1, 3):
-                pair_block[(blk[x], blk[y])] = j
-
-    def through(a: int, b: int) -> Optional[int]:
-        return pair_block.get((a, b) if a < b else (b, a))
-
-    count = 0
-    nb = len(S.blocks)
-    for j1 in range(nb):
-        for j2 in range(j1 + 1, nb):
-            B1, B2 = S.blocks[j1], S.blocks[j2]
-            common = set(B1) & set(B2)
-            if len(common) != 1:
-                continue
-            a = common.pop()
-            b, c = [p for p in B1 if p != a]
-            d, e = [p for p in B2 if p != a]
-            for (x1, y1), (x2, y2) in (((b, d), (c, e)), ((b, e), (c, d))):
-                j3 = through(x1, y1)
-                if j3 is None or j3 in (j1, j2):
-                    continue
-                B3 = S.blocks[j3]
-                f = next(p for p in B3 if p not in (x1, y1))
-                if f in (a, b, c, d, e):
-                    continue
-                j4 = through(x2, y2)
-                if j4 is None or j4 in (j1, j2, j3):
-                    continue
-                B4 = S.blocks[j4]
-                if set(B4) == {x2, y2, f}:
-                    count += 1
-    assert count % 6 == 0
-    return count // 6
+    if not S.b:
+        return 0
+    A = S.arrays[0]
+    third = np.full((S.v, S.v), -1, dtype=np.intp)
+    for x, y, z in permutations(range(3)):
+        third[A[:, x], A[:, y]] = A[:, z]
+    # the other two points of each block through each point, (v, r, 2)
+    owner = np.argsort(A.ravel(), kind="stable")
+    rest = A[:, [[1, 2], [0, 2], [0, 1]]].reshape(-1, 2)[owner].reshape(S.v, params.r, 2)
+    i, j = np.triu_indices(params.r, 1)
+    b, c, d, e = rest[:, i, 0], rest[:, i, 1], rest[:, j, 0], rest[:, j, 1]
+    found = int((third[b, d] == third[c, e]).sum() + (third[b, e] == third[c, d]).sum())
+    assert found % 6 == 0
+    return found // 6

@@ -25,16 +25,19 @@ from .gf2 import BitMatrix
 
 
 def write_design(S: IncidenceStructure, fh: TextIO, comments: Iterable[str] = ()) -> None:
-    """Blocks of one size are written row by row from their array, so no
-    tuple per block is built; mixed sizes go through the tuple view."""
+    """Blocks of one size are written row by row from their array; mixed
+    sizes are formatted per size group and written in block order."""
     for line in comments:
         fh.write(f"# {line}\n")
     fh.write(f"{S.v} {S.b}\n")
     if len(S.arrays) == 1:
         np.savetxt(fh, S.arrays[0], fmt="%d")
         return
-    for blk in S.blocks:
-        fh.write(" ".join(str(p) for p in blk) + "\n")
+    lines = [""] * S.b
+    for A, at in S.located():
+        for j, row in zip(at.tolist(), A.tolist()):
+            lines[j] = " ".join(map(str, row)) + "\n"
+    fh.writelines(lines)
 
 
 def read_design(fh: TextIO) -> IncidenceStructure:

@@ -327,9 +327,8 @@ def test_criterion_7_property_suite(cache):
     for S, mu in steiner_instances:
         params = verify_steiner(S, mu)
         H = np.zeros((S.v, S.b), dtype=np.int64)
-        for j, blk in enumerate(S.blocks):
-            for p in blk:
-                H[p, j] = 1
+        for j, blk in enumerate(S.arrays[0]):
+            H[blk, j] = 1
         expect = (params.r - 1) * np.eye(S.v, dtype=np.int64) + np.ones((S.v, S.v), dtype=np.int64)
         if not np.array_equal(H @ H.T, expect):
             failures.append(f"Gram identity fails for {S.provenance}")

@@ -1,7 +1,7 @@
 """The array-backed incidence store: every construction keeps its blocks and
 their order, structures compare and hash by their blocks, errors name the
-same block as before, and the tables' largest row never builds the tuple
-view and stays within a traced memory bound."""
+same block as before, design files keep their bytes, and the tables'
+largest row stays within a traced memory bound."""
 
 import copy
 import hashlib
@@ -22,7 +22,6 @@ from eaqldpc.designs import (
 )
 from eaqldpc.eaqecc import BLOCK_BY_POINT
 from eaqldpc.geometry import build_geometry
-from eaqldpc.tables import ConstructionCache
 
 # SHA-256 of each structure's blocks, one line of points per block in block
 # order, recorded from the tuple-backed store the arrays replaced
@@ -112,8 +111,13 @@ CONSTRUCTION_BLOCK_DIGESTS = {
 }
 
 
+def blocks_of(S: IncidenceStructure) -> tuple[tuple[int, ...], ...]:
+    """S's blocks as point tuples, in block order."""
+    return tuple(S.block(j) for j in range(S.b))
+
+
 def block_digest(S: IncidenceStructure) -> str:
-    return hashlib.sha256("\n".join(" ".join(map(str, b)) for b in S.blocks).encode()).hexdigest()
+    return hashlib.sha256("\n".join(" ".join(map(str, b)) for b in blocks_of(S)).encode()).hexdigest()
 
 
 def test_every_table_geometry_keeps_its_blocks_and_their_order(cache):
@@ -132,7 +136,7 @@ def test_structures_compare_and_hash_by_v_blocks_provenance_and_groups(fano):
     a = IncidenceStructure(v=5, blocks=blocks, provenance="x")
     b = IncidenceStructure.from_arrays(5, [np.array([(4, 2, 1), (3, 1, 0)]), np.array([(2, 0)])], "x")
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1 and {a: 1}[b] == 1
-    assert b.blocks == blocks and [A.shape for A in b.arrays] == [(2, 3), (1, 2)]
+    assert blocks_of(b) == blocks and [A.shape for A in b.arrays] == [(2, 3), (1, 2)]
     for other in (IncidenceStructure(v=5, blocks=blocks[::-1], provenance="x"),
                   IncidenceStructure(v=6, blocks=blocks, provenance="x"),
                   IncidenceStructure(v=5, blocks=blocks, provenance="y"),
@@ -141,13 +145,13 @@ def test_structures_compare_and_hash_by_v_blocks_provenance_and_groups(fano):
         assert other != a
     assert a != blocks and not (a == 3)
     S = fano.structure
-    same = IncidenceStructure(v=7, blocks=S.blocks, provenance=S.provenance)
+    same = IncidenceStructure(v=7, blocks=blocks_of(S), provenance=S.provenance)
     assert same == S and hash(same) == hash(S)
     with pytest.raises(AttributeError):
         S.v = 8
     for T in (a, S, IncidenceStructure(v=5, blocks=blocks[::-1], groups=((0, 1, 2), (3, 4)))):
         for twin in (copy.copy(T), copy.deepcopy(T), pickle.loads(pickle.dumps(T))):
-            assert twin == T and twin.blocks == T.blocks and twin.groups == T.groups
+            assert twin == T and blocks_of(twin) == blocks_of(T) and twin.groups == T.groups
 
 
 @pytest.mark.parametrize("arrays, message", [
@@ -163,16 +167,6 @@ def test_array_built_blocks_are_checked_like_tuples(arrays, message):
     with pytest.raises(DesignError) as err:
         IncidenceStructure.from_arrays(5, [np.array(A) for A in arrays])
     assert str(err.value) == message
-
-
-def test_the_largest_table_row_never_builds_the_tuple_view(monkeypatch):
-    """AG(2,64) Type I, n = 4096 and c = 64, from geometry to parameters."""
-    def tuples(S):
-        raise AssertionError(f"the tuple view of {S.provenance} was built")
-
-    monkeypatch.setattr(IncidenceStructure, "blocks", property(tuples))
-    params = ConstructionCache().params("AG", 2, 64, BLOCK_BY_POINT)
-    assert (params.n, params.k, params.c) == (4096, 2702, 64)
 
 
 def test_largest_table_row_chain_traced_peak():
@@ -191,12 +185,30 @@ def test_largest_table_row_chain_traced_peak():
 
 
 def test_design_files_are_written_block_by_block_in_order(fano):
-    """One block size is written from its array, mixed sizes from the
-    tuple view; either way one line of points per block, in order."""
+    """One block size is written from its array, mixed sizes per size
+    group; either way one line of points per block, in block order."""
     mixed = IncidenceStructure(v=5, blocks=((0, 1, 3), (), (0, 2), (4,)))
     for S in (fano.structure, mixed, IncidenceStructure(v=3, blocks=((),)),
               IncidenceStructure(v=2, blocks=())):
         buf = io.StringIO()
         formats.write_design(S, buf, comments=["c"])
-        lines = ["# c", f"{S.v} {S.b}"] + [" ".join(map(str, b)) for b in S.blocks]
+        lines = ["# c", f"{S.v} {S.b}"] + [" ".join(map(str, b)) for b in blocks_of(S)]
         assert buf.getvalue() == "\n".join(lines) + "\n"
+
+
+# SHA-256 of write_design's output, recorded from the tuple-backed writer
+DESIGN_FILE_DIGESTS = {
+    "sts15": "5484694c2047efb3ad0d3b8c9d10f0e81f9432ce0b3d100f8b4cf5caabfbb5e4",
+    "cyclic13": "2298e307b4667f4aeea36e77e1bddb78467c7c9f8fbd0e6090ead7ef4c9aad90",
+}
+
+
+def test_design_files_keep_their_bytes_and_read_back():
+    """STS(15) has one block size, the development of (0, 1, 4) and (0, 6)
+    mod 13 two, interleaved in block order."""
+    for key, S in (("sts15", build_sts(15)), ("cyclic13", develop_cyclic(13, [(0, 1, 4), (0, 6)]))):
+        buf = io.StringIO()
+        formats.write_design(S, buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DESIGN_FILE_DIGESTS[key]
+        back = formats.read_design(io.StringIO(buf.getvalue()))
+        assert back.v == S.v and blocks_of(back) == blocks_of(S)

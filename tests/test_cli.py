@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -14,10 +15,17 @@ from hypothesis import strategies as st
 
 import eaqldpc
 from eaqldpc import cli, formats, simulator
-from eaqldpc.cli import MAX_INCIDENCE_CELLS, main
+from eaqldpc.cli import MAX_INCIDENCE_CELLS, MAX_POINTS, main
 from eaqldpc.designs import build_sts, develop_cyclic
 from eaqldpc.geometry import design_counts
 from eaqldpc.gf2 import BitMatrix
+
+
+def child_env(**extra) -> dict:
+    """The environment of a child process that imports this eaqldpc."""
+    src = str(Path(eaqldpc.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                **extra)
 
 
 def run_cli(capsys, *argv):
@@ -310,8 +318,7 @@ def test_size_caps_admit_the_table_geometries_and_skip_closed_forms(capsys, monk
 
 def test_cli_import_leaves_the_process_pool_unloaded():
     """Only a run with workers > 1 imports the process pool."""
-    src = str(Path(eaqldpc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = child_env()
     probe = "import sys, eaqldpc.cli; print('concurrent.futures.process' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
                          timeout=120)
@@ -409,6 +416,93 @@ def test_fuzz_fm_lists(fm):
     _assert_clean_exit(["sim", "--pg", "2", "2", "--type", "II", f"--fm={fm}", "--trials", "4"])
 
 
+# --- fuzzing sizes: a child process under a memory limit -----------------
+
+CHILD_MEMORY = 2 << 30  # address-space limit of each fuzzed CLI process
+SIZE_FUZZ = settings(max_examples=15, deadline=None, derandomize=True)
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+
+def _assert_clean_child_exit(argv) -> tuple[int, str]:
+    """The CLI run in a child process with at most ``CHILD_MEMORY`` of address
+    space and one BLAS thread ends with exit 0, 1 or 2, no traceback, and
+    one stderr line on failure; (exit code, stderr)."""
+    run = subprocess.run([sys.executable, "-m", "eaqldpc.cli", *argv], stdout=subprocess.DEVNULL,
+                         stderr=subprocess.PIPE, text=True, timeout=300, preexec_fn=_limit_memory,
+                         env=child_env(OPENBLAS_NUM_THREADS="1"))
+    assert run.returncode in (0, 1, 2), (argv, run.returncode, run.stderr[-2000:])
+    assert "Traceback" not in run.stderr, (argv, run.stderr[-2000:])
+    if run.returncode:
+        assert run.stderr.count("\n") == 1, (argv, run.stderr)
+    return run.returncode, run.stderr
+
+
+def _cells(kind, m, q) -> int:
+    v, b = design_counts(kind, m, q)[:2]
+    return v * b
+
+
+def _largest_q(kind, m) -> int:
+    """The largest q whose geometry of dimension m has at most
+    ``MAX_INCIDENCE_CELLS`` cells, or 1 when even q = 2 has more."""
+    lo, hi = 1, 2
+    while _cells(kind, m, hi) <= MAX_INCIDENCE_CELLS:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _cells(kind, m, mid) <= MAX_INCIDENCE_CELLS else (lo, mid)
+    return lo
+
+
+@st.composite
+def _geometry_sizes(draw):
+    """(kind, m, q): q within a few of the cap for m in 2..12, or m and q
+    drawn wide, small and huge and out of range."""
+    kind = draw(st.sampled_from(["PG", "AG", "EG"]))
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 12))
+        return kind, m, max(_largest_q(kind, m) + draw(st.integers(-3, 3)), 0)
+    m = draw(st.one_of(st.integers(-1, 12), st.integers(13, 1 << 12)))
+    return kind, m, draw(st.one_of(st.integers(-1, 300), st.integers(300, 1 << 70)))
+
+
+@SIZE_FUZZ
+@given(_geometry_sizes())
+@example(("AG", 10, 2))  # the largest m for q = 2 under the cap
+@example(("AG", 11, 2))
+@example(("EG", 1100, 2))  # past 2^1024 points
+@example(("PG", 1, 2**61 - 1))  # below the cap check, refused by the build
+def test_fuzz_geometry_sizes_in_a_memory_limited_child(size):
+    """A geometry over the cap is refused with exit 2; every other ends
+    cleanly within the memory limit."""
+    kind, m, q = size
+    code, err = _assert_clean_child_exit(["design", "build", f"--{kind.lower()}", str(m), str(q)])
+    if m >= 2 and q >= 2 and _cells(kind, m, q) > MAX_INCIDENCE_CELLS:
+        assert code == 2 and "over the cap" in err, (size, err)
+
+
+_points = st.one_of(st.integers(-2, 40), st.integers(MAX_POINTS - 3, MAX_POINTS + 6),
+                    st.integers(MAX_POINTS, 1 << 70))
+
+
+@SIZE_FUZZ
+@given(st.sampled_from(["sts", "develop"]), _points)
+@example("sts", MAX_POINTS - 1)  # the largest STS under the cap, 2.8 M blocks
+@example("sts", MAX_POINTS + 1)
+@example("develop", MAX_POINTS)
+def test_fuzz_point_counts_in_a_memory_limited_child(command, v):
+    """An STS or cyclic development on more than ``MAX_POINTS`` points is
+    refused with exit 2; every other ends cleanly within the memory limit."""
+    argv = (["design", "build", "--sts", str(v)] if command == "sts"
+            else ["design", "develop", "--v", str(v), "--bases", "0,1,3"])
+    code, err = _assert_clean_child_exit(argv)
+    if v > MAX_POINTS:
+        assert code == 2 and "over the cap" in err, (argv, err)
+
+
 def test_empty_code_exits_2_with_one_line(tmp_path, capsys):
     """A design with no incidences has no Tanner graph edges to decode."""
     path = tmp_path / "empty.design"
@@ -454,8 +548,7 @@ def test_trivial_code_distance_is_exact_zero(tmp_path, capsys):
 def test_tables_warning_names_its_table_and_row():
     """The k <= 0 warning raised while table XII builds its PG(2,2) Type II
     row is printed once, naming that table and row."""
-    src = str(Path(eaqldpc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = child_env()
     run = subprocess.run([sys.executable, "-m", "eaqldpc.cli", "tables", "XII"],
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0
@@ -466,8 +559,7 @@ def test_tables_warning_names_its_table_and_row():
 
 def test_library_warning_is_one_stderr_line(tmp_path):
     """Run as a separate process: pytest would capture the warning in-process."""
-    src = str(Path(eaqldpc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = child_env()
     design = str(trivial_design(tmp_path))
     for sub in ("distance", "params"):
         run = subprocess.run(

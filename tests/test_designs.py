@@ -11,7 +11,6 @@ import pytest
 from eaqldpc import designs
 from eaqldpc.designs import (
     _bfs_girth,
-    _block_arrays,
     _pair_chunks,
     DesignError,
     DoublyCoveredPairError,
@@ -32,6 +31,11 @@ from eaqldpc.designs import (
 from eaqldpc.gf2 import BitMatrix, rank_value
 
 
+def blocks_of(S: IncidenceStructure) -> tuple[tuple[int, ...], ...]:
+    """S's blocks as point tuples, in block order."""
+    return tuple(S.block(j) for j in range(S.b))
+
+
 def test_check_admissible():
     assert check_admissible(7, 3, 1)
     assert not check_admissible(8, 3, 1)
@@ -48,20 +52,20 @@ def test_verify_steiner_fano(fano):
 
 
 def test_verify_steiner_missing_block(fano):
-    broken = IncidenceStructure(v=7, blocks=fano.structure.blocks[1:])
+    broken = IncidenceStructure(v=7, blocks=blocks_of(fano.structure)[1:])
     with pytest.raises(UncoveredPairError):
         verify_steiner(broken, 3)
 
 
 def test_verify_steiner_extra_block(fano):
-    blocks = fano.structure.blocks
+    blocks = blocks_of(fano.structure)
     extra = tuple(sorted(set(range(7)) - set(blocks[0])))[:3]
     with pytest.raises((DoublyCoveredPairError, DesignError)):
         verify_steiner(IncidenceStructure(v=7, blocks=blocks + (extra,)), 3)
 
 
 def test_verify_steiner_wrong_block_size(fano):
-    bad = fano.structure.blocks[:-1] + ((0, 1),)
+    bad = blocks_of(fano.structure)[:-1] + ((0, 1),)
     with pytest.raises(DesignError):
         verify_steiner(IncidenceStructure(v=7, blocks=bad), 3)
 
@@ -120,7 +124,8 @@ def test_transversal_designs():
 @pytest.mark.parametrize("drop,pair", [(0, (0, 5)), (7, (1, 7)), (24, (4, 9))])
 def test_verify_gdd_names_the_first_uncovered_pair(drop, pair):
     td = build_transversal_design(3, 5)
-    blocks = td.blocks[:drop] + td.blocks[drop + 1 :]
+    blocks = blocks_of(td)
+    blocks = blocks[:drop] + blocks[drop + 1 :]
     with pytest.raises(UncoveredPairError) as err:
         verify_gdd(IncidenceStructure(v=td.v, blocks=blocks, groups=td.groups), 3)
     assert err.value.pair == pair
@@ -133,7 +138,7 @@ def test_verify_gdd_names_the_first_uncovered_pair(drop, pair):
 def test_verify_gdd_names_the_first_bad_block(head, message):
     # points 0 and 1 lie in the same group of TD(3, 5)
     td = build_transversal_design(3, 5)
-    S = IncidenceStructure(v=td.v, blocks=head + td.blocks[2:], groups=td.groups)
+    S = IncidenceStructure(v=td.v, blocks=head + blocks_of(td)[2:], groups=td.groups)
     with pytest.raises(DesignError, match=message):
         verify_gdd(S, 3)
 
@@ -169,7 +174,7 @@ def test_delete_zero_parts_is_identity(cache):
 
     spread = pg_spread(design, 1)
     same = delete_subdesigns(design.structure, spread, 0)
-    assert same.blocks == design.structure.blocks
+    assert blocks_of(same) == blocks_of(design.structure)
 
 
 def test_delete_rejects_bad_part(fano):
@@ -239,7 +244,7 @@ def pair_walk(S: IncidenceStructure) -> tuple[list[tuple[int, int]], np.ndarray,
     """(ranges, ids, repeated): the first-point ranges of ``_pair_chunks``,
     its chunks concatenated, and the sorted distinct ids seen twice or more
     within a chunk."""
-    chunks = list(_pair_chunks(S.v, _block_arrays(S)))
+    chunks = list(_pair_chunks(S.v, [A for A in S.arrays if A.shape[1] > 1]))
     ids = np.concatenate([c[2] for c in chunks]) if chunks else np.empty(0, np.int32)
     repeated = [c[2][1:][c[2][1:] == c[2][:-1]] for c in chunks]
     return [c[:2] for c in chunks], ids, np.unique(np.concatenate(repeated + [ids[:0]]))
@@ -254,7 +259,7 @@ def mixed_sizes() -> IncidenceStructure:
 
 def test_pair_coverage_counts_mixed_block_sizes():
     S = mixed_sizes()
-    ref = Counter(a * S.v + b for blk in S.blocks for a, b in combinations(blk, 2))
+    ref = Counter(a * S.v + b for blk in blocks_of(S) for a, b in combinations(blk, 2))
     ranges, ids, repeated = pair_walk(S)
     assert ranges == [(0, S.v)]  # 13 pairs: one chunk
     assert ids.tolist() == sorted(ref.elements())
@@ -301,8 +306,9 @@ def test_uncovered_pair_search_memory_is_bounded_by_the_chunk(cache):
     The search names the first of them, counting each chunk's pairs by first
     point, and holds the block arrays and one chunk, below 8 MiB."""
     S = cache.geometry("AG", 2, 64).structure
+    blocks = blocks_of(S)
     for drop, pair in ((0, (0, 1)), (S.b - 1, (4032, 4033))):
-        deficient = IncidenceStructure(v=S.v, blocks=S.blocks[:drop] + S.blocks[drop + 1 :])
+        deficient = IncidenceStructure(v=S.v, blocks=blocks[:drop] + blocks[drop + 1 :])
 
         def check(S):
             with pytest.raises(UncoveredPairError) as err:
@@ -340,7 +346,7 @@ def test_pair_chunk_budget_changes_no_answer(budget, monkeypatch, fano, cache):
     ranges, ids, repeated = pair_walk(S)
     assert len(ranges) > 1 and ranges[0][0] == 0 and ranges[-1][1] == S.v
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-    ref = Counter(a * S.v + b for blk in S.blocks for a, b in combinations(blk, 2))
+    ref = Counter(a * S.v + b for blk in blocks_of(S) for a, b in combinations(blk, 2))
     assert ids.tolist() == sorted(ref.elements())
     assert repeated.tolist() == sorted(i for i in ref if ref[i] > 1)
     S = int64_case()
@@ -351,7 +357,8 @@ def test_pair_chunk_budget_changes_no_answer(budget, monkeypatch, fano, cache):
     assert err.value.pair == (0, S.v - 1)
     td = build_transversal_design(3, 5)
     for drop, pair in ((0, (0, 5)), (7, (1, 7)), (24, (4, 9))):
-        blocks = td.blocks[:drop] + td.blocks[drop + 1 :]
+        blocks = blocks_of(td)
+        blocks = blocks[:drop] + blocks[drop + 1 :]
         with pytest.raises(UncoveredPairError) as err:
             verify_gdd(IncidenceStructure(v=td.v, blocks=blocks, groups=td.groups), 3)
         assert err.value.pair == pair
@@ -367,7 +374,7 @@ def incidence_rows(S: IncidenceStructure) -> tuple[list[int], list[int]]:
     """(block-by-point, point-by-block) int rows set one incidence at a time
     (oracle)."""
     by_block, by_point = [0] * S.b, [0] * S.v
-    for j, blk in enumerate(S.blocks):
+    for j, blk in enumerate(blocks_of(S)):
         for p in blk:
             by_block[j] |= 1 << p
             by_point[p] |= 1 << j
@@ -399,10 +406,11 @@ def test_point_by_block_builds_no_dense_matrix(cache):
 def count_pasch_bruteforce(S: IncidenceStructure) -> int:
     """Exhaustive 4-subset Pasch count (oracle; tiny instances only)."""
     n = 0
-    for quad in combinations(range(len(S.blocks)), 4):
+    blocks = blocks_of(S)
+    for quad in combinations(range(len(blocks)), 4):
         cover: dict[int, int] = {}
         for j in quad:
-            for p in S.blocks[j]:
+            for p in blocks[j]:
                 cover[p] = cover.get(p, 0) + 1
         if len(cover) == 6 and all(c == 2 for c in cover.values()):
             n += 1
@@ -414,19 +422,38 @@ def test_count_pasch_fano(fano):
     assert count_pasch_bruteforce(fano.structure) == 7
 
 
-@pytest.mark.parametrize("v", [9, 13])
-def test_count_pasch_matches_bruteforce(v):
-    S = build_sts(v)
-    assert count_pasch(S) == count_pasch_bruteforce(S)
+PASCH_CASES = {  # id: (v, cyclic base blocks or None for build_sts, Pasch count)
+    "7": (7, None, 7),
+    "9": (9, None, 0),
+    "13": (13, None, 13),
+    "15": (15, None, 0),
+    "cyclic13": (13, ((0, 1, 4), (0, 2, 7)), 13),
+}
+
+
+def pasch_case(v, bases) -> IncidenceStructure:
+    return build_sts(v) if bases is None else develop_cyclic(v, bases)
+
+
+@pytest.mark.parametrize("v, bases, count", PASCH_CASES.values(), ids=PASCH_CASES.keys())
+def test_count_pasch_matches_bruteforce(v, bases, count):
+    S = pasch_case(v, bases)
+    assert count_pasch(S) == count_pasch_bruteforce(S) == count
 
 
 def test_count_pasch_matches_weight4_codewords():
     from eaqldpc.gf2 import free_columns, nullspace_basis, weight_distribution
 
-    S = develop_cyclic(13, [(0, 1, 4), (0, 2, 7)])
-    H = S.point_by_block()
-    counts = weight_distribution(nullspace_basis(H).to_packed(), H.cols, free_columns(H))
-    assert count_pasch(S) == counts[4]
+    for v, bases, count in PASCH_CASES.values():
+        S = pasch_case(v, bases)
+        H = S.point_by_block()
+        counts = weight_distribution(nullspace_basis(H).to_packed(), H.cols, free_columns(H))
+        assert count_pasch(S) == counts[4] == count
+
+
+def test_count_pasch_refuses_more_than_100_points():
+    with pytest.raises(DesignError, match="capped at v = 100"):
+        count_pasch(build_sts(103))
 
 
 def test_integer_gram_identity():
@@ -435,7 +462,7 @@ def test_integer_gram_identity():
     for S in instances:
         params = verify_steiner(S, 3)
         H = np.zeros((S.v, S.b), dtype=np.int64)
-        for j, blk in enumerate(S.blocks):
+        for j, blk in enumerate(blocks_of(S)):
             for p in blk:
                 H[p, j] = 1
         G = H @ H.T
@@ -502,6 +529,6 @@ def test_block_errors_name_the_first_offending_block(v, blocks, message):
 
 def test_mixed_sizes_and_an_empty_block_are_accepted():
     blocks = ((), (0,), (0, 1), (1, 2, 3), (0, 2, 3, 4), (4,))
-    assert IncidenceStructure(v=5, blocks=blocks).blocks == blocks
+    assert blocks_of(IncidenceStructure(v=5, blocks=blocks)) == blocks
     assert IncidenceStructure(v=0, blocks=((),)).b == 1
     assert IncidenceStructure(v=3, blocks=()).b == 0

@@ -325,7 +325,7 @@ def test_ag_plane_type_i_gram_block_structure(cache):
         # in one point iff they are in different classes
         classes: dict[tuple, list[int]] = {}
         field = design.field
-        for idx, blk in enumerate(design.structure.blocks):
+        for idx, blk in enumerate(design.structure.arrays[0].tolist()):
             p0 = design.point_coords[blk[0]]
             p1 = design.point_coords[blk[1]]
             d = tuple(field.sub(a, b) for a, b in zip(p1, p0))

@@ -74,7 +74,7 @@ def test_design_counts_match_built_geometries(cache, kind, m, q):
     S = design.structure
     v, b, r, mu = design_counts(kind, m, q)
     assert (S.v, S.b) == (v, b)
-    assert set(S.replication_counts()) == {r} and {len(blk) for blk in S.blocks} == {mu}
+    assert set(S.replication_counts()) == {r} and {A.shape[1] for A in S.arrays} == {mu}
     assert (design.replication, design.mu) == (r, mu)
 
 
@@ -91,10 +91,10 @@ def test_eg_is_ag_minus_origin(cache):
     remap = {p: i for i, p in enumerate(keep)}
     expect = sorted(
         tuple(sorted(remap[p] for p in blk))
-        for blk in ag.structure.blocks
+        for blk in ag.structure.arrays[0].tolist()
         if zero not in blk
     )
-    assert list(eg.structure.blocks) == expect
+    assert list(map(tuple, eg.structure.arrays[0].tolist())) == expect
     assert eg.point_coords == tuple(ag.point_coords[i] for i in keep)
 
 
@@ -191,7 +191,7 @@ def test_spread_pins(cache, kind, m, q, s):
 def _coverage(structure, support):
     cover = [0] * structure.v
     for j in support:
-        for p in structure.blocks[j]:
+        for p in structure.block(j):
             cover[p] += 1
     return cover
 
@@ -262,7 +262,7 @@ def test_point_hyperovals(cache):
         w = point_hyperoval(design)
         assert w.weight == weight
         sup = set(w.block_indices)
-        for blk in design.structure.blocks:
+        for blk in design.structure.arrays[0].tolist():
             assert len(sup & set(blk)) % 2 == 0
 
 
@@ -354,8 +354,8 @@ def test_geometry_matches_line_closure_oracle(kind, m, q):
     points, blocks = oracle(m, q)
     assert design.structure.v == len(points) <= 5000
     assert design.point_coords == points
-    assert design.structure.blocks == blocks
-    assert all(type(x) is int for blk in design.structure.blocks[:3] for x in blk)
+    assert tuple(map(tuple, design.structure.arrays[0].tolist())) == blocks
+    assert all(type(x) is int for j in range(3) for x in design.structure.block(j))
 
 
 # (Type II, Type I) witness of `_make_witness` for each table geometry, as
