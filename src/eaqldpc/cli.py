@@ -65,8 +65,8 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 # builds refused before any work: a geometry whose v x b incidence matrix has
 # more cells (64 MiB as packed bits; PG(2,64) has about 17.3 M, AG(3,16)
-# 286 M), and an STS or cyclic development on more points (STS(4095) has
-# 2.8 M blocks)
+# 286 M), and an STS, transversal design or cyclic development on more points
+# (STS(4095) has 2.8 M blocks, TD(2,2048) 4.2 M)
 MAX_INCIDENCE_CELLS = 1 << 29
 MAX_POINTS = 1 << 12
 
@@ -159,6 +159,8 @@ def cmd_design_build(args) -> int:
         comments = [f"sts({args.sts})"]
     elif args.td:
         mu, g = args.td
+        if mu >= 2 and g >= 2:  # smaller ones fail in the build with its own message
+            _check_points(f"TD({mu},{g})", mu * g)
         S = build_transversal_design(mu, g)
         comments = [f"td({mu},{g}) groups: " + " | ".join(
             ",".join(map(str, grp)) for grp in S.groups)]

@@ -1,12 +1,13 @@
-"""Syndrome-based sum-product decoding on Tanner graphs.
+"""Syndrome-based sum-product decoding on the Tanner graph of a parity-check
+matrix H: checks are its rows, bits its columns.
 
-``BatchDecoder`` is the one decoding engine: a float64 numpy flooding
-schedule (all checks in index order, then all bits in index order) with a
-+/-30 LLR clamp and tie-to-zero hard decision, decoding many syndromes at
-once, with converged trials retired from the batch after every iteration.
-Messages are per-trial independent, so retiring rows cannot change any
-trial's arithmetic.  The tests keep a scalar one-syndrome-at-a-time
-reference, ``sp_decode``, as its oracle.
+``BatchDecoder`` is the one decoding engine, built straight from H: a
+float64 numpy flooding schedule (all checks in index order, then all bits
+in index order) with a +/-30 LLR clamp and tie-to-zero hard decision,
+decoding many syndromes at once, with converged trials retired from the
+batch after every iteration.  Messages are per-trial independent, so
+retiring rows cannot change any trial's arithmetic.  The tests keep a
+scalar one-syndrome-at-a-time reference, ``sp_decode``, as its oracle.
 
 Messages are slot-major, (B, dc, m): slab s holds every check's s-th
 check-to-bit message, so edge s*m + i is slot s of check i.  The check
@@ -48,9 +49,7 @@ iteration 1, so every trial's result is the float path's.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import BitMatrix
@@ -69,26 +68,6 @@ def _gamma(j):
     """Higham's gamma_j = j u / (1 - j u): the relative error bound of j
     float64 roundings."""
     return j * UNIT_ROUNDOFF / (1.0 - j * UNIT_ROUNDOFF)
-
-
-@dataclass(frozen=True)
-class TannerGraph:
-    """Bipartite adjacency of a parity-check matrix (redundant rows retained)."""
-
-    n_bits: int
-    n_checks: int
-    check_bits: tuple[tuple[int, ...], ...]  # per check: sorted bit indices
-    bit_checks: tuple[tuple[int, ...], ...]  # per bit: sorted check indices
-
-
-def build_tanner(H: BitMatrix) -> TannerGraph:
-    """Adjacency of H: checks = rows, bits = columns."""
-    return TannerGraph(
-        n_bits=H.cols,
-        n_checks=H.rows,
-        check_bits=H.supports(),
-        bit_checks=H.transpose().supports(),
-    )
 
 
 def _prior_llr(prior: float) -> float:
@@ -115,7 +94,8 @@ def _by_slot(keys: np.ndarray, size: int):
 
 
 class BatchDecoder:
-    """Vectorized flooding sum-product over a fixed graph (float64 messages).
+    """Vectorized flooding sum-product on the Tanner graph of H (float64
+    messages); ``graph`` is that H, kept for perfbench's iteration-1 twin.
 
     Slots are padded to the maximum check degree dc and bit degree dv.
     Messages and the check-side arrays are slot-major: ``check_nbr`` (dc,
@@ -135,20 +115,18 @@ class BatchDecoder:
     slots hold finite values that nothing else reads.
     """
 
-    def __init__(self, graph: TannerGraph, max_iter: int = DEFAULT_MAX_ITER,
+    def __init__(self, H: BitMatrix, max_iter: int = DEFAULT_MAX_ITER,
                  clamp: float = LLR_CLAMP):
         if max_iter < 1:
             raise ValueError(f"max_iter >= 1 required, got {max_iter}")
-        if not any(graph.check_bits):
+        if not H.to_packed().any():
             raise ValueError("zero parity-check matrix")
-        self.graph = graph
+        self.graph = H
         self.max_iter = max_iter
         self.clamp = float(clamp)
-        m = graph.n_checks
-        n = graph.n_bits
-        # edges in check-major order: the bit, check and slot of each
-        bits = np.fromiter(itertools.chain.from_iterable(graph.check_bits), dtype=np.int64)
-        checks = np.repeat(np.arange(m), [len(cb) for cb in graph.check_bits])
+        m, n = H.rows, H.cols
+        # edges in check-major order (bits ascending): check, bit and slot of each
+        checks, bits = np.nonzero(H.to_dense())
         slots, dc = _by_slot(checks, m)
         self.check_nbr = np.zeros((dc, m), dtype=np.int64)
         self.check_mask = np.zeros((dc, m), dtype=bool)

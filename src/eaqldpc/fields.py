@@ -138,23 +138,9 @@ class FiniteField:
         def mul_poly(a: int, b: int) -> int:
             return enc(_poly_mul_mod(dec(a), dec(b), self.modulus, p))
 
-        self._mul_poly = mul_poly
-        gen = None
-        for g in range(1, q):
-            if q == 2:
-                gen = 1
-                break
-            x = g
-            ok = True
-            for f in fac:
-                # g^((q-1)/f) != 1
-                t = pow_mul(mul_poly, g, (q - 1) // f)
-                if t == 1:
-                    ok = False
-                    break
-            if ok:
-                gen = g
-                break
+        # the least generator: g^((q-1)/f) != 1 for every prime factor f of q - 1
+        gen = next((g for g in range(1, q)
+                    if all(pow_mul(mul_poly, g, (q - 1) // f) != 1 for f in fac)), None)
         if gen is None:
             raise RuntimeError("no multiplicative generator found; modulus not irreducible?")
         self.generator = gen
@@ -169,20 +155,28 @@ class FiniteField:
         for i, v in enumerate(exp):
             log[v] = i
         self._exp, self._log = exp, log
-        if p == 2:
-            self._add_table = None
-        else:
-            self._add_table = [
-                [enc(tuple((x + y) % p for x, y in zip(dec(a), dec(b)))) for b in range(q)]
-                for a in range(q)
-            ] if q <= 4096 else None
+        self._add_table = None
+
+    def _addition(self) -> np.ndarray:
+        """The q x q addition table, read-only, in the smallest unsigned dtype
+        that holds q - 1; built on first use, by XOR for p = 2 and otherwise
+        from base-p digit sums mod p, taken in a dtype that holds 2p - 2."""
+        if self._add_table is None:
+            p, q = self.p, self.q
+            x = np.arange(q, dtype=np.min_scalar_type(max(q - 1, 2 * p - 2)))
+            digits = (x // p**k % p for k in range(self.e))
+            table = np.bitwise_xor.outer(x, x) if p == 2 else sum(
+                np.add.outer(d, d) % p * p**k for k, d in enumerate(digits))
+            self._add_table = table.astype(np.min_scalar_type(q - 1), copy=False)
+            self._add_table.setflags(write=False)
+        return self._add_table
 
     # --- arithmetic -------------------------------------------------------
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        if self._add_table is not None:
-            return self._add_table[a][b]
+        if self.q <= 4096:
+            return int(self._addition()[a, b])
         return self._enc(tuple((x + y) % self.p for x, y in zip(self._dec(a), self._dec(b))))
 
     def neg(self, a: int) -> int:
@@ -216,15 +210,12 @@ class FiniteField:
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Addition and multiplication of GF(q) as q x q arrays in the
-        smallest unsigned dtype that holds q - 1 (uint8 up to q = 256)."""
-        place = self.p ** np.arange(self.e)
-        coeffs = np.arange(self.q)[:, None] // place % self.p  # base p, low first
-        add = (coeffs[:, None, :] + coeffs[None, :, :]) % self.p @ place
+        smallest unsigned dtype that holds q - 1 (uint8 up to q = 256); the
+        addition table is the field's own, read-only."""
         log, exp = np.array(self._log), np.array(self._exp)
         mul = exp[(log[:, None] + log) % (self.q - 1)]
         mul[0, :] = mul[:, 0] = 0
-        dtype = np.min_scalar_type(self.q - 1)
-        return add.astype(dtype), mul.astype(dtype)
+        return self._addition(), mul.astype(np.min_scalar_type(self.q - 1))
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"

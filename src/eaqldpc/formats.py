@@ -25,13 +25,18 @@ from .gf2 import BitMatrix
 
 
 def write_design(S: IncidenceStructure, fh: TextIO, comments: Iterable[str] = ()) -> None:
-    """Blocks of one size are written row by row from their array; mixed
+    """Blocks of one size are written from their array with one ``%``
+    format per 2^16 rows, the bytes ``np.savetxt(fmt="%d")`` writes; mixed
     sizes are formatted per size group and written in block order."""
     for line in comments:
         fh.write(f"# {line}\n")
     fh.write(f"{S.v} {S.b}\n")
     if len(S.arrays) == 1:
-        np.savetxt(fh, S.arrays[0], fmt="%d")
+        A = S.arrays[0]
+        row = " ".join(["%d"] * A.shape[1]) + "\n"
+        for lo in range(0, len(A), 1 << 16):
+            chunk = A[lo:lo + (1 << 16)]
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
         return
     lines = [""] * S.b
     for A, at in S.located():

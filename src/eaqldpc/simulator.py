@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decoder import DEFAULT_MAX_ITER, BatchDecoder, build_tanner
+from .decoder import DEFAULT_MAX_ITER, BatchDecoder
 from .gf2 import BitMatrix, nullspace_basis, pack_bool_rows
 
 CONVENTION_TOTAL = "total"
@@ -82,7 +82,7 @@ class CodeInstance:
         self.H = H
         self.name = name or f"H({H.rows}x{H.cols})"
         self.n = H.cols
-        self.decoder = BatchDecoder(build_tanner(H), max_iter=max_iter)
+        self.decoder = BatchDecoder(H, max_iter=max_iter)
         null = nullspace_basis(H)
         self._null_packed = null.to_packed()  # (n - rank) x words
 

@@ -29,7 +29,6 @@ dominates the suite's wall time (about 52 s on two cores).
 import numpy as np
 import pytest
 
-from eaqldpc.decoder import build_tanner
 from eaqldpc.designs import build_sts, delete_subdesigns, tanner_girth, verify_steiner
 from eaqldpc.eaqecc import (
     BLOCK_BY_POINT,
@@ -365,15 +364,14 @@ def test_criterion_7_property_suite(cache):
         verdict = cache.params(kind, m, q, orient).d
         assert verdict.lower >= 3
         H = oriented_matrix(design.structure, orient)
-        g = build_tanner(H)
         for j in range(H.cols):
             e = 1 << j
-            out = sp_decode(g, mul_vector(H, e), prior=0.01)
+            out = sp_decode(H, mul_vector(H, e), prior=0.01)
             if not (out.converged and out.error_estimate == e):
                 failures.append(f"{kind}({m},{q}) {orient}: weight-1 error at bit {j} not fixed")
                 break
         # (e) zero-syndrome fixed point
-        out0 = sp_decode(g, 0, prior=0.01)
+        out0 = sp_decode(H, 0, prior=0.01)
         if not (out0.converged and out0.iterations_used == 0 and out0.error_estimate == 0):
             failures.append(f"{kind}({m},{q}): zero-syndrome fixed point violated")
     # (f) seed reproducibility across batch sizes and worker counts
@@ -394,7 +392,6 @@ def test_criterion_7_property_suite(cache):
 
 def test_criterion_8_ml_oracle(fano):
     H = oriented_matrix(fano.structure, POINT_BY_BLOCK)
-    g = build_tanner(H)
     table: dict[int, tuple[int, list[int]]] = {}
     for e in range(1 << 7):
         s = mul_vector(H, e)
@@ -405,7 +402,7 @@ def test_criterion_8_ml_oracle(fano):
             table[s][1].append(e)
     unique = ambiguous = disagreements = 0
     for s, (w, argmins) in table.items():
-        out = sp_decode(g, s, prior=0.01)
+        out = sp_decode(H, s, prior=0.01)
         assert out.converged
         if len(argmins) == 1:
             unique += 1

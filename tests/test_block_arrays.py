@@ -212,3 +212,15 @@ def test_design_files_keep_their_bytes_and_read_back():
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DESIGN_FILE_DIGESTS[key]
         back = formats.read_design(io.StringIO(buf.getvalue()))
         assert back.v == S.v and blocks_of(back) == blocks_of(S)
+
+
+def test_one_size_design_file_is_savetxts_bytes():
+    """STS(1023) has 174251 blocks, so the writer formats it in three
+    chunks; the text is what ``np.savetxt`` writes row by row."""
+    S = build_sts(1023)
+    assert len(S.arrays) == 1 and S.b > 2 * (1 << 16)
+    buf, expected = io.StringIO(), io.StringIO()
+    formats.write_design(S, buf)
+    expected.write(f"{S.v} {S.b}\n")
+    np.savetxt(expected, S.arrays[0], fmt="%d")
+    assert buf.getvalue() == expected.getvalue()

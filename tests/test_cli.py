@@ -287,15 +287,17 @@ CAP = f"over the cap of {MAX_INCIDENCE_CELLS}"
      "cyclic development has v = 30000001 points, over the cap of 4096"),
     ("sim --eg 1100 2 --type I --fm 0.1", f"EG(1100,2) has more than 2^1024 incidence cells (v*b), {CAP}"),
     ("design delete --pg 9 3 --spread-s 4 --count 1", f"PG(9,3) has 2144517693604 incidence cells (v*b), {CAP}"),
+    ("design build --td 3 2187", "TD(3,2187) has v = 6561 points, over the cap of 4096"),
+    ("design build --td 2 4096", "TD(2,4096) has v = 8192 points, over the cap of 4096"),
 ])
 def test_oversized_builds_are_refused_before_any_work(capsys, monkeypatch, argv, message):
-    """v*b of a geometry, v of an STS or a cyclic development: each over
-    its cap exits 2 with one line naming the size and the cap, and nothing
-    is built."""
+    """v*b of a geometry, v of an STS, a transversal design or a cyclic
+    development: each over its cap exits 2 with one line naming the size and
+    the cap, and nothing is built."""
     def built(*args, **kwargs):
         raise AssertionError("an oversized input reached a build")
 
-    for name in ("build_geometry", "build_sts", "develop_cyclic"):
+    for name in ("build_geometry", "build_sts", "develop_cyclic", "build_transversal_design"):
         monkeypatch.setattr(cli, name, built)
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -486,18 +488,33 @@ def test_fuzz_geometry_sizes_in_a_memory_limited_child(size):
 
 _points = st.one_of(st.integers(-2, 40), st.integers(MAX_POINTS - 3, MAX_POINTS + 6),
                     st.integers(MAX_POINTS, 1 << 70))
+# TD(mu, g) on mu*g points: g near the cap's MAX_POINTS // mu, or drawn wide
+_td_sizes = st.integers(-1, 70).flatmap(lambda mu: st.tuples(st.just(mu), st.one_of(
+    st.integers(-2, 40), st.integers(MAX_POINTS // max(mu, 1) - 3, MAX_POINTS // max(mu, 1) + 3),
+    st.integers(MAX_POINTS, 1 << 70))))
 
 
 @SIZE_FUZZ
-@given(st.sampled_from(["sts", "develop"]), _points)
-@example("sts", MAX_POINTS - 1)  # the largest STS under the cap, 2.8 M blocks
-@example("sts", MAX_POINTS + 1)
-@example("develop", MAX_POINTS)
-def test_fuzz_point_counts_in_a_memory_limited_child(command, v):
-    """An STS or cyclic development on more than ``MAX_POINTS`` points is
-    refused with exit 2; every other ends cleanly within the memory limit."""
-    argv = (["design", "build", "--sts", str(v)] if command == "sts"
-            else ["design", "develop", "--v", str(v), "--bases", "0,1,3"])
+@given(st.one_of(st.tuples(st.sampled_from(["sts", "develop"]), _points),
+                 st.tuples(st.just("td"), _td_sizes)))
+@example(("sts", MAX_POINTS - 1))  # the largest STS under the cap, 2.8 M blocks
+@example(("sts", MAX_POINTS + 1))
+@example(("develop", MAX_POINTS))
+@example(("td", (2, 2048)))  # the TD with most blocks under the cap, 4.2 M
+@example(("td", (17, 241)))  # the fewest points over the cap of any TD, 4097
+def test_fuzz_point_counts_in_a_memory_limited_child(build):
+    """An STS, cyclic development or TD(mu, g) on more than ``MAX_POINTS``
+    points is refused with exit 2; every other ends cleanly within the
+    memory limit."""
+    command, size = build
+    if command == "td":
+        mu, g = size
+        argv = ["design", "build", "--td", str(mu), str(g)]
+        v = mu * g if mu >= 2 and g >= 2 else 0
+    else:
+        v = size
+        argv = (["design", "build", "--sts", str(v)] if command == "sts"
+                else ["design", "develop", "--v", str(v), "--bases", "0,1,3"])
     code, err = _assert_clean_child_exit(argv)
     if v > MAX_POINTS:
         assert code == 2 and "over the cap" in err, (argv, err)

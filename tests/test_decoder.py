@@ -1,5 +1,6 @@
-"""Sum-product decoder: graph construction, convergence semantics, agreement
-with exhaustive maximum-likelihood syndrome decoding, batch/scalar parity."""
+"""Sum-product decoder: its layout built from H, convergence semantics,
+agreement with exhaustive maximum-likelihood syndrome decoding, batch/scalar
+parity."""
 
 import hashlib
 import math
@@ -19,13 +20,11 @@ from eaqldpc.decoder import (
     DEFAULT_MAX_ITER,
     LLR_CLAMP,
     BatchDecoder,
-    TannerGraph,
     _prior_llr,
-    build_tanner,
 )
 from eaqldpc.eaqecc import BLOCK_BY_POINT, POINT_BY_BLOCK, oriented_matrix
 from eaqldpc.gf2 import BitMatrix
-from eaqldpc.simulator import draw_errors
+from eaqldpc.simulator import CodeInstance, draw_errors
 
 
 def mul_vector(H: BitMatrix, x: int) -> int:
@@ -44,13 +43,14 @@ class DecodeOutcome:
 
 
 def sp_decode(
-    graph: TannerGraph,
+    H: BitMatrix,
     syndrome,
     prior: float,
     max_iter: int = DEFAULT_MAX_ITER,
     clamp: float = LLR_CLAMP,
 ) -> DecodeOutcome:
-    """Log-domain sum-product syndrome decoding (scalar reference).
+    """Log-domain sum-product syndrome decoding on the Tanner graph of H
+    (scalar reference): check i meets the bits of row i's support.
 
     ``syndrome`` is an int bitmask over checks or a 0/1 sequence of length
     n_checks.  Check-to-bit messages use the tanh product rule with the
@@ -61,21 +61,22 @@ def sp_decode(
     within rounding of 0 (on AG(2,4) Type I at prior 0.19098300562505255 the
     batch sum is -2.2e-16) the two can converge at different iterations.
     """
+    check_bits, bit_checks = H.supports(), H.transpose().supports()
     if not isinstance(syndrome, int):
         seq = list(syndrome)
-        if len(seq) != graph.n_checks:
+        if len(seq) != H.rows:
             raise ValueError("syndrome length != number of checks")
         syndrome = sum(1 << i for i, v in enumerate(seq) if int(v) & 1)
     L0 = _prior_llr(prior)
     m_bc = {
-        (i, j): L0 for i, cb in enumerate(graph.check_bits) for j in cb
+        (i, j): L0 for i, cb in enumerate(check_bits) for j in cb
     }
     m_cb = {edge: 0.0 for edge in m_bc}
     estimate = 0
 
     def hard_syndrome(est: int) -> int:
         s = 0
-        for i, cb in enumerate(graph.check_bits):
+        for i, cb in enumerate(check_bits):
             par = 0
             for j in cb:
                 par ^= (est >> j) & 1
@@ -85,7 +86,7 @@ def sp_decode(
     if syndrome == 0:
         return DecodeOutcome(True, 0, 0, 0)
     for it in range(1, max_iter + 1):
-        for i, cb in enumerate(graph.check_bits):  # checks in index order
+        for i, cb in enumerate(check_bits):  # checks in index order
             sign = -1.0 if (syndrome >> i) & 1 else 1.0
             ts = [math.tanh(0.5 * m_bc[(i, j)]) for j in cb]
             for a, j in enumerate(cb):
@@ -96,58 +97,57 @@ def sp_decode(
                 prod = min(max(prod, -0.999999999999), 0.999999999999)
                 val = 2.0 * math.atanh(prod)
                 m_cb[(i, j)] = min(max(val, -clamp), clamp)
-        totals = [L0] * graph.n_bits
+        totals = [L0] * H.cols
         for (i, j), val in m_cb.items():
             totals[j] += val
-        for j, checks in enumerate(graph.bit_checks):  # bits in index order
+        for j, checks in enumerate(bit_checks):  # bits in index order
             for i in checks:
                 m_bc[(i, j)] = totals[j] - m_cb[(i, j)]
-        estimate = sum(1 << j for j in range(graph.n_bits) if totals[j] < 0.0)
+        estimate = sum(1 << j for j in range(H.cols) if totals[j] < 0.0)
         res = hard_syndrome(estimate) ^ syndrome
         if res == 0:
             return DecodeOutcome(True, it, estimate, 0)
     return DecodeOutcome(False, max_iter, estimate, hard_syndrome(estimate) ^ syndrome)
 
 
-def test_build_tanner_fano(fano):
-    H = oriented_matrix(fano.structure, POINT_BY_BLOCK)
-    g = build_tanner(H)
-    assert (g.n_bits, g.n_checks, sum(map(len, g.check_bits))) == (7, 7, 21)
+def test_decoder_layout_fano(fano):
+    dec = BatchDecoder(oriented_matrix(fano.structure, POINT_BY_BLOCK))
+    assert (dec.n, dec.m, dec.check_mask.sum()) == (7, 7, 21)
+    assert (dec.check_mask.sum(axis=0) == 3).all() and (dec.bit_mask.sum(axis=1) == 3).all()
 
 
-def test_build_tanner_pg32(cache):
-    H = oriented_matrix(cache.geometry("PG", 3, 2).structure, POINT_BY_BLOCK)
-    g = build_tanner(H)
-    assert (g.n_bits, g.n_checks, sum(map(len, g.check_bits))) == (35, 15, 105)
-    assert all(len(cb) == 7 for cb in g.check_bits)  # r = 7 per point-check
+def test_decoder_layout_pg32(cache):
+    dec = BatchDecoder(oriented_matrix(cache.geometry("PG", 3, 2).structure, POINT_BY_BLOCK))
+    assert (dec.n, dec.m, dec.check_mask.sum()) == (35, 15, 105)
+    assert (dec.check_mask.sum(axis=0) == 7).all()  # r = 7 per point-check
+    assert (dec.bit_mask.sum(axis=1) == 3).all()  # each line-bit has 3 points
 
 
-def test_build_tanner_eg28(cache):
-    H = oriented_matrix(cache.geometry("EG", 2, 8).structure, BLOCK_BY_POINT)
-    g = build_tanner(H)
-    assert (g.n_bits, g.n_checks) == (63, 63)
-    assert all(len(cb) == 8 for cb in g.check_bits)  # each line has q points
+def test_decoder_layout_eg28(cache):
+    dec = BatchDecoder(oriented_matrix(cache.geometry("EG", 2, 8).structure, BLOCK_BY_POINT))
+    assert (dec.n, dec.m) == (63, 63)
+    assert (dec.check_mask.sum(axis=0) == 8).all()  # each line has q points
+    assert (dec.bit_mask.sum(axis=1) == 8).all()  # each point is on q lines
 
 
 def test_zero_syndrome_fixed_point(fano):
     H = oriented_matrix(fano.structure, POINT_BY_BLOCK)
-    g = build_tanner(H)
-    out = sp_decode(g, 0, prior=0.01)
+    out = sp_decode(H, 0, prior=0.01)
     assert out.converged and out.iterations_used == 0 and out.error_estimate == 0
 
 
 def test_invalid_prior(fano):
-    g = build_tanner(oriented_matrix(fano.structure, POINT_BY_BLOCK))
+    H = oriented_matrix(fano.structure, POINT_BY_BLOCK)
     for bad in (0.0, 0.5, 0.7, -0.1):
         with pytest.raises(ValueError):
-            sp_decode(g, 1, prior=bad)
+            sp_decode(H, 1, prior=bad)
 
 
 def test_invalid_max_iter(fano):
-    g = build_tanner(oriented_matrix(fano.structure, POINT_BY_BLOCK))
+    H = oriented_matrix(fano.structure, POINT_BY_BLOCK)
     for bad in (0, -1):
         with pytest.raises(ValueError, match="max_iter"):
-            BatchDecoder(g, max_iter=bad)
+            BatchDecoder(H, max_iter=bad)
 
 
 def ml_syndrome_table(H: BitMatrix):
@@ -167,12 +167,11 @@ def test_sp_matches_ml_on_fano(fano):
     """Criterion: sum-product equals exhaustive ML on the 7-bit code over all
     2^7 error patterns at prior 0.01, wherever the ML minimizer is unique."""
     H = oriented_matrix(fano.structure, POINT_BY_BLOCK)
-    g = build_tanner(H)
     table = ml_syndrome_table(H)
     disagreements = 0
     ambiguous = 0
     for s, (w, argmins) in table.items():
-        out = sp_decode(g, s, prior=0.01)
+        out = sp_decode(H, s, prior=0.01)
         assert out.converged, f"non-convergence on syndrome {s:07b}"
         assert mul_vector(H, out.error_estimate) == s
         if len(argmins) == 1:
@@ -187,18 +186,16 @@ def test_sp_matches_ml_on_fano(fano):
 
 def test_weight1_errors_recovered_pg32(cache):
     H = oriented_matrix(cache.geometry("PG", 3, 2).structure, POINT_BY_BLOCK)
-    g = build_tanner(H)
     for j in range(H.cols):
         e = 1 << j
-        out = sp_decode(g, mul_vector(H, e), prior=0.01)
+        out = sp_decode(H, mul_vector(H, e), prior=0.01)
         assert out.converged and out.error_estimate == e
 
 
 def test_determinism(fano):
     H = oriented_matrix(fano.structure, POINT_BY_BLOCK)
-    g = build_tanner(H)
-    a = sp_decode(g, 5, prior=0.05)
-    b = sp_decode(g, 5, prior=0.05)
+    a = sp_decode(H, 5, prior=0.05)
+    b = sp_decode(H, 5, prior=0.05)
     assert a == b
 
 
@@ -207,7 +204,7 @@ def test_single_check_exact_marginalization():
     decisions equal the sign of the exact bitwise posterior."""
     # degree-1 check, syndrome 1: posterior forces the flip; converges at once
     H1 = BitMatrix(1, 1, [0b1])
-    out = sp_decode(build_tanner(H1), 1, prior=0.2)
+    out = sp_decode(H1, 1, prior=0.2)
     assert out.converged and out.iterations_used == 1 and out.error_estimate == 1
 
     # degree-3 check, syndrome 1: exact marginal of each bit is
@@ -218,7 +215,7 @@ def test_single_check_exact_marginalization():
     marg = ((1 - p) ** 2 + p**2) / (3 * (1 - p) ** 2 + p**2)
     assert marg < 0.5
     H3 = BitMatrix(1, 3, [0b111])
-    out3 = sp_decode(build_tanner(H3), 1, prior=p, max_iter=5)
+    out3 = sp_decode(H3, 1, prior=p, max_iter=5)
     assert not out3.converged
     assert out3.error_estimate == 0  # matches the exact bitwise MAP
     assert out3.residual_syndrome == 1
@@ -233,12 +230,11 @@ def test_single_check_exact_marginalization():
 def test_convergence_implies_syndrome_match(cache):
     rng = np.random.default_rng(42)
     H = oriented_matrix(cache.geometry("AG", 2, 4).structure, POINT_BY_BLOCK)
-    g = build_tanner(H)
     for _ in range(50):
         e = int(rng.integers(0, 1 << H.cols))
         e &= e >> 1  # thin it out
         s = mul_vector(H, e)
-        out = sp_decode(g, s, prior=0.04, max_iter=30)
+        out = sp_decode(H, s, prior=0.04, max_iter=30)
         if out.converged:
             assert mul_vector(H, out.error_estimate) == s
             assert out.residual_syndrome == 0
@@ -248,8 +244,7 @@ def test_convergence_implies_syndrome_match(cache):
 
 def test_batch_agrees_with_scalar(cache):
     H = oriented_matrix(cache.geometry("AG", 2, 3).structure, POINT_BY_BLOCK)
-    g = build_tanner(H)
-    dec = BatchDecoder(g, max_iter=40)
+    dec = BatchDecoder(H, max_iter=40)
     rng = np.random.default_rng(7)
     errors = rng.random((32, H.cols)) < 0.08
     syn = np.zeros((32, H.rows), dtype=np.uint8)
@@ -260,7 +255,7 @@ def test_batch_agrees_with_scalar(cache):
     est, conv, iters = dec.decode(syn, prior=0.16)
     for t in range(32):
         s_int = sum(1 << i for i in range(H.rows) if syn[t, i])
-        out = sp_decode(g, s_int, prior=0.16, max_iter=40)
+        out = sp_decode(H, s_int, prior=0.16, max_iter=40)
         assert conv[t] == out.converged
         if out.converged:
             est_int = sum(1 << j for j in np.nonzero(est[t])[0])
@@ -271,7 +266,7 @@ def test_batch_agrees_with_scalar(cache):
 def test_batch_composition_independence(cache):
     """Retiring converged rows must not change any other trial's outcome."""
     H = oriented_matrix(cache.geometry("AG", 2, 4).structure, POINT_BY_BLOCK)
-    dec = BatchDecoder(build_tanner(H), max_iter=50)
+    dec = BatchDecoder(H, max_iter=50)
     rng = np.random.default_rng(11)
     errors = rng.random((64, H.cols)) < 0.1
     syn = dec.parity(errors)
@@ -284,7 +279,7 @@ def test_batch_composition_independence(cache):
 
 def test_messages_stay_finite(cache):
     H = oriented_matrix(cache.geometry("AG", 2, 4).structure, POINT_BY_BLOCK)
-    dec = BatchDecoder(build_tanner(H), max_iter=200)
+    dec = BatchDecoder(H, max_iter=200)
     syn = np.ones((4, H.rows), dtype=np.uint8)  # adversarial syndrome
     est, conv, _ = dec.decode(syn, prior=0.01)
     assert est.shape == (4, H.cols)  # no exception, no NaN propagation
@@ -340,7 +335,7 @@ GOLDEN_DECODES = {
 def test_golden_decode_hashes(cache, kind, f_m):
     H = oriented_matrix(cache.geometry(kind, 2, 16).structure, BLOCK_BY_POINT)
     _, syn, prior = _syndrome_batch(H, f_m, 256, seed=31)
-    digest = _decode_digest(BatchDecoder(build_tanner(H)), syn, prior)
+    digest = _decode_digest(BatchDecoder(H), syn, prior)
     assert digest == GOLDEN_DECODES[(f"{kind}(2,16)/I", f_m)]
 
 
@@ -350,15 +345,15 @@ def test_golden_one_iteration_hashes(cache, kind, f_m):
     """The max_iter=1 decoder: iteration 1 alone, count test included."""
     H = oriented_matrix(cache.geometry(kind, 2, 16).structure, BLOCK_BY_POINT)
     _, syn, prior = _syndrome_batch(H, f_m, 256, seed=31)
-    digest = _decode_digest(BatchDecoder(build_tanner(H), max_iter=1), syn, prior)
+    digest = _decode_digest(BatchDecoder(H, max_iter=1), syn, prior)
     assert digest == GOLDEN_DECODES[(f"{kind}(2,16)/I", f_m, 1)]
 
 
 def test_golden_decode_hash_irregular():
     H = _irregular_H()
     _, syn, prior = _syndrome_batch(H, 0.15, 256, seed=5)
-    for key, dec in ((("irregular 40x60", 0.15), BatchDecoder(build_tanner(H))),
-                     (("irregular 40x60", 0.15, 1), BatchDecoder(build_tanner(H), max_iter=1))):
+    for key, dec in ((("irregular 40x60", 0.15), BatchDecoder(H)),
+                     (("irregular 40x60", 0.15, 1), BatchDecoder(H, max_iter=1))):
         assert _decode_digest(dec, syn, prior) == GOLDEN_DECODES[key]
 
 
@@ -378,7 +373,7 @@ def test_one_trial_decodes_alike_in_any_batch(cache):
     and inside two 2048-trial windows (a 1-worker and a 2-worker batch of
     its sweep point)."""
     H = oriented_matrix(cache.geometry("PG", 2, 16).structure, BLOCK_BY_POINT)
-    dec = BatchDecoder(build_tanner(H))
+    dec = BatchDecoder(H)
     assert dec.dv == 17
     z, one, prior = _sweep_z_syndromes(H, 16136, 16137)
     batches = [(np.repeat(one, copies, axis=0), list(range(copies))) for copies in (1, 2, 3, 8)]
@@ -398,8 +393,7 @@ def test_batch_decodes_as_its_slices(cache):
     whose outcome turns on the order of its bit sums; the rest are trials
     the count test does not retire, so every trial runs the float loop."""
     H = oriented_matrix(cache.geometry("PG", 2, 16).structure, BLOCK_BY_POINT)
-    g = build_tanner(H)
-    dec = BatchDecoder(g)
+    dec = BatchDecoder(H)
     _, first, prior = _sweep_z_syndromes(H, 16136, 16137)
     _, pool, _ = _syndrome_batch(H, 0.045, 1024, seed=8)  # decoded at trial 16136's prior
     pool = pool[pool.any(axis=1)]
@@ -421,7 +415,7 @@ def test_batch_decodes_as_its_slices(cache):
         sample += [done[0], done[np.argmax(iters[done])]] if done.size else []
     assert len(sample) >= 4
     for t in sample:
-        out = sp_decode(g, [int(v) for v in syn[t]], prior=prior)
+        out = sp_decode(H, [int(v) for v in syn[t]], prior=prior)
         assert (bool(conv[t]), int(iters[t])) == (out.converged, out.iterations_used)
         assert est[t].tolist() == [bool(out.error_estimate >> j & 1) for j in range(H.cols)]
 
@@ -431,14 +425,13 @@ def test_padded_batch_agrees_with_scalar():
     engine matches the scalar reference on convergence, iteration count and
     estimate, including trials that need two or more iterations."""
     H = _irregular_H()
-    g = build_tanner(H)
-    dec = BatchDecoder(g, max_iter=30)
+    dec = BatchDecoder(H, max_iter=30)
     assert dec.padded
     _, syn, prior = _syndrome_batch(H, 0.15, 48, seed=5)
     est, conv, iters = dec.decode(syn, prior)
     assert (iters >= 2).sum() >= 10 and not conv.all()
     for t in range(syn.shape[0]):
-        out = sp_decode(g, [int(v) for v in syn[t]], prior=prior, max_iter=30)
+        out = sp_decode(H, [int(v) for v in syn[t]], prior=prior, max_iter=30)
         assert (bool(conv[t]), int(iters[t])) == (out.converged, out.iterations_used)
         assert est[t].tolist() == [bool(out.error_estimate >> j & 1) for j in range(H.cols)]
 
@@ -448,24 +441,23 @@ def test_one_iteration_decoder_is_first_iteration():
     trials converge at iteration 1 with the same estimates, and the rest hold
     the iteration-1 hard decision of the scalar reference."""
     H = _irregular_H()
-    g = build_tanner(H)
     _, syn, prior = _syndrome_batch(H, 0.15, 48, seed=5)
-    est, conv, iters = BatchDecoder(g).decode(syn, prior)
-    est1, conv1, iters1 = BatchDecoder(g, max_iter=1).decode(syn, prior)
+    est, conv, iters = BatchDecoder(H).decode(syn, prior)
+    est1, conv1, iters1 = BatchDecoder(H, max_iter=1).decode(syn, prior)
     first = conv & (iters <= 1)
     assert np.array_equal(conv1, first)
     assert np.array_equal(est1[first], est[first])
     assert np.array_equal(iters1[first], iters[first])
     assert (iters1[~first] == 1).all()
     for t in np.nonzero(~first)[0]:
-        out = sp_decode(g, [int(v) for v in syn[t]], prior=prior, max_iter=1)
+        out = sp_decode(H, [int(v) for v in syn[t]], prior=prior, max_iter=1)
         assert est1[t].tolist() == [bool(out.error_estimate >> j & 1) for j in range(H.cols)]
 
 
 def test_parity_matches_dense_product(cache):
     for H in (_irregular_H(),
               oriented_matrix(cache.geometry("PG", 3, 2).structure, POINT_BY_BLOCK)):
-        dec = BatchDecoder(build_tanner(H))
+        dec = BatchDecoder(H)
         for trials in (0, 1, 7, 32, 33):  # whole and partial packed bytes
             errors, syn, _ = _syndrome_batch(H, 0.2, trials, seed=3)
             par = dec.parity(errors)
@@ -481,7 +473,7 @@ def test_trials_last_syndromes_decode_as_a_contiguous_copy(cache):
     report iteration 0 and an all-zero estimate."""
     ag = oriented_matrix(cache.geometry("AG", 2, 16).structure, BLOCK_BY_POINT)
     for H, f_m, trials in ((ag, 0.02, 2048), (_irregular_H(), 0.15, 256)):
-        dec = BatchDecoder(build_tanner(H))
+        dec = BatchDecoder(H)
         errors, _, prior = _syndrome_batch(H, f_m, trials, seed=31)
         one = np.zeros((9, H.cols), dtype=bool)
         one[4] = errors[errors.any(axis=1)][0]
@@ -544,8 +536,7 @@ def test_count_test_matches_float_first_iteration_exhaustively(fano):
     certified, the count test retires exactly the nonzero syndromes whose
     float iteration-1 decision meets them, with the same estimates, and the
     max_iter=1 decoder returns the float hard decisions."""
-    dec = BatchDecoder(build_tanner(oriented_matrix(fano.structure, POINT_BY_BLOCK)),
-                       max_iter=1)
+    dec = BatchDecoder(oriented_matrix(fano.structure, POINT_BY_BLOCK), max_iter=1)
     syn = ((np.arange(128)[:, None] >> np.arange(7)) & 1).astype(np.uint8)
     for prior in np.linspace(0.005, 0.495, 50):
         _assert_count_test_is_float_first_iteration(dec, syn, prior, all_certified=True)
@@ -557,7 +548,7 @@ def test_count_test_on_padded_graph():
     Unequal check degrees give unequal slot values, so the interval leaves
     some counts uncertified there."""
     H = _irregular_H()
-    dec = BatchDecoder(build_tanner(H), max_iter=1)
+    dec = BatchDecoder(H, max_iter=1)
     assert dec.padded and (dec.bit_deg == 0).any()
     retired = 0
     for f_m in (0.05, 0.15, 0.3):
@@ -574,7 +565,7 @@ def test_certified_counts_hold_for_every_choice_of_checks():
     exact extremes (the k smallest and largest t1 - t0) leaves 10 cells
     uncertified at f_m = 0.05, where the interval from each table's minimum
     and maximum over all slots left 21."""
-    dec = BatchDecoder(build_tanner(_irregular_H()), max_iter=1)
+    dec = BatchDecoder(_irregular_H(), max_iter=1)
     for f_m in (0.05, 0.15, 0.3):
         L0 = math.log((1.0 - 2.0 * f_m / 3.0) / (2.0 * f_m / 3.0))
         _, t0, t1 = dec._iter1_tables(L0)
@@ -596,8 +587,7 @@ def test_uncertified_count_falls_back_to_float(cache):
     (d = 5), k = 4 is uncertified on both sides of the crossing, and
     trials hitting it still decode as the float path does."""
     H = oriented_matrix(cache.geometry("AG", 2, 4).structure, BLOCK_BY_POINT)
-    g = build_tanner(H)
-    dec = BatchDecoder(g, max_iter=1)
+    dec = BatchDecoder(H, max_iter=1)
     d, k = dec.dv, 4
     assert not dec.padded and d == 5
 
@@ -623,16 +613,16 @@ def test_uncertified_count_falls_back_to_float(cache):
         hard, solved_at[prior] = _float_first_iteration(dec, syn, prior)
         est1, conv1, _ = dec.decode(syn, prior)
         assert np.array_equal(est1, hard) and np.array_equal(conv1, solved_at[prior])
-        est, conv, iters = BatchDecoder(g).decode(syn, prior)
+        est, conv, iters = BatchDecoder(H).decode(syn, prior)
         assert np.array_equal(conv & (iters == 1), solved_at[prior]) and conv.all()
     # the batch sum rounds the tie below 0 on the lower side, so those
     # trials solve at iteration 1, and above 0 on the upper side; the scalar
     # reference sums in another order and solves none at iteration 1 on
     # either side, so it is compared on the upper side
     assert solved_at[lo].all() and not solved_at[hi].any() and (iters == 2).all()
-    assert sp_decode(g, [int(v) for v in syn[0]], prior=lo).iterations_used == 2
+    assert sp_decode(H, [int(v) for v in syn[0]], prior=lo).iterations_used == 2
     for t in range(0, len(syn), 7):
-        out = sp_decode(g, [int(v) for v in syn[t]], prior=hi)
+        out = sp_decode(H, [int(v) for v in syn[t]], prior=hi)
         assert (bool(conv[t]), int(iters[t])) == (out.converged, out.iterations_used)
         assert est[t].tolist() == [bool(out.error_estimate >> j & 1) for j in range(H.cols)]
 
@@ -641,7 +631,7 @@ def test_count_test_retires_most_of_the_anchor(cache):
     """On AG(2,16)/I at f_m = 0.02 the count test alone retires at least
     90% of the nonzero syndromes (a count, not a timing)."""
     H = oriented_matrix(cache.geometry("AG", 2, 16).structure, BLOCK_BY_POINT)
-    dec = BatchDecoder(build_tanner(H))
+    dec = BatchDecoder(H)
     _, syn, prior = _syndrome_batch(H, 0.02, 1024, seed=12)
     _, (retired, _) = _count_test(dec, syn, prior)
     assert retired.size > 900 and retired.mean() >= 0.9
@@ -649,15 +639,17 @@ def test_count_test_retires_most_of_the_anchor(cache):
 
 # --- the slot-major float loop against what it replaced ----------------------
 
-def _loop_built_layout(graph: TannerGraph):
+def _loop_built_layout(H: BitMatrix):
     """check_nbr, check_mask (dc, m), bit_edge, bit_mask and bit_check (n,
-    dv) built edge by edge in Python: the reference for the numpy build."""
-    m, n = graph.n_checks, graph.n_bits
-    dc = max(len(cb) for cb in graph.check_bits)
+    dv) built edge by edge in Python from H's row and column supports: the
+    reference for the numpy build."""
+    check_bits, bit_checks = H.supports(), H.transpose().supports()
+    m, n = H.rows, H.cols
+    dc = max(len(cb) for cb in check_bits)
     check_nbr = np.zeros((dc, m), dtype=np.int64)
     check_mask = np.zeros((dc, m), dtype=bool)
     edges: list[list[int]] = [[] for _ in range(n)]
-    for i, cb in enumerate(graph.check_bits):
+    for i, cb in enumerate(check_bits):
         for s, j in enumerate(cb):
             check_nbr[s, i] = j
             check_mask[s, i] = True
@@ -669,17 +661,52 @@ def _loop_built_layout(graph: TannerGraph):
     for j, es in enumerate(edges):
         bit_edge[j, : len(es)] = es
         bit_mask[j, : len(es)] = True
-        bit_check[j, : len(es)] = graph.bit_checks[j]
+        bit_check[j, : len(es)] = bit_checks[j]
     return check_nbr, check_mask, bit_edge, bit_mask, bit_check
 
 
 def test_vectorised_layout_matches_loop_built(cache):
     for H in (_irregular_H(),
               oriented_matrix(cache.geometry("AG", 2, 16).structure, BLOCK_BY_POINT)):
-        dec = BatchDecoder(build_tanner(H))
+        dec = BatchDecoder(H)
         got = (dec.check_nbr, dec.check_mask, dec.bit_edge, dec.bit_mask, dec.bit_check)
-        for a, b in zip(got, _loop_built_layout(dec.graph)):
+        for a, b in zip(got, _loop_built_layout(H)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# SHA-256 over the dtype, shape and bytes of check_nbr, check_mask, bit_edge
+# and bit_mask, recorded when the decoder was still built from per-row
+# support tuples; the build from H's dense nonzeros must reproduce them.
+GOLDEN_LAYOUTS = {
+    "AG(2,16)/I": "bade9f32b7916748e603da6bd295d042bae76bd39147b41274c1be250b2d37fe",
+    "irregular 40x60": "fcb85035b9e4f5df9aaf5890baddd2f26b995edb3f38013fd511910fdf55503c",
+}
+
+
+def test_edge_layout_digests(cache):
+    ag = oriented_matrix(cache.geometry("AG", 2, 16).structure, BLOCK_BY_POINT)
+    for name, H in (("AG(2,16)/I", ag), ("irregular 40x60", _irregular_H())):
+        dec = BatchDecoder(H)
+        h = hashlib.sha256()
+        for a in (dec.check_nbr, dec.check_mask, dec.bit_edge, dec.bit_mask):
+            h.update(str((a.dtype.str, a.shape)).encode())
+            h.update(a.tobytes())
+        assert h.hexdigest() == GOLDEN_LAYOUTS[name]
+
+
+def test_decoder_is_built_from_H(cache, monkeypatch):
+    """The decoder keeps H as ``graph``, rejects a zero H, and neither it
+    nor ``CodeInstance`` walks H's row supports in Python."""
+    H = oriented_matrix(cache.geometry("AG", 2, 16).structure, BLOCK_BY_POINT)
+    with pytest.raises(ValueError, match="zero parity-check matrix"):
+        BatchDecoder(BitMatrix(3, 5, [0, 0, 0]))
+
+    def walked(self):
+        raise AssertionError("BitMatrix.supports called")
+
+    monkeypatch.setattr(BitMatrix, "supports", walked)
+    assert BatchDecoder(H).graph is H
+    assert CodeInstance(H).decoder.graph is H
 
 
 def _check_update_cumprod(dec: BatchDecoder, totals, msg, syn):
@@ -709,7 +736,7 @@ def test_slab_products_equal_cumprod_form(cache):
               _irregular_H())
     rng = np.random.default_rng(99)
     for H in graphs:
-        dec = BatchDecoder(build_tanner(H))
+        dec = BatchDecoder(H)
         B = 9
         totals = rng.normal(0.0, 8.0, (B, dec.n)) * (rng.random((B, dec.n)) < 0.9)
         totals[rng.random((B, dec.n)) < 0.05] = -0.0
@@ -727,12 +754,11 @@ def test_iteration_one_state_follows_the_prior(cache):
     """One decoder decoding at priors p1, p2, p1 gives what fresh decoders
     give, and keeps only the last prior's iteration-1 state."""
     H = oriented_matrix(cache.geometry("PG", 2, 16).structure, BLOCK_BY_POINT)
-    g = build_tanner(H)
-    shared = BatchDecoder(g)
+    shared = BatchDecoder(H)
     for f_m in (0.03, 0.045, 0.03):
         _, syn, prior = _syndrome_batch(H, f_m, 128, seed=21)
         got = shared.decode(syn, prior)
-        for a, b in zip(got, BatchDecoder(g).decode(syn, prior)):
+        for a, b in zip(got, BatchDecoder(H).decode(syn, prior)):
             assert np.array_equal(a, b)
         assert shared._iter1[0] == _prior_llr(prior)
 
@@ -741,14 +767,13 @@ def test_float_loop_blocks_give_identical_results(cache, monkeypatch):
     """With the block budget cut to a few trials, a 64-trial float loop runs
     in at least 3 blocks and every trial decodes as in one block."""
     H = oriented_matrix(cache.geometry("PG", 2, 16).structure, BLOCK_BY_POINT)
-    g = build_tanner(H)
     _, syn, prior = _syndrome_batch(H, 0.045, 512, seed=8)
-    whole = BatchDecoder(g)
+    whole = BatchDecoder(H)
     syn = syn[whole.decode(syn, prior)[2] >= 2][:64]
     assert len(syn) == 64
     expected = whole.decode(syn, prior)
     monkeypatch.setattr(decoder, "FLOAT_BLOCK_BYTES", 2_000_000)
-    blocked = BatchDecoder(g)
+    blocked = BatchDecoder(H)
     assert whole.block_rows >= 64 and blocked.block_rows <= 64 // 3
     blocks = []
     loop = blocked._float_loop
@@ -770,11 +795,11 @@ def test_pg64_batch_decodes_under_3_gb():
         import resource
         resource.setrlimit(resource.RLIMIT_AS, (3_000_000_000, 3_000_000_000))
         import numpy as np
-        from eaqldpc.decoder import BatchDecoder, build_tanner
+        from eaqldpc.decoder import BatchDecoder
         from eaqldpc.eaqecc import BLOCK_BY_POINT, oriented_matrix
         from eaqldpc.geometry import build_geometry
         H = oriented_matrix(build_geometry("PG", 2, 64).structure, BLOCK_BY_POINT)
-        dec = BatchDecoder(build_tanner(H), max_iter=2)
+        dec = BatchDecoder(H, max_iter=2)
         errors = np.random.default_rng(1).random((256, H.cols)) < 0.05
         est, conv, iters = dec.decode(dec.parity(errors), 0.05)
         assert est.shape == errors.shape and (iters >= 1).all()

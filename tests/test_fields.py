@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from eaqldpc.fields import (
@@ -65,6 +66,22 @@ def test_field_axioms_exhaustive(q):
                 assert F.add(ab_add, c) == F.add(a, F.add(b, c))
                 assert F.mul(ab_mul, c) == F.mul(a, F.mul(b, c))
                 assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 243, 729, 251, 16])
+def test_addition_table_is_the_digitwise_sum(q):
+    """``tables()``'s addition table, which scalar ``add`` also reads, is
+    the definition: base-p digit tuples added mod p (GF(251): digit sums
+    past the uint8 table; GF(16): XOR)."""
+    F = field_for_order(q)
+    add, mul = F.tables()
+    assert add.dtype == mul.dtype == (np.uint8 if q <= 256 else np.uint16)
+    assert not add.flags.writeable and F.tables()[0] is add
+    digits = [F._dec(a) for a in range(q)]
+    expected = [[F._enc(tuple((x + y) % F.p for x, y in zip(da, db))) for db in digits]
+                for da in digits]
+    assert add.tolist() == expected
+    assert type(F.add(q - 1, 1)) is int and F.add(q - 1, 1) == expected[q - 1][1]
 
 
 @pytest.mark.parametrize("q", EXHAUSTIVE_ORDERS)
