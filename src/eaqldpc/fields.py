@@ -176,7 +176,7 @@ class FiniteField:
         if self.p == 2:
             return a ^ b
         if self.q <= 4096:
-            return int(self._addition()[a, b])
+            return self._addition().item(a, b)
         return self._enc(tuple((x + y) % self.p for x, y in zip(self._dec(a), self._dec(b))))
 
     def neg(self, a: int) -> int:
