@@ -114,13 +114,18 @@ def _geometry_args(parser: argparse.ArgumentParser):
     parser.add_argument("--eg", nargs=2, type=int, metavar=("M", "Q"))
 
 
-def _pick_geometry(args):
-    picks = [(PG, args.pg), (AG, args.ag), (EG, args.eg)]
-    chosen = [(k, v) for k, v in picks if v]
+def _pick_one(args, flags):
+    """(flag, value) of the one of ``flags`` not None (so ``--sts 0`` reaches
+    ``build_sts``'s own message); none or several exit 2."""
+    chosen = [(f, getattr(args, f)) for f in flags if getattr(args, f) is not None]
     if len(chosen) != 1:
-        raise SystemExit2("choose exactly one of --pg/--ag/--eg M Q")
-    kind, (m, q) = chosen[0]
-    return kind, m, q
+        raise SystemExit2(f"choose exactly one of {'/'.join('--' + f for f in flags)}")
+    return chosen[0]
+
+
+def _pick_geometry(args):
+    kind, (m, q) = _pick_one(args, ("pg", "ag", "eg"))
+    return kind.upper(), m, q
 
 
 class SystemExit2(SystemExit):
@@ -152,12 +157,13 @@ def _check_points(what: str, v: int) -> None:
 # --- design ------------------------------------------------------------------
 
 def cmd_design_build(args) -> int:
-    if args.sts:
+    source = _pick_one(args, ("sts", "td", "pg", "ag", "eg"))[0]
+    if source == "sts":
         _check_points(f"STS({args.sts})", args.sts)
         S = build_sts(args.sts)
         mu = 3
         comments = [f"sts({args.sts})"]
-    elif args.td:
+    elif source == "td":
         mu, g = args.td
         if mu >= 2 and g >= 2:  # smaller ones fail in the build with its own message
             _check_points(f"TD({mu},{g})", mu * g)
@@ -176,7 +182,7 @@ def cmd_design_build(args) -> int:
             verify_partial_steiner(S, design.mu)
             print(f"verified: partial Steiner (pairs covered at most once), "
                   f"mu={design.mu}", file=sys.stderr)
-    if mu is not None and not args.td:
+    if mu is not None:
         params = verify_steiner(S, mu)
         print(f"verified: S(2,{params.mu},{params.v}) with b={params.b} r={params.r} "
               f"girth={tanner_girth(S)}", file=sys.stderr)
@@ -251,7 +257,7 @@ def cmd_design_delete(args) -> int:
 
 def _load_structure(args):
     """(design-or-structure, label) from --pg/--ag/--eg or --design FILE."""
-    if args.design:
+    if _pick_one(args, ("design", "pg", "ag", "eg"))[0] == "design":
         with open(args.design) as fh:
             S = formats.read_design(fh)
         return S, Path(args.design).name
@@ -268,7 +274,8 @@ def _load_matrix(args, orientation: str):
 
 def cmd_code_params(args) -> int:
     orientation = normalize_orientation(args.type)
-    if args.family:
+    if args.family:  # one source, and it must be a geometry
+        _pick_one(args, ("design", "pg", "ag", "eg"))
         kind_s, m_v, q_v = _pick_geometry(args)
         params = family_params(kind_s, orientation, m_v, q_v)
     else:

@@ -20,7 +20,8 @@ reduced form is unique for a row space, so pivots and ``rref`` equal those
 of any Gauss-Jordan elimination.  ``gram_rank`` never forms the rows x rows
 product M M^T: it reduces ``GRAM_CHUNK_ROWS`` of its rows at a time against
 the fully reduced basis of the rows before, so it holds one chunk and the
-basis.
+basis.  ``in_row_space``, the one membership test, reduces rows against M's
+cached RREF the same way: all three clear pivots with ``_clear_pivots``.
 
 ``weight_distribution`` enumerates the span of a systematic basis: k packed
 rows that are the identity on k given unit columns, as the fully reduced rows
@@ -260,6 +261,15 @@ def _gather_bits(A: np.ndarray, columns: Sequence[int]) -> np.ndarray:
     return out
 
 
+def _clear_pivots(target: np.ndarray, rows: np.ndarray, pivots: Sequence[int]) -> None:
+    """Clear the bits of the packed rows ``target`` at ``pivots``, in place,
+    with ``rows``, the identity on them (``rows[k]`` is ``pivots[k]``'s row):
+    the bits at each 64 pivots pick their rows for ``_xor_combinations``."""
+    for g in range(0, len(pivots), WORD_BITS):
+        picks = _gather_bits(target, pivots[g : g + WORD_BITS])
+        _xor_combinations(target, rows[g : g + WORD_BITS], picks)
+
+
 def _echelon(A: np.ndarray, reduced: bool) -> tuple[list[int], Optional[np.ndarray]]:
     """Row-reduce the packed rows ``A`` (rows, words), one column word at a time.
 
@@ -305,9 +315,9 @@ def _echelon(A: np.ndarray, reduced: bool) -> tuple[list[int], Optional[np.ndarr
                         mix[i] ^= mix[j]
             R = np.zeros((len(bits), active.shape[1]), dtype=np.uint64)
             _xor_combinations(R, active[pick], np.array(mix, dtype=np.uint64))
-            _xor_combinations(active, R, _gather_bits(active, bits))
+            _clear_pivots(active, R, bits)
             if reduced:
-                _xor_combinations(basis[:, w:], R, _gather_bits(basis[:, w:], bits))
+                _clear_pivots(basis[:, w:], R, bits)
                 new = np.zeros((len(bits), words), dtype=np.uint64)
                 new[:, w:] = R
                 basis = np.vstack([basis, new])
@@ -367,10 +377,9 @@ def gram_rank(M: BitMatrix) -> int:
     """rank(M @ M.T) over GF(2), without holding the rows x rows product.
 
     The product's rows are formed ``GRAM_CHUNK_ROWS`` at a time.  A chunk is
-    reduced by the fully reduced basis of the chunks before it (its bits at
-    the basis pivots, read 64 at a time, pick the basis rows through the
-    tables of ``_xor_combinations``), ``_echelon`` fully reduces what is
-    left, and those rows clear their pivots from the basis and join it.
+    reduced by the fully reduced basis of the chunks before it
+    (``_clear_pivots``), ``_echelon`` fully reduces what is left, and those
+    rows clear their pivots from the basis and join it.
     Memory is one chunk of the product plus the basis, rank rows.
     """
     T = M.transpose().to_packed()
@@ -378,15 +387,11 @@ def gram_rank(M: BitMatrix) -> int:
     pivots: list[int] = []
     for r0 in range(0, M.rows, GRAM_CHUNK_ROWS):
         G = _product(M.to_packed()[r0 : r0 + GRAM_CHUNK_ROWS], T)
-        for g in range(0, len(pivots), WORD_BITS):
-            picks = _gather_bits(G, pivots[g : g + WORD_BITS])
-            _xor_combinations(G, basis[g : g + WORD_BITS], picks)
+        _clear_pivots(G, basis, pivots)
         if r0 + GRAM_CHUNK_ROWS >= M.rows:  # the last chunk: its rank is all that is left
             return len(pivots) + len(_echelon(G, reduced=False)[0])
         new, R = _echelon(G, reduced=True)
-        for g in range(0, len(new), WORD_BITS):
-            picks = _gather_bits(basis, new[g : g + WORD_BITS])
-            _xor_combinations(basis, R[g : g + WORD_BITS], picks)
+        _clear_pivots(basis, R, new)
         basis = np.vstack([basis, R])
         pivots += new
     return len(pivots)
@@ -411,26 +416,22 @@ def free_columns(M: BitMatrix) -> np.ndarray:
     return np.flatnonzero(free)
 
 
-def in_row_space(M: BitMatrix, x) -> bool:
-    """True iff x is a GF(2) combination of the rows of M.  The fully reduced
-    rows are the identity on the pivot columns, so the only combination that
-    can equal x is the XOR of the rows picked by x's bits there; x is in the
-    row space iff that XOR equals x.  Memory is that of the cached RREF.
-
-    ``x`` may be an int bitmask (bit j = coordinate j) or a 0/1 sequence whose
-    length must equal ``M.cols``.
-    """
-    if not isinstance(x, int):
-        seq = list(x)
-        if len(seq) != M.cols:
-            raise ValueError(f"vector length {len(seq)} != cols {M.cols}")
-        x = sum(1 << j for j, v in enumerate(seq) if int(v) & 1)
-    elif x >> M.cols:
-        raise ValueError("vector has bits beyond matrix width")
-    prof = M.rank_profile()
-    picked = [i for i, p in enumerate(prof.pivot_columns) if x >> p & 1]
-    combination = np.bitwise_xor.reduce(prof.rref.to_packed()[picked], axis=0)
-    return np.array_equal(combination, pack_ints([x], M.cols)[0])
+def in_row_space(M: BitMatrix, X) -> np.ndarray:
+    """(B, cols) 0/1 array in any layout -> (B,) bool: True where the row is
+    a GF(2) combination of the rows of M, i.e. where clearing its pivot bits
+    against M's RREF (cached on M, computed when a nonzero row first needs
+    it) leaves zero.  Zero rows pass without a look."""
+    X = np.asarray(X)
+    if X.ndim != 2 or X.shape[1] != M.cols:
+        raise ValueError(f"expected a (B, {M.cols}) array, got shape {X.shape}")
+    ok = ~X.any(axis=1)
+    nonzero = np.flatnonzero(~ok)
+    if nonzero.size:
+        prof = M.rank_profile()
+        rest = pack_bool_rows(X[nonzero])
+        _clear_pivots(rest, prof.rref.to_packed(), prof.pivot_columns)
+        ok[nonzero] = ~rest.any(axis=1)
+    return ok
 
 
 # --- packed-array helpers ---------------------------------------------------
@@ -523,12 +524,8 @@ def _min_weight_with_witness(basis: Sequence[int], nbits: int) -> tuple[int, int
     best_w = nbits + 1
     best_v = 0
     cw = 0
-    gray_prev = 0
-    for t in range(1, 1 << len(basis)):
-        gray = t ^ (t >> 1)
-        idx = (gray ^ gray_prev).bit_length() - 1
-        cw ^= basis[idx]
-        gray_prev = gray
+    for t in range(1, 1 << len(basis)):  # step t flips vector (lowest set bit of t)
+        cw ^= basis[(t & -t).bit_length() - 1]
         w = cw.bit_count()
         if 0 < w < best_w:
             best_w = w

@@ -5,8 +5,8 @@ otherwise), so each binary error component (X-part, Z-part) flips with
 marginal probability 2p, correlated only through Y.  The two components are
 decoded independently with prior 2p; a trial succeeds when both decoders
 converge and both residuals (estimate xor truth) lie in the row space of H
-(stabilizer-equivalent recovery).  Ebits never pass through the channel and
-are not simulated.
+(stabilizer-equivalent recovery), which ``gf2.in_row_space`` tests against
+H's cached RREF.  Ebits never pass through the channel and are not simulated.
 
 The sweep parameter f_m is mapped to p = f_m / 3 by default ("total"
 convention: f_m is the total depolarizing probability).  The "per-pauli"
@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .decoder import DEFAULT_MAX_ITER, BatchDecoder
-from .gf2 import BitMatrix, nullspace_basis, pack_bool_rows
+from .gf2 import BitMatrix, in_row_space
 
 CONVENTION_TOTAL = "total"
 CONVENTION_PER_PAULI = "per-pauli"
@@ -76,15 +76,14 @@ def pauli_probability(f_m: float, convention: str = CONVENTION_TOTAL) -> float:
 
 
 class CodeInstance:
-    """A parity-check matrix prepared for simulation."""
+    """A parity-check matrix H and its batch decoder, nothing else: residuals
+    are tested against H's RREF, cached on H, by ``gf2.in_row_space``."""
 
     def __init__(self, H: BitMatrix, name: str = "", max_iter: int = DEFAULT_MAX_ITER):
         self.H = H
         self.name = name or f"H({H.rows}x{H.cols})"
         self.n = H.cols
         self.decoder = BatchDecoder(H, max_iter=max_iter)
-        null = nullspace_basis(H)
-        self._null_packed = null.to_packed()  # (n - rank) x words
 
     def syndromes_of(self, errors: np.ndarray) -> np.ndarray:
         """(B, n) boolean error batch in any layout -> (B, n_checks) uint8
@@ -93,16 +92,9 @@ class CodeInstance:
         return self.decoder.parity(errors)
 
     def residual_in_row_space(self, residuals: np.ndarray) -> np.ndarray:
-        """(B, n) boolean residuals -> (B,) row-space membership, tested by
-        orthogonality to the nullspace basis on the nonzero rows only (the
-        zero vector is always in the row space)."""
-        ok = np.ones(residuals.shape[0], dtype=bool)
-        nonzero = np.nonzero(residuals.any(axis=1))[0]
-        if nonzero.size:
-            packed = pack_bool_rows(residuals[nonzero])
-            for row in self._null_packed:
-                ok[nonzero] &= (np.bitwise_count(packed & row).sum(axis=1) & 1) == 0
-        return ok
+        """(B, n) boolean residuals -> (B,) row-space membership by
+        ``gf2.in_row_space``; a method so that perfbench can wrap and time it."""
+        return in_row_space(self.H, residuals)
 
 
 @dataclass(frozen=True)
@@ -130,9 +122,12 @@ class SimConfig:
             raise ValueError(f"prior must be in (0, 0.5), got {self.prior_override}")
         for f_m in self.f_m_values:  # every point, before any is simulated
             try:
-                ChannelModel(pauli_probability(f_m, self.convention))
+                channel = ChannelModel(pauli_probability(f_m, self.convention))
             except ValueError as e:
                 raise ValueError(f"invalid f_m {f_m}: {e}") from None
+            if self.prior_override is None and channel.marginal_flip >= 0.5:
+                raise ValueError(f"invalid f_m {f_m}: decoder prior 2p = "
+                                 f"{channel.marginal_flip} is not in (0, 0.5)")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, Optional
 
 from .designs import DesignError, SpreadPartition, delete_subdesigns, verify_steiner
@@ -44,9 +45,6 @@ from .geometry import (
     design_counts,
     pg_spread,
 )
-
-TABLE_IDS = ["I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI", "XII", "XIII"]
-
 
 def trunc4(x: Fraction) -> str:
     v = (x.numerator * 10000) // x.denominator
@@ -316,8 +314,8 @@ def _deletion_table(
     q: int,
     s: Optional[int],
     golden,
-    cache: ConstructionCache,
     rate_mode: str,
+    cache: ConstructionCache,
 ) -> Iterator[RowResult]:
     design = cache.geometry(kind, m, q)
     spread = cache.spread(kind, m, q, s)
@@ -401,14 +399,36 @@ def _table_XII(cache: ConstructionCache) -> Iterator[RowResult]:
             )
 
 
+# table id -> the generator of its rows given a cache, in the paper's order
+_TABLE_ROWS = {
+    "I": partial(_geometry_table, "I", PG, POINT_BY_BLOCK, GOLDEN_I),
+    "II": partial(_geometry_table, "II", PG, POINT_BY_BLOCK, GOLDEN_II),
+    "III": partial(_deletion_table, "III", PG, 5, 2, 2, GOLDEN_III, "round-full-length"),
+    "IV": partial(_deletion_table, "IV", AG, 3, 4, None, GOLDEN_IV, "round-full-length"),
+    "V": partial(_geometry_table, "V", PG, BLOCK_BY_POINT, GOLDEN_V),
+    "VI": partial(_geometry_table, "VI", AG, POINT_BY_BLOCK, GOLDEN_VI),
+    "VII": partial(_geometry_table, "VII", AG, BLOCK_BY_POINT, GOLDEN_VII),
+    "VIII": partial(_geometry_table, "VIII", EG, BLOCK_BY_POINT, GOLDEN_VIII),
+    "IX": partial(_geometry_table, "IX", EG, POINT_BY_BLOCK, GOLDEN_IX),
+    "X": _table_X,
+    "XI": _table_XI,
+    "XII": _table_XII,
+    "XIII": partial(_deletion_table, "XIII", AG, 3, 3, None, GOLDEN_XIII, "trunc-k-over-n"),
+}
+TABLE_IDS = list(_TABLE_ROWS)
+
+
 def compute_table(table: str, cache: Optional[ConstructionCache] = None) -> list[RowResult]:
     """Rebuild every row of one table.  A row's ``seconds`` is the wall time
     from the previous row (or the start) until it was produced.  A warning
     raised while a row is built is re-issued naming its table and row."""
     if cache is None:
         cache = ConstructionCache()
+    table = table.upper()
+    if table not in _TABLE_ROWS:
+        raise ValueError(f"unknown table {table!r}; valid: {', '.join(TABLE_IDS)}")
     rows = []
-    produced = _table_rows(table.upper(), cache)
+    produced = _TABLE_ROWS[table](cache)
     while True:
         start = time.perf_counter()
         with warnings.catch_warnings(record=True) as caught:
@@ -419,36 +439,6 @@ def compute_table(table: str, cache: Optional[ConstructionCache] = None) -> list
         for w in caught:
             warnings.warn(f"table {row.table} [{row.label}]: {w.message}", w.category, stacklevel=2)
         rows.append(row)
-
-
-def _table_rows(table: str, cache: ConstructionCache) -> Iterator[RowResult]:
-    if table == "I":
-        return _geometry_table("I", PG, POINT_BY_BLOCK, GOLDEN_I, cache)
-    if table == "II":
-        return _geometry_table("II", PG, POINT_BY_BLOCK, GOLDEN_II, cache)
-    if table == "III":
-        return _deletion_table("III", PG, 5, 2, 2, GOLDEN_III, cache, "round-full-length")
-    if table == "IV":
-        return _deletion_table("IV", AG, 3, 4, None, GOLDEN_IV, cache, "round-full-length")
-    if table == "V":
-        return _geometry_table("V", PG, BLOCK_BY_POINT, GOLDEN_V, cache)
-    if table == "VI":
-        return _geometry_table("VI", AG, POINT_BY_BLOCK, GOLDEN_VI, cache)
-    if table == "VII":
-        return _geometry_table("VII", AG, BLOCK_BY_POINT, GOLDEN_VII, cache)
-    if table == "VIII":
-        return _geometry_table("VIII", EG, BLOCK_BY_POINT, GOLDEN_VIII, cache)
-    if table == "IX":
-        return _geometry_table("IX", EG, POINT_BY_BLOCK, GOLDEN_IX, cache)
-    if table == "X":
-        return _table_X(cache)
-    if table == "XI":
-        return _table_XI(cache)
-    if table == "XII":
-        return _table_XII(cache)
-    if table == "XIII":
-        return _deletion_table("XIII", AG, 3, 3, None, GOLDEN_XIII, cache, "trunc-k-over-n")
-    raise ValueError(f"unknown table {table!r}; valid: {', '.join(TABLE_IDS)}")
 
 
 def rows_to_csv(rows: list[RowResult]) -> str:

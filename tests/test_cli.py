@@ -240,6 +240,60 @@ def test_sim_rejects_negative_threads_before_simulating(capsys, monkeypatch):
     assert err == "error: workers >= 0 required, got -3\n"
 
 
+def test_sim_refuses_a_decoder_prior_out_of_range_before_any_trial(capsys, monkeypatch):
+    """A point whose decoder prior 2p is 0.5 or more exits 2 with one line
+    naming its f_m before any point is simulated; --prior lifts the check."""
+    def simulated(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(simulator, "evaluate_batch", simulated)
+    for opts, fm in ((("--fm", "0.01,0.8"), "0.8"),
+                     (("--convention", "per-pauli", "--fm", "0.3"), "0.3")):
+        code, out, err = run_cli(capsys, "sim", "--pg", "2", "2", "--type", "I", *opts,
+                                 "--trials", "2000")
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith(f"error: invalid f_m {fm}: decoder prior 2p = ")
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "sim", "--pg", "2", "2", "--type", "I", "--prior", "0.1",
+                           "--fm", "0.8", "--trials", "20")
+    assert code == 0 and out.splitlines()[-1].startswith("0.8,20,")
+
+
+ONE_BUILD = "choose exactly one of --sts/--td/--pg/--ag/--eg"
+ONE_CODE = "choose exactly one of --design/--pg/--ag/--eg"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("design build --td 3 4 --sts 7", ONE_BUILD),
+    ("design build --sts 7 --pg 2 2", ONE_BUILD),
+    ("design build", ONE_BUILD),
+    ("code params --design F --ag 2 4 --type II", ONE_CODE),
+    ("code distance --design F --pg 2 2 --type I", ONE_CODE),
+    ("code export-alist --design F --eg 2 4 --type I", ONE_CODE),
+    ("sim --design F --pg 2 2 --type I --fm 0.01", ONE_CODE),
+    ("code params --pg 2 2 --ag 2 4 --type I", ONE_CODE),
+    ("code params --family --design F --type II", "choose exactly one of --pg/--ag/--eg"),
+    ("code params --family --design F --pg 2 2 --type II", ONE_CODE),
+])
+def test_conflicting_input_sources_are_refused(capsys, monkeypatch, argv, message):
+    """Each command takes exactly one input source: none or several exit 2
+    with one line, before any file is read or anything is built."""
+    def built(*args, **kwargs):
+        raise AssertionError("a conflicting input reached a build")
+
+    for name in ("build_geometry", "build_sts", "build_transversal_design"):
+        monkeypatch.setattr(cli, name, built)
+    monkeypatch.setattr(formats, "read_design", built)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_sts_zero_reaches_the_builder(capsys):
+    """--sts 0 is given, not absent: build_sts's own message answers it."""
+    code, out, err = run_cli(capsys, "design", "build", "--sts", "0")
+    assert (code, out) == (1, "") and err.startswith("verification error: no STS(0)")
+
+
 def _dying_worker_init(*args):
     os._exit(3)
 

@@ -9,7 +9,6 @@ import eaqldpc
 
 # named in the README's layout table, or kept on purpose with no library caller
 PUBLIC_WITHOUT_CALLER = {
-    "in_row_space",  # row-space membership
     "hillebrandt_bounds",  # rank bounds
     "compose_gdd_spread",  # GDD filling
     "read_alist",  # alist import

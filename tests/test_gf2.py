@@ -22,8 +22,9 @@ from eaqldpc.gf2 import (
     rank_value,
     weight_distribution,
 )
+from eaqldpc.eaqecc import BLOCK_BY_POINT, POINT_BY_BLOCK, oriented_matrix
 from test_acceptance import RANK_CROSS_VALIDATION
-from test_decoder import mul_vector
+from test_decoder import _irregular_H, mul_vector
 
 
 def random_matrix(rng, rows, cols, density=0.5):
@@ -109,8 +110,7 @@ def test_rank_profile_invariants():
         assert prof.rank == len(prof.pivot_columns)
         assert list(prof.pivot_columns) == sorted(prof.pivot_columns)
         # same row space: every original row reduces to zero against the rref
-        for r in m.row_bits():
-            assert in_row_space(prof.rref, r)
+        assert in_row_space(prof.rref, m.to_dense()).all()
 
 
 def test_rank_transpose_invariant_random():
@@ -173,22 +173,56 @@ def test_nullspace_dimension_property():
 def test_in_row_space():
     rng = np.random.default_rng(9)
     m = random_matrix(rng, 6, 10)
-    assert in_row_space(m, 0)
-    for r in m.row_bits():
-        assert in_row_space(m, r)
+    rows = m.to_dense()
+    assert in_row_space(m, np.zeros((1, 10), dtype=np.uint8)).tolist() == [True]
+    assert in_row_space(m, rows).all()
     # combinations are members; anything outside the space is not
-    rows = m.row_bits()
     comb = rows[0] ^ rows[3] ^ rows[5]
-    assert in_row_space(m, comb)
-    outside = 0
-    for x in range(1 << 10):
-        if not in_row_space(m, x):
-            outside = x
-            break
+    assert in_row_space(m, comb[None, :]).tolist() == [True]
+    every = np.unpackbits(np.arange(1 << 10, dtype=">u2").view(np.uint8).reshape(-1, 2),
+                          axis=1)[:, 6:]  # all 2^10 vectors, one per row
+    members = in_row_space(m, every)
+    assert members.sum() == 1 << rank(m).rank
     if rank(m).rank < 10:
-        assert not in_row_space(m, outside)
+        assert not members.all()
     with pytest.raises(ValueError):
-        in_row_space(m, [1, 0, 1])  # wrong length
+        in_row_space(m, np.array([[1, 0, 1]]))  # wrong width
+    with pytest.raises(ValueError):
+        in_row_space(m, rows[0])  # one vector, not a batch of rows
+
+
+def _in_row_space_by_rank_append(H: BitMatrix, X: np.ndarray) -> np.ndarray:
+    """Row i of X is in the row space of H iff appending it to H leaves the
+    rank unchanged (the oracle, one elimination per row)."""
+    dense, r = H.to_dense(), rank_value(H)
+    return np.array([rank_value(BitMatrix.from_dense(np.vstack([dense, x]))) == r for x in X],
+                    dtype=bool)
+
+
+@pytest.mark.parametrize("code", [("AG", 16, BLOCK_BY_POINT), ("PG", 16, BLOCK_BY_POINT),
+                                  ("PG", 8, POINT_BY_BLOCK), ("AG", 8, POINT_BY_BLOCK), None],
+                         ids=["AG(2,16)/I", "PG(2,16)/I", "PG(2,8)/II", "AG(2,8)/II",
+                              "irregular 40x60"])
+def test_in_row_space_matches_rank_append_on_codes(cache, code):
+    """Row-space combinations, random rows, sparse rows (as decoder residuals
+    are) and zero rows, shuffled; the same answers for a trials-last view,
+    for uint8 rows, and an empty batch."""
+    if code is None:
+        H = _irregular_H()
+    else:
+        kind, q, orientation = code
+        H = oriented_matrix(cache.geometry(kind, 2, q).structure, orientation)
+    rng = np.random.default_rng(0)
+    n = H.cols
+    combos = rng.integers(0, 2, (100, H.rows)) @ H.to_dense().astype(np.int64) % 2 == 1
+    X = np.vstack([combos, rng.random((100, n)) < 0.5, rng.random((100, n)) < 0.02,
+                   np.zeros((10, n), dtype=bool)])[rng.permutation(310)]
+    expected = _in_row_space_by_rank_append(H, X)
+    assert expected.any() and not expected.all()
+    assert np.array_equal(in_row_space(H, X), expected)
+    assert np.array_equal(in_row_space(H, np.ascontiguousarray(X.T).T), expected)
+    assert np.array_equal(in_row_space(H, X.astype(np.uint8)), expected)
+    assert in_row_space(H, X[:0]).shape == (0,)
 
 
 def test_in_row_space_of_one_wide_row_stays_small():
@@ -197,10 +231,13 @@ def test_in_row_space_of_one_wide_row_stays_small():
     bytes per column."""
     n = 65535
     m = BitMatrix.from_supports([range(0, n, 3)], n)
-    row = m.row_bits()[0]
+    X = np.zeros((4, n), dtype=bool)
+    X[0, ::3] = X[2, ::3] = True
+    X[2, 1] = True
+    X[3, n - 1] = True
     tracemalloc.start()
     try:
-        answers = [in_row_space(m, x) for x in (row, 0, row ^ 0b10, 1 << (n - 1))]
+        answers = in_row_space(m, X).tolist()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -47,10 +47,10 @@ def test_in_row_space_matches_rank_append(cache):
     allones = (1 << 35) - 1
     from eaqldpc.gf2 import BitMatrix
 
-    for x in (allones, 0b1011, H.row_bits()[0] ^ H.row_bits()[7]):
-        appended = BitMatrix(H.rows + 1, H.cols, list(H.row_bits()) + [x])
-        oracle = rank_value(appended) == rank_value(H)
-        assert in_row_space(H, x) == oracle
+    xs = (allones, 0b1011, H.row_bits()[0] ^ H.row_bits()[7])
+    oracle = [rank_value(BitMatrix(H.rows + 1, H.cols, [*H.row_bits(), x])) == rank_value(H)
+              for x in xs]
+    assert in_row_space(H, BitMatrix(len(xs), H.cols, xs).to_dense()).tolist() == oracle
 
 
 def test_ag24_min_distance_exact_5(cache):

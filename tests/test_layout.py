@@ -1,7 +1,8 @@
 """The packed GF(2) layout is ``gf2``'s alone.  Outside ``gf2.py`` no module
 in ``src/`` reads a ``BitMatrix`` slot, takes a matrix's rows as Python ints
 or converts between ints and words; int-bitmask rows enter a ``BitMatrix``
-only through ``formats.read_alist``."""
+only through ``formats.read_alist``.  Only ``gf2`` builds a nullspace basis:
+the simulator tests row-space membership against H's RREF."""
 
 import ast
 from pathlib import Path
@@ -10,7 +11,7 @@ import eaqldpc
 
 SLOTS = {"_words", "_rank", "_rank_profile", "_transpose"}
 INT_ROW_CALLS = {"row", "row_bits", "pack_ints", "unpack_ints"}
-REMOVED = {"oriented_pair", "reduce_against", "from_rows"}
+REMOVED = {"oriented_pair", "reduce_against", "from_rows", "_null_packed"}
 
 
 def sources() -> dict[str, ast.Module]:
@@ -70,3 +71,15 @@ def test_replaced_int_row_helpers_stay_deleted():
         or (isinstance(node, ast.alias) and node.name in REMOVED)
     ]
     assert not found, found
+
+
+def test_only_gf2_builds_a_nullspace_basis():
+    callers = [
+        f"{module}:{node.lineno} ({owner})"
+        for module, tree in sources().items()
+        if module != "gf2.py"
+        for owner, node in top_level(tree)
+        if (isinstance(node, ast.Call) and called_name(node) == "nullspace_basis")
+        or (isinstance(node, ast.alias) and node.name == "nullspace_basis")
+    ]
+    assert not callers, callers

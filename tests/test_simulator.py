@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from eaqldpc import simulator
+from eaqldpc import gf2, simulator
 from eaqldpc.eaqecc import BLOCK_BY_POINT, POINT_BY_BLOCK, oriented_matrix
 from eaqldpc.gf2 import BitMatrix, rank_value
 from eaqldpc.simulator import (
@@ -227,6 +227,27 @@ def test_residual_in_row_space_mixed_and_zero_batches(pg32_code):
     assert pg32_code.residual_in_row_space(np.zeros((0, n), bool)).shape == (0,)
 
 
+def test_simulation_builds_no_nullspace_basis(cache, monkeypatch):
+    """CodeInstance(H) is H plus its decoder, and a sweep whose residuals
+    include nonzero ones tests them against H's RREF, never through a
+    nullspace basis."""
+    def refuse(M):
+        raise AssertionError("nullspace_basis called")
+
+    monkeypatch.setattr(gf2, "nullspace_basis", refuse)
+    nonzero = []
+
+    def counted(M, X):
+        nonzero.append(int(X.any(axis=1).sum()))
+        return gf2.in_row_space(M, X)
+
+    monkeypatch.setattr(simulator, "in_row_space", counted)
+    H = oriented_matrix(cache.geometry("AG", 2, 4).structure, BLOCK_BY_POINT)
+    assert set(vars(CodeInstance(H))) == {"H", "name", "n", "decoder"}
+    record, = estimate_bler(H, SimConfig((0.1,), trials=256, seed=0))
+    assert sum(nonzero) > 0 and 0 < record.block_errors < 256
+
+
 def test_exact_recovery_mode_stricter(pg32_code):
     n = pg32_code.n
     # inject an error equal to a parity-check row: syndrome is zero, the
@@ -274,8 +295,15 @@ def test_sim_config_rejects_bad_points_up_front():
             SimConfig(f_m_values=f_ms, trials=10, seed=1)
     with pytest.raises(ValueError, match="unknown channel convention"):
         SimConfig(f_m_values=(0.01,), trials=10, seed=1, convention="bogus")
-    SimConfig(f_m_values=(0.0, 1.0), trials=10, seed=1)
-    SimConfig(f_m_values=(1 / 3,), trials=10, seed=1, convention="per-pauli")
+    # the channel's edge, 3p = 1, takes a decoder prior of its own
+    SimConfig(f_m_values=(0.0, 1.0), trials=10, seed=1, prior_override=0.1)
+    SimConfig(f_m_values=(1 / 3,), trials=10, seed=1, convention="per-pauli", prior_override=0.1)
+    # without one the prior is 2p, which must stay below 0.5
+    for f_ms, convention in (((0.01, 0.75), "total"), ((0.25,), "per-pauli"), ((1.0,), "total")):
+        with pytest.raises(ValueError, match=f"invalid f_m {f_ms[-1]}: decoder prior"):
+            SimConfig(f_m_values=f_ms, trials=10, seed=1, convention=convention)
+    SimConfig(f_m_values=(0.0, 0.74), trials=10, seed=1)
+    SimConfig(f_m_values=(0.24,), trials=10, seed=1, convention="per-pauli")
     for field, bad in (("max_iter", 0), ("max_iter", -3), ("batch_size", 0),
                        ("prior_override", 0.0), ("prior_override", 0.5),
                        ("prior_override", float("nan"))):
