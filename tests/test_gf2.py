@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaqldpc import gf2
+from eaqldpc.eaqecc import BLOCK_BY_POINT, POINT_BY_BLOCK, oriented_matrix
 from eaqldpc.gf2 import (
     BitMatrix,
     free_columns,
@@ -22,7 +23,6 @@ from eaqldpc.gf2 import (
     rank_value,
     weight_distribution,
 )
-from eaqldpc.eaqecc import BLOCK_BY_POINT, POINT_BY_BLOCK, oriented_matrix
 from test_acceptance import RANK_CROSS_VALIDATION
 from test_decoder import _irregular_H, mul_vector
 
@@ -179,8 +179,7 @@ def test_in_row_space():
     # combinations are members; anything outside the space is not
     comb = rows[0] ^ rows[3] ^ rows[5]
     assert in_row_space(m, comb[None, :]).tolist() == [True]
-    every = np.unpackbits(np.arange(1 << 10, dtype=">u2").view(np.uint8).reshape(-1, 2),
-                          axis=1)[:, 6:]  # all 2^10 vectors, one per row
+    every = np.arange(1 << 10)[:, None] >> np.arange(10) & 1  # all 2^10 vectors, one per row
     members = in_row_space(m, every)
     assert members.sum() == 1 << rank(m).rank
     if rank(m).rank < 10:
@@ -191,7 +190,7 @@ def test_in_row_space():
         in_row_space(m, rows[0])  # one vector, not a batch of rows
 
 
-def _in_row_space_by_rank_append(H: BitMatrix, X: np.ndarray) -> np.ndarray:
+def row_space_oracle(H: BitMatrix, X: np.ndarray) -> np.ndarray:
     """Row i of X is in the row space of H iff appending it to H leaves the
     rank unchanged (the oracle, one elimination per row)."""
     dense, r = H.to_dense(), rank_value(H)
@@ -217,7 +216,7 @@ def test_in_row_space_matches_rank_append_on_codes(cache, code):
     combos = rng.integers(0, 2, (100, H.rows)) @ H.to_dense().astype(np.int64) % 2 == 1
     X = np.vstack([combos, rng.random((100, n)) < 0.5, rng.random((100, n)) < 0.02,
                    np.zeros((10, n), dtype=bool)])[rng.permutation(310)]
-    expected = _in_row_space_by_rank_append(H, X)
+    expected = row_space_oracle(H, X)
     assert expected.any() and not expected.all()
     assert np.array_equal(in_row_space(H, X), expected)
     assert np.array_equal(in_row_space(H, np.ascontiguousarray(X.T).T), expected)

@@ -9,6 +9,7 @@ from eaqldpc.eaqecc import (
     oriented_matrix,
 )
 from eaqldpc.gf2 import (
+    BitMatrix,
     gram_rank,
     in_row_space,
     min_distance,
@@ -16,6 +17,7 @@ from eaqldpc.gf2 import (
     rank,
     rank_value,
 )
+from test_gf2 import row_space_oracle
 
 # difference triples partitioning {1..21}: a cyclic Steiner difference family
 STS43_BASES = [(0, 1, 3), (0, 4, 9), (0, 6, 18), (0, 7, 21), (0, 8, 23), (0, 10, 26), (0, 11, 24)]
@@ -45,12 +47,8 @@ def test_in_row_space_matches_rank_append(cache):
     """Membership agrees with the rank-of-augmented-matrix oracle."""
     H = oriented_matrix(cache.geometry("PG", 3, 2).structure, POINT_BY_BLOCK)
     allones = (1 << 35) - 1
-    from eaqldpc.gf2 import BitMatrix
-
-    xs = (allones, 0b1011, H.row_bits()[0] ^ H.row_bits()[7])
-    oracle = [rank_value(BitMatrix(H.rows + 1, H.cols, [*H.row_bits(), x])) == rank_value(H)
-              for x in xs]
-    assert in_row_space(H, BitMatrix(len(xs), H.cols, xs).to_dense()).tolist() == oracle
+    X = BitMatrix(3, H.cols, [allones, 0b1011, H.row_bits()[0] ^ H.row_bits()[7]]).to_dense()
+    assert in_row_space(H, X).tolist() == row_space_oracle(H, X).tolist() == [True, False, True]
 
 
 def test_ag24_min_distance_exact_5(cache):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from eaqldpc import gf2, simulator
 from eaqldpc.eaqecc import BLOCK_BY_POINT, POINT_BY_BLOCK, oriented_matrix
-from eaqldpc.gf2 import BitMatrix, rank_value
 from eaqldpc.simulator import (
     SAMPLE_CHUNK_TRIALS,
     ChannelModel,
@@ -23,6 +22,7 @@ from eaqldpc.simulator import (
     recovered,
     wilson_interval,
 )
+from test_gf2 import row_space_oracle
 
 CHI2_CRIT_DF3_A001 = 16.266  # chi-square critical value, df=3, alpha=0.001
 
@@ -202,13 +202,6 @@ def test_row_residual_counts_as_success(pg32_code):
     assert row.any()
 
 
-def _in_row_space_by_rank(H: BitMatrix, r: np.ndarray) -> bool:
-    """Unfiltered dense reference: r is in the row space iff appending it
-    leaves the rank unchanged."""
-    bits = sum(1 << int(j) for j in np.nonzero(r)[0])
-    return rank_value(BitMatrix(H.rows + 1, H.cols, [*H.row_bits(), bits])) == rank_value(H)
-
-
 def test_residual_in_row_space_mixed_and_zero_batches(pg32_code):
     H, n = pg32_code.H, pg32_code.n
     rows = H.to_dense().astype(bool)
@@ -216,11 +209,11 @@ def test_residual_in_row_space_mixed_and_zero_batches(pg32_code):
     weight1[3] = True
     batch = np.array([np.zeros(n, bool), rows[0], rows[1] ^ rows[4], weight1,
                       np.zeros(n, bool), rows[2] ^ weight1, rows[5]])
-    expected = np.array([_in_row_space_by_rank(H, r) for r in batch])
+    expected = row_space_oracle(H, batch)
     assert not expected[3] and not expected[5]  # the batch has both outcomes
     assert np.array_equal(pg32_code.residual_in_row_space(batch), expected)
     random = np.random.default_rng(3).random((20, n)) < 0.3
-    expected = np.array([_in_row_space_by_rank(H, r) for r in random])
+    expected = row_space_oracle(H, random)
     assert np.array_equal(pg32_code.residual_in_row_space(random), expected)
     zero = pg32_code.residual_in_row_space(np.zeros((5, n), bool))
     assert zero.shape == (5,) and zero.all()
