@@ -295,13 +295,6 @@ def _formula_distance(kind: str, m: int, q: int, orientation: str):
     return None, "", False, None
 
 
-def _make_witness(design: GeometryDesign, orientation: str) -> Optional[WitnessCodeword]:
-    """The geometric witness of this family and orientation, or None.  It is
-    not yet validated; ``distance_verdict`` does that against H."""
-    build = _formula_distance(design.kind, design.m, design.q, orientation)[3]
-    return build(design) if build else None
-
-
 def _structural_lower(design, orientation: str) -> tuple[int, str]:
     """Dependent column sets need >= mu+1 columns (point-by-block) or
     r_min+1 columns (block-by-point) when two blocks share at most one point:
@@ -384,7 +377,7 @@ def distance_verdict(
 
     formula_value, witness = None, None
     if isinstance(design, GeometryDesign):
-        val, src, lower_only, _ = _formula_distance(
+        val, src, lower_only, build = _formula_distance(
             design.kind, design.m, design.q, orientation
         )
         if val is not None:
@@ -393,7 +386,7 @@ def distance_verdict(
                 lower = max(lower, val)
             else:
                 formula_value = val
-        witness = _make_witness(design, orientation)
+        witness = build(design) if build else None  # validated against H below
     elif isinstance(design, IncidenceStructure):
         sizes = {A.shape[1] for A in structure.arrays}
         # verified STS: nonzero codewords weigh between 4 and 8

@@ -8,6 +8,10 @@ use, falling back to the lexicographically least monic irreducible otherwise;
 both choices are deterministic, so point orderings are reproducible across
 runs.  Construction verifies irreducibility and generator order, so a wrong
 table entry cannot pass silently.
+
+GF(p^e) embeds in GF(p^E) (e | E) as the power map a = g^k -> x^k of the
+least x that passes one exact test: x^(p^e - 1) = 1 and phi(a + 1) =
+phi(a) + 1 for every a (see ``subfield_embedding``).
 """
 
 from __future__ import annotations
@@ -205,9 +209,6 @@ class FiniteField:
     def elements(self) -> range:
         return range(self.q)
 
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Addition and multiplication of GF(q) as q x q arrays in the
         smallest unsigned dtype that holds q - 1 (uint8 up to q = 256); the
@@ -301,79 +302,22 @@ def enumerate_subspace_reps(field: FiniteField, dim_ambient: int) -> list[tuple[
 
 
 def subfield_embedding(sub: FiniteField, big: FiniteField) -> dict[int, int]:
-    """Embedding map GF(p^e) -> GF(p^E) (requires e | E, same p).
+    """The embedding phi: GF(p^e) -> GF(p^E) (same p, e | E), as a map from
+    each element of ``sub`` to its image.
 
-    Finds a root in `big` of the minimal polynomial of `sub`'s generator and
-    extends linearly; returns element-to-element mapping.  Deterministic: the
-    least root in element order is used.
+    With g = ``sub.generator`` and q = p^e, phi(a) = x^(log_g a) and
+    phi(0) = 0, for the least x of ``big`` in element order that passes two
+    checks: x^(q-1) = 1, so that the power map is well defined and
+    multiplicative, and phi(a + 1) = phi(a) + 1 for every a.  Together they
+    are exact: for b != 0, phi(a + b) = phi(b) phi(a/b + 1) = phi(a) + phi(b),
+    so phi is a field embedding and x = phi(g) is a root of g's minimal
+    polynomial.  Every root passes, so x is the least root.
     """
     if sub.p != big.p or big.e % sub.e:
         raise ValueError("no embedding: need same characteristic and e | E")
-    p = sub.p
-    if sub.e == 1:
-        # prime field embeds as the multiples of 1
-        out = {0: 0}
-        cur = 0
-        for a in range(1, p):
-            cur = big.add(cur, 1)
-            out[a] = cur
-        return out
-    # minimal polynomial of sub.generator over GF(p): prod (x - g^{p^j})
-    g = sub.generator
-    conjugates = []
-    cur = g
-    while cur not in conjugates:
-        conjugates.append(cur)
-        cur = sub.frobenius(cur)
-    poly = [1]  # coefficients in sub, low->high, built as monic product
-    for c in conjugates:
-        nxt = [0] * (len(poly) + 1)
-        for i, a in enumerate(poly):
-            nxt[i + 1] = sub.add(nxt[i + 1], a)
-            nxt[i] = sub.add(nxt[i], sub.mul(sub.neg(c), a))
-        poly = nxt
-    # coefficients must lie in the prime field: encode as ints 0..p-1
-    pcoeffs = []
-    for a in poly:
-        t = sub._dec(a)
-        if any(t[1:]):
-            raise RuntimeError("minimal polynomial has non-prime-field coefficient")
-        pcoeffs.append(t[0])
-    # find a root of pcoeffs in big
-    root = None
-    for x in range(big.q):
-        acc = 0
-        xp = 1
-        for c in pcoeffs:
-            if c:
-                acc = big.add(acc, big.mul(xp, _prime_multiple(big, c)))
-            xp = big.mul(xp, x)
-        if acc == 0:
-            root = x
-            break
-    if root is None:
-        raise RuntimeError("no root of subfield minimal polynomial found")
-    # extend linearly: sub element sum a_i g^i -> sum a_i root^i
-    out = {}
-    for a in range(sub.q):
-        if a == 0:
-            out[a] = 0
-            continue
-        # write a in the polynomial basis of powers of g? use log: a = g^k
-        k = sub._log[a]
-        out[a] = big.pow(root, k)
-    # verify additivity on a sample (cheap full check for small fields)
-    limit = sub.q if sub.q <= 64 else 64
-    for a in range(limit):
-        for b in range(limit):
-            if out[sub.add(a, b)] != big.add(out[a], out[b]):
-                raise RuntimeError("embedding verification failed")
-    return out
-
-
-def _prime_multiple(field: FiniteField, c: int) -> int:
-    """The field element 1 + 1 + ... (c times)."""
-    out = 0
-    for _ in range(c % field.p):
-        out = field.add(out, 1)
-    return out
+    for x in big.elements():
+        if big.pow(x, sub.q - 1) == 1:
+            phi = {0: 0, **{a: big.pow(x, sub._log[a]) for a in range(1, sub.q)}}
+            if all(phi[sub.add(a, 1)] == big.add(phi[a], 1) for a in sub.elements()):
+                return phi
+    raise RuntimeError(f"no embedding of {sub} into {big} found")

@@ -1,6 +1,7 @@
 """End-to-end CLI checks (in-process main() invocations)."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eaqldpc
-from eaqldpc import cli, formats, simulator
+from eaqldpc import cli, formats, simulator, tables
 from eaqldpc.cli import MAX_INCIDENCE_CELLS, MAX_POINTS, main
 from eaqldpc.designs import build_sts, develop_cyclic
 from eaqldpc.geometry import design_counts
@@ -94,6 +95,39 @@ def test_design_delete(capsys):
     assert S.b == 644
 
 
+def test_design_build_td_names_its_groups(capsys):
+    code, out, _ = run_cli(capsys, "design", "build", "--td", "3", "4")
+    assert code == 0
+    assert out.startswith("# td(3,4) groups: 0,1,2,3 | 4,5,6,7 | 8,9,10,11\n12 16\n")
+
+
+def test_design_build_eg_is_a_partial_steiner_system(capsys):
+    code, _, err = run_cli(capsys, "design", "build", "--eg", "2", "4")
+    assert code == 0
+    assert "verified: partial Steiner (pairs covered at most once), mu=4\n" in err
+
+
+def test_design_delete_affine_hyperplanes(capsys):
+    code, out, err = run_cli(capsys, "design", "delete", "--ag", "3", "3", "--count", "1")
+    assert code == 0 and formats.read_design(io.StringIO(out)).b == 105
+    assert err == "deleted 1 of 3 spread parts: 117 -> 105 blocks\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("design delete --pg 3 2 --count 1", "--spread-s S required for PG spreads"),
+    ("design delete --eg 3 2 --count 1", "subdesign deletion applies to PG/AG designs"),
+])
+def test_design_delete_refusals(capsys, argv, message):
+    assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
+def test_design_develop_base_file_disagreeing_with_v(tmp_path, capsys):
+    path = tmp_path / "bases.txt"
+    path.write_text("13\n0 1 4\n")
+    code, out, err = run_cli(capsys, "design", "develop", "--base-file", str(path), "--v", "14")
+    assert (code, out, err) == (2, "", "error: --v 14 disagrees with base file (13)\n")
+
+
 def test_code_params_pg32(capsys):
     code, out, _ = run_cli(capsys, "code", "params", "--pg", "3", "2", "--type", "II")
     assert code == 0
@@ -159,6 +193,27 @@ def test_tables_report_rows_by_distance_status(capsys):
     summaries = [line for line in err.splitlines() if line.startswith("table ")]
     assert summaries[0].startswith("table X: 5 rows, 0 mismatches, d: 1 exact, 4 theorem-only (")
     assert summaries[1].startswith("table III: 10 rows, 0 mismatches (")
+
+
+def test_tables_report_each_mismatch_and_exit_1(tmp_path, capsys):
+    """Golden rows that disagree with the computed ones are named field by
+    field on stderr, counted in the summary, and make the exit code 1.  The
+    table reads the golden list itself, so two of its rows are planted in
+    place and put back afterwards."""
+    golden = tables.GOLDEN_VI
+    saved = list(golden)
+    golden[0], golden[4] = (3, 2, 28, 16, 3, 1), (2, 4, 20, 3, 6, 1)
+    try:
+        code, _, err = run_cli(capsys, "tables", "VI", "--out", str(tmp_path))
+    finally:
+        golden[:] = saved
+    assert code == 1
+    lines = err.splitlines()
+    assert lines[:2] == ["MISMATCH table VI [AG(3,2)/II]: k: expected 16, computed 15",
+                         "MISMATCH table VI [AG(2,4)/II]: d: expected 6, computed 5"]
+    (summary,) = [line for line in lines if line.startswith("table VI: ")]
+    assert summary.rsplit(" (", 1)[0].endswith("14 rows, 2 mismatches, d: 10 exact, 4 theorem-only")
+    assert (tmp_path / "table_VI.csv").exists()
 
 
 def test_tables_unknown(capsys):
@@ -344,17 +399,11 @@ CAP = f"over the cap of {MAX_INCIDENCE_CELLS}"
     ("design build --td 3 2187", "TD(3,2187) has v = 6561 points, over the cap of 4096"),
     ("design build --td 2 4096", "TD(2,4096) has v = 8192 points, over the cap of 4096"),
 ])
-def test_oversized_builds_are_refused_before_any_work(capsys, monkeypatch, argv, message):
+def test_oversized_builds_are_refused_before_any_work(argv, message):
     """v*b of a geometry, v of an STS, a transversal design or a cyclic
     development: each over its cap exits 2 with one line naming the size and
     the cap, and nothing is built."""
-    def built(*args, **kwargs):
-        raise AssertionError("an oversized input reached a build")
-
-    for name in ("build_geometry", "build_sts", "develop_cyclic", "build_transversal_design"):
-        monkeypatch.setattr(cli, name, built)
-    code, out, err = run_cli(capsys, *argv.split())
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert _assert_refused_in_process(argv.split()) == f"error: {message}\n"
 
 
 def test_size_caps_admit_the_table_geometries_and_skip_closed_forms(capsys, monkeypatch):
@@ -472,28 +521,77 @@ def test_fuzz_fm_lists(fm):
     _assert_clean_exit(["sim", "--pg", "2", "2", "--type", "II", f"--fm={fm}", "--trials", "4"])
 
 
-# --- fuzzing sizes: a child process under a memory limit -----------------
+# --- sizes: refusals in process, admitted builds in a memory-limited child --
 
-CHILD_MEMORY = 2 << 30  # address-space limit of each fuzzed CLI process
+CHILD_MEMORY = 2 << 30  # address-space limit of each CLI child process
 SIZE_FUZZ = settings(max_examples=15, deadline=None, derandomize=True)
+BUILDERS = ("build_geometry", "build_sts", "develop_cyclic", "build_transversal_design")
 
 
 def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
 
 
-def _assert_clean_child_exit(argv) -> tuple[int, str]:
-    """The CLI run in a child process with at most ``CHILD_MEMORY`` of address
-    space and one BLAS thread ends with exit 0, 1 or 2, no traceback, and
-    one stderr line on failure; (exit code, stderr)."""
-    run = subprocess.run([sys.executable, "-m", "eaqldpc.cli", *argv], stdout=subprocess.DEVNULL,
-                         stderr=subprocess.PIPE, text=True, timeout=300, preexec_fn=_limit_memory,
-                         env=child_env(OPENBLAS_NUM_THREADS="1"))
-    assert run.returncode in (0, 1, 2), (argv, run.returncode, run.stderr[-2000:])
-    assert "Traceback" not in run.stderr, (argv, run.stderr[-2000:])
-    if run.returncode:
-        assert run.stderr.count("\n") == 1, (argv, run.stderr)
-    return run.returncode, run.stderr
+# main(argv) for each argv of the JSON list in sys.argv[1]; prints the JSON
+# list of (exit code, stderr), an escaped exception recorded as its traceback
+_RUNNER = """
+import contextlib, io, json, os, sys, traceback
+from eaqldpc.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with open(os.devnull, "w") as out, contextlib.redirect_stdout(out), \\
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except (Exception, SystemExit):
+            code = None
+            traceback.print_exc()
+    results.append((code, err.getvalue()))
+json.dump(results, sys.stdout)
+"""
+
+
+def _start_child(argvs) -> subprocess.Popen:
+    """A child process that runs ``main`` on each argv in turn, with at most
+    ``CHILD_MEMORY`` of address space and one BLAS thread, stdout discarded;
+    argparse's exits and any exception ``main`` lets out count as tracebacks."""
+    return subprocess.Popen([sys.executable, "-c", _RUNNER, json.dumps(list(argvs))],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            preexec_fn=_limit_memory, env=child_env(OPENBLAS_NUM_THREADS="1"))
+
+
+def _child_results(child: subprocess.Popen) -> list[tuple[int, str]]:
+    """(exit code, stderr) per argv of a ``_start_child`` child."""
+    out, err = child.communicate(timeout=900)
+    assert child.returncode == 0, (child.returncode, err[-2000:])
+    return [tuple(r) for r in json.loads(out)]
+
+
+def _assert_clean(argv, code, err):
+    """Exit 0, 1 or 2, no traceback, and one stderr line on failure."""
+    assert code in (0, 1, 2), (argv, code, err[-2000:])
+    assert "Traceback" not in err, (argv, err[-2000:])
+    if code:
+        assert err.count("\n") == 1, (argv, err)
+
+
+def _assert_refused_in_process(argv) -> str:
+    """main(argv) exits 2 with one line naming the cap, before any build;
+    that line."""
+    def built(*args, **kwargs):
+        raise AssertionError(f"an oversized input reached a build: {argv}")
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        for name in BUILDERS:
+            mp.setattr(cli, name, built)
+        code = main(list(argv))
+    assert (code, out.getvalue()) == (2, ""), (argv, code, err.getvalue())
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert "over the cap of" in err.getvalue(), (argv, err.getvalue())
+    return err.getvalue()
 
 
 def _cells(kind, m, q) -> int:
@@ -513,65 +611,127 @@ def _largest_q(kind, m) -> int:
     return lo
 
 
+def _geometry_over_cap(kind, m, q) -> bool:
+    """The CLI's own test: m, q >= 2 and more cells than the cap (a geometry
+    past 2^1024 points always is)."""
+    if m < 2 or q < 2:
+        return False
+    return m * (q.bit_length() - 1) >= 1024 or _cells(kind, m, q) > MAX_INCIDENCE_CELLS
+
+
+def _size_boundary_cases() -> list[tuple[tuple[str, ...], bool]]:
+    """(argv, refused) on both sides of each size cap: for each geometry kind
+    and m = 2..12 the largest q under the cell cap and the next; an STS and
+    a cyclic development on MAX_POINTS - 1, MAX_POINTS and MAX_POINTS + 1
+    points; and for each mu = 2..64 (the mu with mu <= MAX_POINTS // mu, as
+    a TD(mu, g) from MOLS needs mu <= g) the TD(mu, g) with g =
+    MAX_POINTS // mu and g + 1."""
+    cases = []
+    for kind in ("PG", "AG", "EG"):
+        for m in range(2, 13):
+            for q in (_largest_q(kind, m), _largest_q(kind, m) + 1):
+                argv = ("design", "build", f"--{kind.lower()}", str(m), str(q))
+                cases.append((argv, _geometry_over_cap(kind, m, q)))
+    for v in (MAX_POINTS - 1, MAX_POINTS, MAX_POINTS + 1):
+        cases.append((("design", "build", "--sts", str(v)), v > MAX_POINTS))
+        cases.append((("design", "develop", "--v", str(v), "--bases", "0,1,3"), v > MAX_POINTS))
+    for mu in range(2, 65):
+        for g in (MAX_POINTS // mu, MAX_POINTS // mu + 1):
+            cases.append((("design", "build", "--td", str(mu), str(g)), mu * g > MAX_POINTS))
+    return cases
+
+
+SIZE_CASES = _size_boundary_cases()
+# SHA-256 of the case list, one "argv | refused" line each: the list is
+# computed from the caps alone, so it is the same in every run and suite
+SIZE_CASES_SHA256 = "af25f14e7039124c8231c9dbdc04d93665f8c955fa9672953964b806a6fca3b2"
+
+
+def _case_id(argv) -> str:
+    return "-".join(a.lstrip("-") for a in argv[2:]).replace(",", "")
+
+
+def test_size_boundary_cases_are_fixed():
+    text = "\n".join(f"{' '.join(argv)} | {refused}" for argv, refused in SIZE_CASES)
+    assert hashlib.sha256(text.encode()).hexdigest() == SIZE_CASES_SHA256
+    assert sum(refused for _, refused in SIZE_CASES) == 98 and len(SIZE_CASES) == 198
+
+
+@pytest.mark.parametrize("argv", [a for a, refused in SIZE_CASES if refused],
+                         ids=[_case_id(a) for a, refused in SIZE_CASES if refused])
+def test_size_boundary_refused_in_process(argv):
+    _assert_refused_in_process(argv)
+
+
+@pytest.fixture(scope="module")
+def admitted_size_results():
+    """The admitted cases' results: the geometries under the cell cap share
+    one child and the point-capped builds another, and the two run at once."""
+    admitted = [a for a, refused in SIZE_CASES if not refused]
+    groups = [[a for a in admitted if a[2] in ("--pg", "--ag", "--eg")],
+              [a for a in admitted if a[2] not in ("--pg", "--ag", "--eg")]]
+    children = [_start_child(group) for group in groups]
+    return {a: r for group, child in zip(groups, children)
+            for a, r in zip(group, _child_results(child))}
+
+
+@pytest.mark.parametrize("argv", [a for a, refused in SIZE_CASES if not refused],
+                         ids=[_case_id(a) for a, refused in SIZE_CASES if not refused])
+def test_size_boundary_admitted_in_a_memory_limited_child(admitted_size_results, argv):
+    """Every admitted build at a cap ends cleanly within the memory limit."""
+    _assert_clean(argv, *admitted_size_results[argv])
+
+
+def _clean_sized_exit(argv, over_cap: bool):
+    """A refusal in process, anything else in a memory-limited child."""
+    if over_cap:
+        _assert_refused_in_process(argv)
+    else:
+        _assert_clean(argv, *_child_results(_start_child([argv]))[0])
+
+
 @st.composite
 def _geometry_sizes(draw):
-    """(kind, m, q): q within a few of the cap for m in 2..12, or m and q
-    drawn wide, small and huge and out of range."""
+    """(kind, m, q) drawn wide: small, huge and out of range."""
     kind = draw(st.sampled_from(["PG", "AG", "EG"]))
-    if draw(st.booleans()):
-        m = draw(st.integers(2, 12))
-        return kind, m, max(_largest_q(kind, m) + draw(st.integers(-3, 3)), 0)
     m = draw(st.one_of(st.integers(-1, 12), st.integers(13, 1 << 12)))
     return kind, m, draw(st.one_of(st.integers(-1, 300), st.integers(300, 1 << 70)))
 
 
 @SIZE_FUZZ
 @given(_geometry_sizes())
-@example(("AG", 10, 2))  # the largest m for q = 2 under the cap
-@example(("AG", 11, 2))
 @example(("EG", 1100, 2))  # past 2^1024 points
 @example(("PG", 1, 2**61 - 1))  # below the cap check, refused by the build
 def test_fuzz_geometry_sizes_in_a_memory_limited_child(size):
     """A geometry over the cap is refused with exit 2; every other ends
     cleanly within the memory limit."""
     kind, m, q = size
-    code, err = _assert_clean_child_exit(["design", "build", f"--{kind.lower()}", str(m), str(q)])
-    if m >= 2 and q >= 2 and _cells(kind, m, q) > MAX_INCIDENCE_CELLS:
-        assert code == 2 and "over the cap" in err, (size, err)
+    _clean_sized_exit(("design", "build", f"--{kind.lower()}", str(m), str(q)),
+                      _geometry_over_cap(kind, m, q))
 
 
-_points = st.one_of(st.integers(-2, 40), st.integers(MAX_POINTS - 3, MAX_POINTS + 6),
-                    st.integers(MAX_POINTS, 1 << 70))
-# TD(mu, g) on mu*g points: g near the cap's MAX_POINTS // mu, or drawn wide
-_td_sizes = st.integers(-1, 70).flatmap(lambda mu: st.tuples(st.just(mu), st.one_of(
-    st.integers(-2, 40), st.integers(MAX_POINTS // max(mu, 1) - 3, MAX_POINTS // max(mu, 1) + 3),
-    st.integers(MAX_POINTS, 1 << 70))))
+_points = st.one_of(st.integers(-2, 40), st.integers(MAX_POINTS, 1 << 70))
+_td_sizes = st.tuples(st.integers(-1, 70), st.one_of(st.integers(-2, 40),
+                                                     st.integers(MAX_POINTS, 1 << 70)))
 
 
 @SIZE_FUZZ
 @given(st.one_of(st.tuples(st.sampled_from(["sts", "develop"]), _points),
                  st.tuples(st.just("td"), _td_sizes)))
-@example(("sts", MAX_POINTS - 1))  # the largest STS under the cap, 2.8 M blocks
-@example(("sts", MAX_POINTS + 1))
-@example(("develop", MAX_POINTS))
-@example(("td", (2, 2048)))  # the TD with most blocks under the cap, 4.2 M
-@example(("td", (17, 241)))  # the fewest points over the cap of any TD, 4097
 def test_fuzz_point_counts_in_a_memory_limited_child(build):
-    """An STS, cyclic development or TD(mu, g) on more than ``MAX_POINTS``
-    points is refused with exit 2; every other ends cleanly within the
-    memory limit."""
+    """An STS, cyclic development or TD(mu, g) drawn wide: on more than
+    ``MAX_POINTS`` points it is refused with exit 2, and every other ends
+    cleanly within the memory limit."""
     command, size = build
     if command == "td":
         mu, g = size
-        argv = ["design", "build", "--td", str(mu), str(g)]
+        argv = ("design", "build", "--td", str(mu), str(g))
         v = mu * g if mu >= 2 and g >= 2 else 0
     else:
         v = size
-        argv = (["design", "build", "--sts", str(v)] if command == "sts"
-                else ["design", "develop", "--v", str(v), "--bases", "0,1,3"])
-    code, err = _assert_clean_child_exit(argv)
-    if v > MAX_POINTS:
-        assert code == 2 and "over the cap" in err, (argv, err)
+        argv = (("design", "build", "--sts", str(v)) if command == "sts"
+                else ("design", "develop", "--v", str(v), "--bases", "0,1,3"))
+    _clean_sized_exit(argv, v > MAX_POINTS)
 
 
 def test_empty_code_exits_2_with_one_line(tmp_path, capsys):

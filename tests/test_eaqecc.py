@@ -172,11 +172,11 @@ def test_distance_verdict_rejects_a_witness_outside_the_code(fano, monkeypatch):
     from eaqldpc.geometry import WitnessCodeword
 
     bogus = WitnessCodeword(kind="dual_hyperoval", block_indices=(0, 1, 2, 3))
-    monkeypatch.setattr(eaqecc, "_make_witness", lambda design, orientation: bogus)
+    monkeypatch.setattr(eaqecc, "dual_hyperoval", lambda design: bogus)
     with pytest.raises(DesignError, match="not a codeword"):
         distance_verdict(fano, POINT_BY_BLOCK)
     repeated = WitnessCodeword(kind="dual_hyperoval", block_indices=(0, 0, 1, 1))
-    monkeypatch.setattr(eaqecc, "_make_witness", lambda design, orientation: repeated)
+    monkeypatch.setattr(eaqecc, "dual_hyperoval", lambda design: repeated)
     with pytest.raises(DesignError, match="repeats a column"):
         distance_verdict(fano, POINT_BY_BLOCK)
 
@@ -246,9 +246,9 @@ def test_family_closed_form_grid_frozen(monkeypatch):
                         covered += 1
                     except ValueError as e:
                         fam = f"ValueError: {e}"
-                    case = eaqecc._formula_distance(kind, m, q, orientation)[:3]
-                    witness = eaqecc._make_witness(SimpleNamespace(kind=kind, m=m, q=q), orientation)
-                    lines.append(f"{kind} {orientation} {m} {q} | {fam} | {case!r} | {witness}")
+                    *case, build = eaqecc._formula_distance(kind, m, q, orientation)
+                    witness = build(SimpleNamespace(kind=kind, m=m, q=q)) if build else None
+                    lines.append(f"{kind} {orientation} {m} {q} | {fam} | {tuple(case)!r} | {witness}")
     assert covered == 148
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == FAMILY_GRID_SHA256
 

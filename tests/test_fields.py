@@ -1,5 +1,6 @@
 """Finite field tables: axioms, generators, projective representatives."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -89,7 +90,7 @@ def test_frobenius_additive(q):
     F = field_for_order(q)
     for a in range(q):
         for b in range(q):
-            assert F.frobenius(F.add(a, b)) == F.add(F.frobenius(a), F.frobenius(b))
+            assert F.pow(F.add(a, b), F.p) == F.add(F.pow(a, F.p), F.pow(b, F.p))
 
 
 def test_make_field_rejects_bad_args():
@@ -140,6 +141,92 @@ def test_subfield_embedding_gf4_gf16():
             assert emb[sub.add(a, b)] == big.add(emb[a], emb[b])
             assert emb[sub.mul(a, b)] == big.mul(emb[a], emb[b])
     assert len(set(emb.values())) == 4
+
+
+def test_subfield_embedding_needs_same_characteristic_and_dividing_degree():
+    for sub, big in ((make_field(2, 2), make_field(2, 3)), (make_field(3, 1), make_field(2, 2))):
+        with pytest.raises(ValueError, match="no embedding"):
+            subfield_embedding(sub, big)
+
+
+# every (p, e, E) with e | E and p^E <= 2^12 over the primes with a proper
+# extension of that order (p <= 61); a larger prime has only GF(p) -> GF(p)
+EMBEDDING_CASES = [(p, e, E) for p in range(2, 62) if all(p % d for d in range(2, p))
+                   for E in range(1, 13) if p**E <= 1 << 12
+                   for e in range(1, E + 1) if E % e == 0]
+
+
+def _vec_add(F, a, b):
+    """Elementwise F-sums of two integer arrays: base-p digits added mod p."""
+    if F.p == 2:
+        return a ^ b
+    out, scale = np.zeros_like(a), 1
+    for _ in range(F.e):
+        out += (a // scale + b // scale) % F.p * scale
+        scale *= F.p
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _log_exp(F):
+    """F's discrete logs with log 0 = 2(q-1), and the powers of the
+    generator for exponents 0..2q-4 followed by zeros up to 4(q-1): a sum of
+    two logs then indexes the product, and any sum with log 0 a zero."""
+    n = F.q - 1
+    log = np.array(F._log, dtype=np.int32)
+    log[0] = 2 * n
+    exp = np.zeros(4 * n + 1, dtype=np.int32)
+    exp[:2 * n] = F._exp * 2
+    return log, exp
+
+
+def _vec_mul(F, a, b):
+    log, exp = _log_exp(F)
+    return exp[log[a] + log[b]]
+
+
+def _is_homomorphism(sub, big, phi) -> bool:
+    """phi (an array over sub's elements) fixes 1 and preserves every sum
+    and product, checked on all pairs in row chunks of doubling size, so
+    that a failure on the first rows costs little."""
+    if phi[1] != 1:
+        return False
+    els = np.arange(sub.q, dtype=np.int32)
+    lo, rows = 0, 2
+    while lo < sub.q:
+        a = np.repeat(els[lo:lo + rows], sub.q)
+        b = np.tile(els, len(a) // sub.q)
+        for op in (_vec_add, _vec_mul):
+            if (phi[op(sub, a, b)] != op(big, phi[a], phi[b])).any():
+                return False
+        lo, rows = lo + rows, min(2 * rows, max(2, (1 << 16) // sub.q))
+    return True
+
+
+def _power_map(sub, big, x):
+    """g^k -> x^k for k = 1..q-1 and 0 -> 0, g = sub.generator."""
+    phi, a, image = np.zeros(sub.q, dtype=np.int32), sub.generator, x
+    for _ in range(sub.q - 1):
+        phi[a] = image
+        a, image = sub.mul(a, sub.generator), big.mul(image, x)
+    return phi
+
+
+@pytest.mark.parametrize("p,e,E", EMBEDDING_CASES)
+def test_subfield_embedding_is_the_least_homomorphism(p, e, E):
+    """The map is injective and a field homomorphism on all pairs, and it
+    sends sub's generator to the least element of big that any homomorphism
+    sends it to.  A homomorphism is the power map of its image of the
+    generator, so trying the power map of every smaller element is a
+    complete brute-force search."""
+    sub, big = make_field(p, e), make_field(p, E)
+    emb = subfield_embedding(sub, big)
+    phi = np.array([emb[a] for a in range(sub.q)], dtype=np.int32)
+    assert sorted(emb) == list(range(sub.q)) and len(set(emb.values())) == sub.q
+    x = emb[sub.generator]
+    assert phi.tolist() == _power_map(sub, big, x).tolist()
+    assert _is_homomorphism(sub, big, phi)
+    assert not any(_is_homomorphism(sub, big, _power_map(sub, big, y)) for y in range(x))
 
 
 # (p, e) -> the lexicographically least monic irreducible, low to high

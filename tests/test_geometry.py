@@ -10,10 +10,11 @@ from eaqldpc.designs import (
     build_sts,
     build_transversal_design,
     compose_gdd_spread,
+    delete_subdesigns,
     verify_partial_steiner,
     verify_steiner,
 )
-from eaqldpc.eaqecc import BLOCK_BY_POINT, POINT_BY_BLOCK, _make_witness
+from eaqldpc.eaqecc import BLOCK_BY_POINT, POINT_BY_BLOCK, _formula_distance
 from eaqldpc.fields import enumerate_subspace_reps, field_for_order
 from eaqldpc.geometry import (
     DesignError,
@@ -188,6 +189,38 @@ def test_spread_pins(cache, kind, m, q, s):
     parts = [(sorted(pts), bidx) for pts, bidx in spread.parts]
     assert hashlib.sha256(repr(parts).encode()).hexdigest()[:16] == SPREAD_PINS[(kind, m, q, s)]
 
+
+# (m, q, s) -> SHA-256 of PG(m, q)'s s-spread parts, in the form above, and
+# of the blocks left after deleting its first two parts, one line a block;
+# recorded before the subfield embedding became a one-test candidate search
+SPREAD_DELETION_DIGESTS = {
+    (3, 4, 1): ("0afb6dd6a88e0768cc05f6b4650d65f06196a15dde304486045d6201fb381528",
+                "8f3b9681815cf0fed04ba512d4a445f699a5335847766ee9b673a79ce9059952"),
+    (3, 8, 1): ("4156a63984158ceb21c762611394c6752fecbd09fec1b70d23d649005841be82",
+                "a171f49e173d2856cd1b8f40775623e78afcb57f6652ffdbda9637bdc3cb56df"),
+    (3, 9, 1): ("b7f1280232080996ad7da0fc4e222c01a2d43a60fc9fc27b85ec08a76a347352",
+                "a08524f99a6af28ed57e8e66c1c3cb7f87d18724264299e1a88dafc53b0fa683"),
+    (5, 4, 2): ("f08de7b203f9405574f1faeb61d52cb1ae089fd4bfbdaf85275766445eceb7ee",
+                "4e56c234bf8eec147b6b05527b3d9b31b60108dc976c121f7135e01cc4b25de2"),
+    (3, 16, 1): ("475286844e245705d3f59d99acc1ef2790ca544d8e4fecd9634038bc381b0b6b",
+                 "b7bb1bfb3563f6973026e54bac494a2be52ed50a5894910a803fdff6b4919cb2"),
+}
+
+
+@pytest.mark.parametrize("m,q,s", SPREAD_DELETION_DIGESTS)
+def test_spread_and_deletion_digests(m, q, s):
+    """Spreads over GF(q) inside GF(q^(s+1)) for q = 4, 8, 9, 16, and the
+    design with two parts deleted, are bit for bit the recorded ones."""
+    design = build_geometry("PG", m, q)
+    spread = pg_spread(design, s)
+    folded = delete_subdesigns(design.structure, spread, 2)
+    parts = [(sorted(pts), bidx) for pts, bidx in spread.parts]
+    (blocks,) = folded.arrays
+    lines = "\n".join(" ".join(map(str, b)) for b in blocks.tolist())
+    got = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (repr(parts), lines))
+    assert got == SPREAD_DELETION_DIGESTS[(m, q, s)]
+
+
 def _coverage(structure, support):
     cover = [0] * structure.v
     for j in support:
@@ -358,7 +391,7 @@ def test_geometry_matches_line_closure_oracle(kind, m, q):
     assert all(type(x) is int for j in range(3) for x in design.structure.block(j))
 
 
-# (Type II, Type I) witness of `_make_witness` for each table geometry, as
+# (Type II, Type I) witness that `distance_verdict` builds for each table geometry, as
 # (kind, weight, first 16 hex digits of the SHA-256 of the comma-joined block
 # indices), or None where no construction applies
 WITNESS_PINS = {
@@ -418,9 +451,12 @@ WITNESS_PINS = {
 }
 
 
-def _witness_pin(w):
-    if w is None:
+def _witness_pin(design, orientation):
+    """The pin of the witness that the family case's builder makes, or None."""
+    build = _formula_distance(design.kind, design.m, design.q, orientation)[3]
+    if build is None:
         return None
+    w = build(design)
     digest = hashlib.sha256(",".join(map(str, w.block_indices)).encode()).hexdigest()
     return w.kind, w.weight, digest[:16]
 
@@ -428,5 +464,5 @@ def _witness_pin(w):
 @pytest.mark.parametrize("kind,m,q", TABLE_GEOMETRIES)
 def test_witness_pins(cache, kind, m, q):
     design = cache.geometry(kind, m, q)
-    got = tuple(_witness_pin(_make_witness(design, o)) for o in (POINT_BY_BLOCK, BLOCK_BY_POINT))
+    got = tuple(_witness_pin(design, o) for o in (POINT_BY_BLOCK, BLOCK_BY_POINT))
     assert got == WITNESS_PINS[(kind, m, q)]
